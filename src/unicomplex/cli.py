@@ -21,8 +21,8 @@ from .bhargava import INTEGERS, explicit, generalized_factorial, geometric, nu_k
 from .buchstaber import buchstaber_bounds, min_rank_search, zeta_theta_bounds
 from .errors import InputError, ResourceLimitError
 from .homology import reduced_homology, reisner_check
-from .morse import LINE_FLAVOR, VECTOR_FLAVOR, critical_cells, greedy_matching, \
-    check_acyclic, morse_summary, pivot_free_facet_count
+from .morse import critical_cells, greedy_matching, check_acyclic, \
+    morse_summary, pivot_free_facet_count
 from .scomplex import format_facet_list, parse_facet_list
 from .shelling import ShellingOrder, construct_shelling_fp, is_shifted, \
     verify_shelling
@@ -115,6 +115,36 @@ def _report(args, results):
 # -- shared argument helpers --------------------------------------------------
 
 
+class _Parsed(str):
+    """An argparse value kept as typed, so reports echo it unchanged; the
+    parsed form is in `values`."""
+
+    def __new__(cls, text, values):
+        out = super().__new__(cls, text)
+        out.values = values
+        return out
+
+
+def _int_list(text):
+    """argparse type: comma-separated integers."""
+    try:
+        return _Parsed(text, tuple(int(t) for t in text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _pair_list(text):
+    """argparse type: p,n pairs separated by ';'."""
+    pairs = tuple(_int_list(chunk).values for chunk in text.split(";"))
+    if any(len(pair) != 2 for pair in pairs):
+        raise argparse.ArgumentTypeError(
+            f"expected p,n pairs separated by ';', got {text!r}"
+        )
+    return _Parsed(text, pairs)
+
+
 def _add_universal_args(sub, required=True):
     sub.add_argument("--variant", choices=("X", "K"), required=required)
     sub.add_argument("--p", type=int, required=required)
@@ -179,6 +209,10 @@ def cmd_fvector(args):
 def cmd_homology(args):
     K, kind = _get_complex(args)
     if args.link_dim is not None:
+        if not 0 <= args.link_dim <= K.dim:
+            raise InputError(
+                f"link dimension {args.link_dim} out of range [0, {K.dim}]"
+            )
         s = K.sorted_simplices(args.link_dim)[0]
         K = K.link(s)
     prof = reduced_homology(K, budget=args.budget)
@@ -202,18 +236,13 @@ def cmd_homology(args):
 def cmd_morse(args):
     K, kind = _get_complex(args)
     if args.pivots:
-        pivots = [int(t) for t in args.pivots.split(",")]
+        pivots = list(args.pivots.values)
     elif kind is not None:
         pivots = list(standard_pivot_ids(K))
     else:
         raise UsageError("--pivots is required for a facet-list complex")
-    if args.flavor:
-        flavor = LINE_FLAVOR if args.flavor == "line" else VECTOR_FLAVOR
-    else:
-        flavor = LINE_FLAVOR if (kind and kind.variant == "K") else VECTOR_FLAVOR
-    summary = morse_summary(K, pivots, flavor)
+    summary = morse_summary(K, pivots)
     results = {
-        "flavor": summary.flavor,
         "pivots": list(summary.pivot_schedule),
         "pairs": summary.n_pairs,
         "acyclic": summary.acyclic,
@@ -273,7 +302,7 @@ def cmd_shifted(args):
 
 def cmd_buchstaber(args):
     K, _ = _get_complex(args)
-    primes = [int(t) for t in args.primes.split(",")]
+    primes = args.primes.values
     results = {}
     for p in primes:
         rep = buchstaber_bounds(K, p)
@@ -304,7 +333,7 @@ def cmd_zcheck(args):
         return (0 if ok else 1), results
     K = build_truncated_universal_z("K", args.n, args.max_norm, budget=args.budget)
     pivots = list(range(K.n_vertices))
-    matching = greedy_matching(K, pivots, LINE_FLAVOR)
+    matching = greedy_matching(K, pivots)
     ok, _ = check_acyclic(K, matching)
     census = {str(d): len(c) for d, c in critical_cells(matching).items()}
     lab_to_id = {lab: v for v, lab in K.labels.items()}
@@ -347,7 +376,7 @@ def _parse_ground_set(spec):
 
 def cmd_bhargava(args):
     S = _parse_ground_set(args.set)
-    primes = [int(t) for t in args.primes.split(",")] if args.primes else []
+    primes = args.primes.values if args.primes else ()
     results = {}
     for k in range(args.k + 1):
         entry = {"factorial": generalized_factorial(S, k)}
@@ -358,12 +387,7 @@ def cmd_bhargava(args):
 
 
 def cmd_verify_all(args):
-    pairs = FP_PAIRS
-    if args.pairs:
-        pairs = tuple(
-            tuple(int(x) for x in chunk.split(","))
-            for chunk in args.pairs.split(";")
-        )
+    pairs = args.pairs.values if args.pairs else FP_PAIRS
     outcome = run_all(fp_pairs=pairs, oracle_samples=args.oracle_samples)
     results = {
         name: {"pass": ok, "detail": detail} for name, ok, detail in outcome
@@ -411,8 +435,7 @@ def build_parser():
     s = subs.add_parser(parents=[common], name="morse", help="greedy matching, acyclicity, census")
     _add_universal_args(s, required=False)
     s.add_argument("--facets")
-    s.add_argument("--pivots", help="comma-separated vertex ids")
-    s.add_argument("--flavor", choices=("vector", "line"))
+    s.add_argument("--pivots", type=_int_list, help="comma-separated vertex ids")
     s.set_defaults(func=cmd_morse)
 
     s = subs.add_parser(parents=[common], name="shelling", help="construct or verify a shelling")
@@ -431,7 +454,7 @@ def build_parser():
     s = subs.add_parser(parents=[common], name="buchstaber", help="invariant bounds and values")
     _add_universal_args(s, required=False)
     s.add_argument("--facets")
-    s.add_argument("--primes", default="2,3")
+    s.add_argument("--primes", type=_int_list, default="2,3")
     s.set_defaults(func=cmd_buchstaber)
 
     s = subs.add_parser(parents=[common], name="zcheck", help="Z-lattice suite / quasitoric pairs")
@@ -445,11 +468,11 @@ def build_parser():
     s.add_argument("--set", required=True,
                    help="integers | geometric:a:q | list:1,2,3")
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--primes")
+    s.add_argument("--primes", type=_int_list)
     s.set_defaults(func=cmd_bhargava)
 
     s = subs.add_parser(parents=[common], name="verify-all", help="run the acceptance suite")
-    s.add_argument("--pairs", help='override test pairs, e.g. "2,2;3,2"')
+    s.add_argument("--pairs", type=_pair_list, help='override test pairs, e.g. "2,2;3,2"')
     s.add_argument("--oracle-samples", type=int, default=10**4)
     s.set_defaults(func=cmd_verify_all)
     return parser

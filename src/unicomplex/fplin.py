@@ -112,11 +112,6 @@ def echelon_basis(rows, p):
     return basis
 
 
-def in_span(basis, coords, p):
-    """True iff coords lies in the span of an echelon basis."""
-    return _echelon_insert(basis, [c % p for c in coords], p) is None
-
-
 def rank_fp(vectors, field):
     """Rank of the span of the given vectors, by Gaussian elimination mod p."""
     vectors = list(vectors)

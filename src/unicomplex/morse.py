@@ -1,26 +1,25 @@
 """Hasse diagrams, greedy pivot matchings, acyclicity, critical cells.
 
 A matching is built inductively over an ordered pivot schedule: in step k,
-every still-unmatched simplex sigma to which pivot_k can be added (the
-flavor decides what "addable" means) is paired with sigma + {pivot_k},
-provided that upper partner is itself still unmatched.  Within a step the
-pairing is conflict-free: lower partners never contain the pivot, upper
-partners always do, and the upper partner determines the lower one.  The
-empty simplex participates in no pair.
+every still-unmatched simplex sigma that does not contain pivot_k is paired
+with sigma + {pivot_k}, provided that upper partner is a simplex of the
+complex and is itself still unmatched.  Within a step the pairing is
+conflict-free: lower partners never contain the pivot, upper partners always
+do, and the upper partner determines the lower one, so the result does not
+depend on the order in which a step visits the simplices.  The empty simplex
+participates in no pair.
+
+Discrete Morse theory asks only that the pairs be covering pairs forming an
+acyclic matching.  No test that the pivot's label lies outside span(sigma) is
+needed: every simplex of every complex the library builds is an independent
+set, so sigma + {pivot_k} being a simplex already implies it.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AcyclicityError, InputError
-from .fplin import FpLine, FpVector, echelon_basis, in_span
-
-VECTOR_FLAVOR = "vector_flavor"  # addable iff pivot is not a member of sigma
-LINE_FLAVOR = "line_flavor"  # addable iff pivot's label is outside span(sigma)
-FLAVORS = (VECTOR_FLAVOR, LINE_FLAVOR)
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,6 @@ class Matching:
     pairs: tuple  # ((lower, upper), ...) sorted
     pivot_schedule: tuple
     critical: tuple  # sorted unmatched simplices
-    flavor: str
 
     def partner_map(self):
         out = {}
@@ -40,7 +38,6 @@ class Matching:
 
 @dataclass(frozen=True)
 class MorseSummary:
-    flavor: str
     pivot_schedule: tuple
     n_pairs: int
     acyclic: bool
@@ -58,105 +55,40 @@ def hasse_edges(K):
                 yield s, s[:i] + s[i + 1:]
 
 
-def _label_coords(label):
-    if isinstance(label, FpLine):
-        return label.generator.coords
-    if isinstance(label, FpVector):
-        return label.coords
-    coords = getattr(label, "coords", None)
-    if coords is None:
-        gen = getattr(label, "generator", None)
-        coords = getattr(gen, "coords", None)
-    if coords is None:
-        raise InputError(
-            f"line_flavor needs vector-like labels with coordinates, got {label!r}"
-        )
-    return coords
+def greedy_matching(K, pivots):
+    """Run the inductive pivot schedule and return the resulting matching.
 
-
-def _rank_q(rows):
-    a = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][c]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
-
-
-def _make_span_test(K):
-    """Return addable(sigma, pivot) for line_flavor: pivot outside span(sigma).
-
-    Over F_p (p from the complex meta) spans are echelon bases mod p; over Z
-    (or anything else with integer coordinates) spans are rational."""
-    p = K.meta.get("p")
-    ring = K.meta.get("ring")
-    coords = {v: _label_coords(lab) for v, lab in K.labels.items()}
-    if ring == "fp" or p is not None:
-        cache = {}
-
-        def outside(simplex, pivot):
-            basis = cache.get(simplex)
-            if basis is None:
-                basis = echelon_basis((coords[v] for v in simplex), p)
-                cache[simplex] = basis
-            return not in_span(basis, coords[pivot], p)
-
-    else:
-
-        def outside(simplex, pivot):
-            rows = [coords[v] for v in simplex]
-            base = _rank_q(rows) if rows else 0
-            return _rank_q(rows + [coords[pivot]]) > base
-
-    return outside
-
-
-def greedy_matching(K, pivots, flavor):
-    """Run the inductive pivot schedule and return the resulting matching."""
-    if flavor not in FLAVORS:
-        raise InputError(f"unknown flavor {flavor!r}")
+    Every simplex of dimension >= 1 is indexed once under each of its
+    vertices; the step for pivot v pairs (up - v, up) for every up in the
+    star of v whose two members are both still unmatched."""
     vertex_set = set(K.labels)
     for pv in pivots:
         if pv not in vertex_set:
             raise InputError(f"pivot {pv} is not a vertex of the complex")
-    outside = _make_span_test(K) if flavor == LINE_FLAVOR else None
+    star = {}
+    for d in range(1, K.dim + 1):
+        for up in K.simplices_of_dim(d):
+            for v in up:
+                star.setdefault(v, []).append(up)
 
-    matched = {}
+    matched = set()
     pairs = []
     for pivot in pivots:
-        for d in range(K.dim + 1):
-            for s in K.sorted_simplices(d):
-                if s in matched:
-                    continue
-                if flavor == VECTOR_FLAVOR:
-                    if pivot in s:
-                        continue
-                else:
-                    if not outside(s, pivot):
-                        continue
-                up = list(s)
-                insort(up, pivot)
-                up = tuple(up)
-                if up not in K or up in matched:
-                    continue
-                matched[s] = up
-                matched[up] = s
-                pairs.append((s, up))
+        for up in star.get(pivot, ()):
+            if up in matched:
+                continue
+            i = up.index(pivot)
+            lo = up[:i] + up[i + 1:]
+            if lo in matched:
+                continue
+            matched.add(lo)
+            matched.add(up)
+            pairs.append((lo, up))
     critical = tuple(s for s in K.all_simplices() if s not in matched)
-    return Matching(tuple(sorted(pairs)), tuple(pivots), critical, flavor)
+    return Matching(tuple(sorted(pairs)), tuple(pivots), critical)
 
 
-def matching_from_pairs(K, pairs, flavor="explicit"):
+def matching_from_pairs(K, pairs):
     """Package explicit (lower, upper) pairs as a Matching (for checks)."""
     seen = set()
     for lo, hi in pairs:
@@ -168,7 +100,7 @@ def matching_from_pairs(K, pairs, flavor="explicit"):
             raise InputError("a simplex occurs in two pairs")
         seen.update((lo, hi))
     critical = tuple(s for s in K.all_simplices() if s not in seen)
-    return Matching(tuple(sorted(pairs)), (), critical, flavor)
+    return Matching(tuple(sorted(pairs)), (), critical)
 
 
 def validate_matching(K, matching):
@@ -237,13 +169,13 @@ def pivot_free_facet_count(K, pivots):
     return sum(1 for f in K.facets() if not pv & set(f))
 
 
-def morse_summary(K, pivots, flavor):
+def morse_summary(K, pivots):
     """Matching + acyclicity + critical census + Euler bookkeeping.
 
     When the critical cells are exactly one vertex plus top-dimensional
     cells, chi(K) must equal 1 + (-1)^top * (top critical count); any
     critical cell in another dimension is flagged instead."""
-    matching = greedy_matching(K, pivots, flavor)
+    matching = greedy_matching(K, pivots)
     ok, cycle = check_acyclic(K, matching)
     if not ok:
         raise AcyclicityError(cycle)
@@ -259,7 +191,6 @@ def morse_summary(K, pivots, flavor):
             f"Euler count mismatch: chi={euler}, census={census}"
         )
     return MorseSummary(
-        flavor=flavor,
         pivot_schedule=tuple(pivots),
         n_pairs=len(matching.pairs),
         acyclic=True,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 
 def check_simplex(vertices):
@@ -179,6 +179,44 @@ class SimplicialComplex:
 
 def empty_complex():
     return SimplicialComplex([], {})
+
+
+def grow_by_extension(gens, depth, start, extend, budget, what):
+    """Simplices (grouped by dimension, up to depth - 1) of the complex on
+    vertex ids 0..len(gens)-1 whose faces are the subsets that `extend`
+    accepts one generator at a time.
+
+    `extend(state, w)` returns the state of sigma + {w} from the state of
+    sigma, or None when sigma + {w} is not a simplex; `start` is the state of
+    the empty simplex.  A simplex is grown only by generators past its last
+    vertex, so each simplex is produced exactly once.  States of the top
+    level are never extended and so are not kept.  Raises ResourceLimitError
+    naming `what` once more than `budget` simplices have been produced."""
+    m = len(gens)
+    by_dim = []
+    frontier = [((), start)]
+    count = 0
+    for d in range(depth):
+        level = set()
+        nxt = []
+        keep = d < depth - 1
+        for simp, state in frontier:
+            for j in range(simp[-1] + 1 if simp else 0, m):
+                ext = extend(state, gens[j])
+                if ext is None:
+                    continue
+                new = simp + (j,)
+                level.add(new)
+                count += 1
+                if count > budget:
+                    raise ResourceLimitError(
+                        f"{what} exceeds simplex budget {budget}"
+                    )
+                if keep:
+                    nxt.append((new, ext))
+        by_dim.append(level)
+        frontier = nxt
+    return by_dim
 
 
 # -- facet-list text format ------------------------------------------------

@@ -10,6 +10,7 @@ GL(n, F_p) action, which is what makes the closed-form face counts below work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import factorial, prod
 
 from .errors import InputError, ResourceLimitError
@@ -17,13 +18,12 @@ from .fplin import (
     FpLine,
     FpVector,
     PrimeField,
-    echelon_basis,
     enumerate_lines_fp,
     enumerate_vectors_fp,
     line_canonical_fp,
     _echelon_insert,
 )
-from .scomplex import FVector, SimplicialComplex
+from .scomplex import FVector, SimplicialComplex, grow_by_extension
 
 DEFAULT_SIMPLEX_BUDGET = 10**7
 
@@ -118,23 +118,8 @@ def build_universal(kind, budget=DEFAULT_SIMPLEX_BUDGET):
     else:
         labels_seq = enumerate_lines_fp(n, field)
         gens = [l.generator.coords for l in labels_seq]
-    m = len(labels_seq)
-
-    by_dim = [set((i,) for i in range(m))]
-    frontier = [((i,), echelon_basis([gens[i]], p)) for i in range(m)]
-    for _ in range(1, n):
-        level = set()
-        nxt = []
-        for simp, basis in frontier:
-            for j in range(simp[-1] + 1, m):
-                ext = _echelon_insert(basis, gens[j], p)
-                if ext is not None:
-                    new = simp + (j,)
-                    level.add(new)
-                    nxt.append((new, ext))
-        by_dim.append(level)
-        frontier = nxt
-
+    by_dim = grow_by_extension(gens, n, (), partial(_echelon_insert, p=p),
+                               budget, str(kind))
     labels = {i: lab for i, lab in enumerate(labels_seq)}
     meta = {"universal": kind, "ring": "fp", "p": p, "n": n, "variant": kind.variant}
     K = SimplicialComplex(by_dim, labels, meta)

@@ -14,7 +14,6 @@ from itertools import combinations
 from math import gcd
 
 from . import bhargava, buchstaber, homology, morse, shelling, zlattice
-from .morse import LINE_FLAVOR, VECTOR_FLAVOR
 from .scomplex import SimplicialComplex
 from .universal_fp import (
     UniversalKind,
@@ -63,10 +62,6 @@ class Workspace:
         if kind not in self._built:
             self._built[kind] = build_universal(kind)
         return self._built[kind]
-
-
-def _flavor(kind):
-    return LINE_FLAVOR if kind.variant == "K" else VECTOR_FLAVOR
 
 
 def _sample_simplices(K, d, count=3):
@@ -125,7 +120,7 @@ def criterion_4(ws):
     """Greedy matchings are valid and acyclic with the expected census."""
     for kind in ws.kinds():
         K = ws.built(kind)
-        summary = morse.morse_summary(K, standard_pivot_ids(K), _flavor(kind))
+        summary = morse.morse_summary(K, standard_pivot_ids(K))
         if not summary.acyclic:
             return False, f"{kind}: matching not acyclic"
         want = {0: 1, kind.n - 1: sphere_count(kind).count}
@@ -308,7 +303,7 @@ def criterion_9(ws, samples=10**4):
     for norm in (2, 3, 4):
         K = zlattice.build_truncated_universal_z("K", 2, norm)
         pivots = list(range(K.n_vertices))
-        M = morse.greedy_matching(K, pivots, LINE_FLAVOR)
+        M = morse.greedy_matching(K, pivots)
         ok, cycle = morse.check_acyclic(K, M)
         if not ok:
             return False, f"W matching cyclic at norm {norm}: {cycle}"

@@ -7,6 +7,17 @@ represented by the primitive one whose first nonzero coordinate is positive.
 Lines are well-ordered by 1-norm of the generator, ties broken from the last
 coordinate downward; truncating by 1-norm therefore takes order ideals of
 that well-order.
+
+Unimodularity is decided by one quotient-map step.  The state of a
+unimodular set sigma of k vectors in Z^n is the rows of a surjection
+Q: Z^n -> Z^(n-k) whose kernel is span(sigma); the empty set has the
+identity.  Because Z^n / span(sigma) is free and Q identifies it with
+Z^(n-k), sigma + {w} is unimodular iff Q w is primitive, i.e. gcd(Q w) = 1.
+In that case integer row operations on Q (Euclid on the entries of Q w)
+reduce Q w to a single entry +-1, and dropping that row leaves a surjection
+whose kernel is span(sigma + {w}).  Each test costs O(n^2) integer
+operations; `is_unimodular_z` folds the step over a list and the truncation
+builder runs it inside the shared frontier loop.
 """
 
 from __future__ import annotations
@@ -15,9 +26,8 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
-from .errors import InputError, ResourceLimitError
-from .homology import IntMatrix, smith_normal_form
-from .scomplex import SimplicialComplex
+from .errors import InputError
+from .scomplex import SimplicialComplex, grow_by_extension
 
 
 @dataclass(frozen=True, order=True)
@@ -70,17 +80,46 @@ def is_primitive(v):
     return g == 1
 
 
+def _identity_rows(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _quotient_step(rows, w):
+    """Extend a unimodular set by the integer vector w.  `rows` is the
+    surjection Q whose kernel is the span of the set; returns the rows of
+    the surjection for the set plus w, or None if that set is not
+    unimodular."""
+    c = [sum(a * b for a, b in zip(row, w)) for row in rows]
+    if gcd(*c) != 1:
+        return None
+    rows = list(rows)
+    while True:
+        live = [i for i, x in enumerate(c) if x]
+        i = min(live, key=lambda k: abs(c[k]))
+        if len(live) == 1:
+            return tuple(rows[:i] + rows[i + 1:])
+        for j in live:
+            if j != i:
+                q = c[j] // c[i]
+                c[j] -= q * c[i]
+                rows[j] = tuple(a - q * b for a, b in zip(rows[j], rows[i]))
+
+
 def is_unimodular_z(vectors):
     """True iff the vectors span a direct summand of rank equal to their
-    number: Smith normal form all ones."""
+    number."""
     vectors = list(vectors)
     dims = {v.n for v in vectors}
     if len(dims) > 1:
         raise InputError(f"ambient dimension mismatch: {sorted(dims)}")
     if not vectors:
         return True
-    snf = smith_normal_form(IntMatrix.from_rows([v.coords for v in vectors]))
-    return snf.rank == len(vectors) and all(d == 1 for d in snf.diagonal)
+    rows = _identity_rows(dims.pop())
+    for v in vectors:
+        rows = _quotient_step(rows, v.coords)
+        if rows is None:
+            return False
+    return True
 
 
 # -- the line well-order ------------------------------------------------------
@@ -134,36 +173,20 @@ def enumerate_z_vectors(n, max_norm):
 
 def build_truncated_universal_z(variant, n, max_norm, budget=10**6):
     """Full subcomplex of X(Z^n) or K(Z^n) on the vertices within the norm
-    bound.  Every simplex is checked unimodular over Z."""
+    bound.  Every simplex is grown by the quotient-map step, so each one is
+    unimodular over Z."""
     if variant not in ("X", "K"):
         raise InputError(f"variant must be 'X' or 'K', got {variant!r}")
     if variant == "K":
         labels_seq = enumerate_z_lines(n, max_norm)
-        gens = [l.generator for l in labels_seq]
+        gens = [l.generator.coords for l in labels_seq]
     else:
         labels_seq = enumerate_z_vectors(n, max_norm)
-        gens = list(labels_seq)
-    m = len(labels_seq)
-    by_dim = [set((i,) for i in range(m))]
-    frontier = [(i,) for i in range(m)]
-    count = m
-    for _ in range(1, n):
-        level = set()
-        nxt = []
-        for simp in frontier:
-            for j in range(simp[-1] + 1, m):
-                if is_unimodular_z([gens[v] for v in simp] + [gens[j]]):
-                    new = simp + (j,)
-                    level.add(new)
-                    nxt.append(new)
-                    count += 1
-                    if count > budget:
-                        raise ResourceLimitError(
-                            f"truncated {variant}(Z^{n}), max_norm={max_norm} "
-                            f"exceeds simplex budget {budget}"
-                        )
-        by_dim.append(level)
-        frontier = nxt
+        gens = [v.coords for v in labels_seq]
+    by_dim = grow_by_extension(
+        gens, n, _identity_rows(n), _quotient_step, budget,
+        f"truncated {variant}(Z^{n}), max_norm={max_norm}",
+    )
     labels = {i: lab for i, lab in enumerate(labels_seq)}
     meta = {"ring": "z", "variant": variant, "n": n, "max_norm": max_norm}
     return SimplicialComplex(by_dim, labels, meta)

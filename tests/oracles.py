@@ -96,3 +96,25 @@ def scalar_class(coords, p):
     return {
         tuple((a * c) % p for c in coords) for a in range(1, p)
     }
+
+
+def rescan_greedy_matching(K, pivots):
+    """Greedy pivot matching by rescanning every simplex for every pivot: in
+    the step for v, each unmatched simplex s without v, taken in order of
+    dimension, is paired with s + v when that is a simplex and still
+    unmatched.  Returns (sorted pairs, critical simplices in the order of
+    K.all_simplices())."""
+    matched = set()
+    pairs = []
+    for v in pivots:
+        for d in range(K.dim + 1):
+            for s in K.sorted_simplices(d):
+                if s in matched or v in s:
+                    continue
+                up = tuple(sorted(s + (v,)))
+                if up not in K or up in matched:
+                    continue
+                matched.update((s, up))
+                pairs.append((s, up))
+    critical = tuple(s for s in K.all_simplices() if s not in matched)
+    return tuple(sorted(pairs)), critical

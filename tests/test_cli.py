@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from unicomplex.cli import dispatch, emit_report
 
 
@@ -87,6 +89,57 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _ = run("morse", "--facets", "/nonexistent/file")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["morse", "--facets", "{F}", "--pivots", "a,b"],
+    ["bhargava", "--set", "integers", "--k", "3", "--primes", "x"],
+    ["buchstaber", "--facets", "{F}", "--primes", "x"],
+    ["verify-all", "--pairs", "2"],
+    ["homology", "--facets", "{F}", "--link-dim", "5"],
+    ["homology", "--facets", "{F}", "--link-dim", "-1"],
+    ["morse", "--facets", "{F}", "--pivots", "0", "--flavor", "line"],
+])
+def test_bad_values_exit_2_with_one_line(tmp_path, argv):
+    facets = tmp_path / "tri.facets"
+    facets.write_text("a b\nb c\nc a\n")
+    code, text = run(*(a.replace("{F}", str(facets)) for a in argv))
+    assert code == 2
+    assert text.count("\n") == 1 and text.endswith("\n")
+
+
+def test_dispatch_contract_on_generated_values(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    facets = str(tmp_path / "path.facets")
+    with open(facets, "w") as fh:
+        fh.write("a b\nb c\nc d\n")
+    # At most 8 characters: a large prime makes the trial-division
+    # primality check run for minutes.
+    values = st.one_of(
+        st.text(max_size=8), st.text(alphabet="0123456789,- ", max_size=8)
+    )
+    argvs = st.one_of(
+        values.map(lambda t: ["morse", "--facets", facets, "--pivots", t]),
+        values.map(lambda t: ["bhargava", "--set", "integers", "--k", "3",
+                              "--primes", t]),
+        values.map(lambda t: ["buchstaber", "--facets", facets, "--primes", t]),
+        st.integers().map(lambda i: ["homology", "--facets", facets,
+                                     "--link-dim", str(i)]),
+    )
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(argvs)
+    def check(argv):
+        code, text = dispatch(argv)
+        if code in (0, 1):
+            json.loads(text)
+        else:
+            assert code in (2, 3)
+            assert text.count("\n") == 1 and text.endswith("\n")
+
+    check()
 
 
 def test_resource_error_exit_3():

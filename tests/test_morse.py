@@ -1,10 +1,10 @@
+import random
+
 import pytest
 
 from unicomplex.errors import InputError
 from unicomplex.homology import reduced_homology
 from unicomplex.morse import (
-    LINE_FLAVOR,
-    VECTOR_FLAVOR,
     check_acyclic,
     critical_cells,
     greedy_matching,
@@ -13,13 +13,16 @@ from unicomplex.morse import (
     morse_summary,
     pivot_free_facet_count,
 )
-from unicomplex.scomplex import SimplicialComplex
+from unicomplex.scomplex import SimplicialComplex, parse_facet_list
 from unicomplex.universal_fp import (
     UniversalKind,
     build_universal,
     sphere_count,
     standard_pivot_ids,
 )
+from unicomplex.zlattice import build_truncated_universal_z
+
+from oracles import rescan_greedy_matching
 
 
 def labeled(n):
@@ -44,7 +47,7 @@ def test_matching_k32_hand_trace():
     # pivots L(e_1), L(e_2); the critical cells are the vertex L(e_1) and
     # the three edges among the non-pivot lines and L(e_2)
     K = build_universal(UniversalKind("K", 3, 2))
-    M = greedy_matching(K, standard_pivot_ids(K), LINE_FLAVOR)
+    M = greedy_matching(K, standard_pivot_ids(K))
     cells = critical_cells(M)
     e1 = standard_pivot_ids(K)[0]
     assert cells[0] == [(e1,)]
@@ -54,14 +57,14 @@ def test_matching_k32_hand_trace():
 
 def test_matching_x32_census():
     K = build_universal(UniversalKind("X", 3, 2))
-    M = greedy_matching(K, standard_pivot_ids(K), VECTOR_FLAVOR)
+    M = greedy_matching(K, standard_pivot_ids(K))
     cells = critical_cells(M)
     assert len(cells[0]) == 1 and len(cells[1]) == 17
 
 
 def test_matching_k23_census():
     K = build_universal(UniversalKind("K", 2, 3))
-    M = greedy_matching(K, standard_pivot_ids(K), LINE_FLAVOR)
+    M = greedy_matching(K, standard_pivot_ids(K))
     cells = critical_cells(M)
     assert {d: len(c) for d, c in cells.items()} == {0: 1, 2: 13}
 
@@ -69,8 +72,8 @@ def test_matching_k23_census():
 def test_matching_validity_and_determinism():
     K = build_universal(UniversalKind("K", 3, 2))
     piv = standard_pivot_ids(K)
-    a = greedy_matching(K, piv, LINE_FLAVOR)
-    b = greedy_matching(K, piv, LINE_FLAVOR)
+    a = greedy_matching(K, piv)
+    b = greedy_matching(K, piv)
     assert a == b
     seen = set()
     for lo, hi in a.pairs:
@@ -84,15 +87,14 @@ def test_matching_validity_and_determinism():
 def test_unknown_pivot_rejected():
     K = triangle_boundary()
     with pytest.raises(InputError):
-        greedy_matching(K, [99], VECTOR_FLAVOR)
+        greedy_matching(K, [99])
 
 
 def test_greedy_matchings_acyclic():
     for variant, p, n in (("K", 2, 2), ("K", 2, 3), ("K", 3, 2), ("K", 3, 3)):
         kind = UniversalKind(variant, p, n)
         K = build_universal(kind)
-        flavor = LINE_FLAVOR if variant == "K" else VECTOR_FLAVOR
-        M = greedy_matching(K, standard_pivot_ids(K), flavor)
+        M = greedy_matching(K, standard_pivot_ids(K))
         ok, cycle = check_acyclic(K, M)
         assert ok and cycle is None
 
@@ -118,7 +120,7 @@ def test_empty_matching_acyclic():
 def test_cone_fully_collapsible():
     # cone over two points: every positive-dimension simplex pairs away
     K = SimplicialComplex.from_simplices([(0, 1), (0, 2)], labeled(3))
-    M = greedy_matching(K, [0], VECTOR_FLAVOR)
+    M = greedy_matching(K, [0])
     cells = critical_cells(M)
     assert set(cells) == {0}
     assert cells[0] == [(0,)]
@@ -130,7 +132,7 @@ def test_link_matching_in_x23():
     X = build_universal(kind)
     pivots = standard_pivot_ids(X)
     L = X.link((pivots[0],))
-    M = greedy_matching(L, pivots[1:], LINE_FLAVOR)
+    M = greedy_matching(L, pivots[1:])
     ok, _ = check_acyclic(L, M)
     assert ok
     census = {d: len(c) for d, c in critical_cells(M).items()}
@@ -142,7 +144,7 @@ def test_link_matching_in_k33():
     K = build_universal(kind)
     pivots = standard_pivot_ids(K)
     L = K.link((pivots[0],))
-    M = greedy_matching(L, pivots[1:], LINE_FLAVOR)
+    M = greedy_matching(L, pivots[1:])
     ok, _ = check_acyclic(L, M)
     assert ok
     census = {d: len(c) for d, c in critical_cells(M).items()}
@@ -153,7 +155,7 @@ def test_link_matching_in_k33():
 
 def test_morse_summary_k23():
     K = build_universal(UniversalKind("K", 2, 3))
-    s = morse_summary(K, standard_pivot_ids(K), LINE_FLAVOR)
+    s = morse_summary(K, standard_pivot_ids(K))
     assert s.euler == 14
     assert s.critical_by_dim == {0: 1, 2: 13}
     assert s.euler_consistent and not s.middle_critical
@@ -161,14 +163,14 @@ def test_morse_summary_k23():
 
 def test_morse_summary_x32():
     K = build_universal(UniversalKind("X", 3, 2))
-    s = morse_summary(K, standard_pivot_ids(K), VECTOR_FLAVOR)
+    s = morse_summary(K, standard_pivot_ids(K))
     assert s.euler == -16
     assert s.critical_by_dim == {0: 1, 1: 17}
 
 
 def test_morse_summary_point():
     K = build_universal(UniversalKind("K", 5, 1))
-    s = morse_summary(K, standard_pivot_ids(K), LINE_FLAVOR)
+    s = morse_summary(K, standard_pivot_ids(K))
     assert s.critical_by_dim == {0: 1}
     assert s.euler_consistent
 
@@ -178,7 +180,42 @@ def test_prose_census_recorded_not_asserted():
     # census (1) on K(F_3^2); both are exposed
     K = build_universal(UniversalKind("K", 3, 2))
     piv = standard_pivot_ids(K)
-    M = greedy_matching(K, piv, LINE_FLAVOR)
+    M = greedy_matching(K, piv)
     assert len(critical_cells(M)[1]) == 3
     assert pivot_free_facet_count(K, piv) == 1
 
+
+
+def _oracle_cases():
+    rng = random.Random(2017)
+    for variant in ("X", "K"):
+        for p, n in ((2, 3), (3, 2), (3, 3), (2, 4), (5, 2)):
+            K = build_universal(UniversalKind(variant, p, n))
+            yield f"{variant}({p},{n}) standard", K, standard_pivot_ids(K)
+            for i in range(2):
+                perm = list(K.labels)
+                rng.shuffle(perm)
+                yield f"{variant}({p},{n}) permutation {i}", K, perm
+    for kind in (UniversalKind("X", 2, 3), UniversalKind("K", 3, 3)):
+        K = build_universal(kind)
+        pivots = standard_pivot_ids(K)
+        yield f"link in {kind}", K.link((pivots[0],)), pivots[1:]
+    for n, norm in ((2, 6), (3, 3)):
+        K = build_truncated_universal_z("K", n, norm)
+        yield f"K(Z^{n}) norm {norm}", K, list(range(K.n_vertices))
+        perm = list(range(K.n_vertices))
+        rng.shuffle(perm)
+        yield f"K(Z^{n}) norm {norm} permutation", K, perm
+    S = parse_facet_list("a b c\nb c d\nc d e\na e\nf\n")
+    yield "string labels", S, [1, 3, 0, 4]
+    K = build_universal(UniversalKind("K", 2, 3))
+    piv = standard_pivot_ids(K)
+    yield "repeated pivot", K, [piv[1], piv[0], piv[1], piv[2], piv[0]]
+
+
+def test_greedy_matching_equals_rescan_oracle():
+    for name, K, pivots in _oracle_cases():
+        M = greedy_matching(K, pivots)
+        pairs, critical = rescan_greedy_matching(K, pivots)
+        assert M.pairs == pairs, name
+        assert M.critical == critical, name

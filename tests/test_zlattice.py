@@ -1,10 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from unicomplex.errors import InputError
+from unicomplex.errors import InputError, ResourceLimitError
 from unicomplex.homology import reduced_homology
-from unicomplex.morse import LINE_FLAVOR, check_acyclic, critical_cells, greedy_matching
+from unicomplex.morse import check_acyclic, critical_cells, greedy_matching
 from unicomplex.scomplex import SimplicialComplex
 from unicomplex.zlattice import (
     QuasitoricPair,
@@ -112,10 +113,33 @@ def test_truncation_simplices_unimodular():
         assert is_unimodular_z([K.labels[v].generator for v in s])
 
 
+@pytest.mark.parametrize(
+    "variant,n,max_norm", [("K", 2, 5), ("K", 3, 3), ("X", 2, 3), ("X", 3, 2)]
+)
+def test_truncation_is_every_unimodular_subset(variant, n, max_norm):
+    K = build_truncated_universal_z(variant, n, max_norm)
+    gens = [
+        K.labels[v].generator.coords if variant == "K" else K.labels[v].coords
+        for v in range(K.n_vertices)
+    ]
+    want = {
+        s
+        for size in range(1, n + 1)
+        for s in combinations(range(len(gens)), size)
+        if minor_gcd_unimodular([list(gens[v]) for v in s])
+    }
+    assert set(K.all_simplices()) == want
+
+
+def test_truncation_budget():
+    with pytest.raises(ResourceLimitError, match=r"truncated K\(Z\^3\), max_norm=5"):
+        build_truncated_universal_z("K", 3, 5, budget=1000)
+
+
 def test_w_matching_acyclic_and_sigma_critical():
     for norm in (2, 3, 4):
         K = build_truncated_universal_z("K", 2, norm)
-        M = greedy_matching(K, list(range(K.n_vertices)), LINE_FLAVOR)
+        M = greedy_matching(K, list(range(K.n_vertices)))
         ok, cycle = check_acyclic(K, M)
         assert ok, cycle
         lab_to_id = {lab: v for v, lab in K.labels.items()}
@@ -144,7 +168,7 @@ def test_w_matching_weight_decreases_on_descents():
     # lower-dimension nodes of any alternating descent
     K = build_truncated_universal_z("K", 2, 4)
     pivots = list(range(K.n_vertices))
-    M = greedy_matching(K, pivots, LINE_FLAVOR)
+    M = greedy_matching(K, pivots)
     partner = M.partner_map()
 
     def weight(s):
