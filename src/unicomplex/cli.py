@@ -220,7 +220,6 @@ def cmd_homology(args):
         "betti": list(prof.betti),
         "torsion": [list(t) for t in prof.torsion],
         "torsion_free": prof.torsion_free,
-        "exact": prof.exact,
         **_fv(K),
     }
     if kind is not None and args.link_dim is None:

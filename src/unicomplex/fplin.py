@@ -14,19 +14,36 @@ from itertools import product
 from .errors import InputError
 
 
+# Miller-Rabin with the first 13 prime bases decides primality of every
+# n < MILLER_RABIN_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p):
-    """Deterministic trial-division primality check (desk-scale p)."""
+    """Deterministic Miller-Rabin primality test, proven correct below
+    MILLER_RABIN_BOUND; larger p raise InputError."""
+    if p >= MILLER_RABIN_BOUND:
+        raise InputError(f"primality of {p} is only decided below {MILLER_RABIN_BOUND}")
     if p < 2:
         return False
-    if p in (2, 3):
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in MILLER_RABIN_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

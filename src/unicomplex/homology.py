@@ -1,11 +1,14 @@
 """Reduced integral simplicial homology via exact Smith normal form.
 
-Boundary matrices use the standard alternating signs over the sorted vertex
-order, with an augmentation row for d = 0 so that the resulting Betti
-numbers are reduced.  The SNF routine eliminates with +-1 pivots on a sparse
-structure first (boundary matrices are unit-heavy, and a unit pivot needs no
-fill-correcting column work), then falls back to a dense minimal-pivot
-sweep for whatever is left, and finally repairs the divisibility chain.
+Boundary matrices are sparse rows {row: {col: +-1}} with the standard
+alternating signs over the sorted vertex order, and an augmentation row for
+d = 0 so that the resulting Betti numbers are reduced.  Every boundary
+matrix goes through the same exact Smith normal form: +-1 pivots are
+eliminated on the sparse rows first (boundary matrices are unit-heavy, and a
+unit pivot needs no fill-correcting column work), a dense minimal-pivot
+sweep finishes whatever non-unit block is left, and the divisibility chain
+is repaired and checked.  Betti numbers and torsion are therefore exact in
+every dimension.
 """
 
 from __future__ import annotations
@@ -13,57 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from .errors import InputError, ResourceLimitError
 
 DEFAULT_SIMPLEX_BUDGET = 10**6
-DENSE_COLUMN_LIMIT = 2000
-
-
-class IntMatrix:
-    """Dense integer matrix with arbitrary-precision entries."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows, cols, data=None):
-        self.rows = rows
-        self.cols = cols
-        if data is None:
-            data = [[0] * cols for _ in range(rows)]
-        self.data = data
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise InputError("ragged matrix rows")
-        return cls(len(rows), ncols, rows)
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise InputError("matrix shape mismatch in product")
-        out = IntMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            ri = self.data[i]
-            oi = out.data[i]
-            for k, a in enumerate(ri):
-                if a:
-                    rk = other.data[k]
-                    for j in range(other.cols):
-                        oi[j] += a * rk[j]
-        return out
-
-    def is_zero(self):
-        return all(not v for row in self.data for v in row)
-
-    def nonzeros(self):
-        for i, row in enumerate(self.data):
-            for j, v in enumerate(row):
-                if v:
-                    yield i, j, v
 
 
 @dataclass(frozen=True)
@@ -78,9 +33,6 @@ class SNFResult:
 class HomologyProfile:
     betti: tuple  # reduced Betti numbers, dims 0..dim K
     torsion: tuple  # per-dimension tuples of torsion coefficients
-    # exact=False means some boundary matrix was handled in rank-only mode:
-    # empty torsion then reads "none detected at p in {2,3,5}", not a proof
-    exact: bool = True
 
     @property
     def torsion_free(self):
@@ -88,20 +40,19 @@ class HomologyProfile:
 
 
 def boundary_matrix(K, d):
-    """The boundary operator C_d -> C_{d-1}; for d = 0 the augmentation row."""
+    """The boundary operator C_d -> C_{d-1} as sparse rows {row: {col: +-1}}
+    indexed by the sorted simplices; for d = 0 the augmentation row."""
     if d < 0 or d > K.dim:
         raise InputError(f"boundary dimension {d} out of range [0, {K.dim}]")
     cols = K.sorted_simplices(d)
     if d == 0:
-        return IntMatrix.from_rows([[1] * len(cols)])
-    rows = K.sorted_simplices(d - 1)
-    row_index = {s: i for i, s in enumerate(rows)}
-    M = IntMatrix(len(rows), len(cols))
+        return {0: dict.fromkeys(range(len(cols)), 1)}
+    row_index = {s: i for i, s in enumerate(K.sorted_simplices(d - 1))}
+    rows = {}
     for j, s in enumerate(cols):
         for k in range(len(s)):
-            face = s[:k] + s[k + 1:]
-            M.data[row_index[face]][j] = -1 if k % 2 else 1
-    return M
+            rows.setdefault(row_index[s[:k] + s[k + 1:]], {})[j] = -1 if k % 2 else 1
+    return rows
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -176,28 +127,32 @@ def _fix_divisibility(diag):
 
 
 def smith_normal_form(M):
-    """Smith normal form of an integer matrix.
+    """Smith normal form of a sparse integer matrix {row: {col: value}}.
 
-    Unit entries are eliminated on a sparse row structure (with a Markowitz
-    cost heuristic to limit fill-in); any remaining block is finished
-    densely.  The result is invariant under row/column permutation of the
-    input."""
+    The argument is not modified.  Unit entries are eliminated on a copy of
+    the rows (with a Markowitz cost heuristic to limit fill-in); any
+    remaining block is finished densely.  The result is invariant under
+    row/column permutation of the input."""
     rows = {}
     colrows = {}
-    for i, j, v in M.nonzeros():
-        rows.setdefault(i, {})[j] = v
-        colrows.setdefault(j, set()).add(i)
+    for i, r in M.items():
+        for j, v in r.items():
+            if v:
+                rows.setdefault(i, {})[j] = v
+                colrows.setdefault(j, set()).add(i)
     units = {(i, j) for i, r in rows.items() for j, v in r.items() if v in (1, -1)}
     n_unit = 0
     while units:
         best = None
         best_cost = None
         seen = 0
-        for pos in list(units):
+        stale = []
+        for pos in units:
             i, j = pos
             v = rows.get(i, {}).get(j, 0)
             if v not in (1, -1):
-                units.discard(pos)
+                # left behind by an earlier pivot's row or column
+                stale.append(pos)
                 continue
             cost = (len(rows[i]) - 1) * (len(colrows[j]) - 1)
             if best_cost is None or cost < best_cost:
@@ -205,6 +160,7 @@ def smith_normal_form(M):
             seen += 1
             if best_cost == 0 or seen >= 64:
                 break
+        units.difference_update(stale)
         if best is None:
             break
         pi, pj = best
@@ -234,7 +190,6 @@ def smith_normal_form(M):
             if not colrows[j]:
                 del colrows[j]
         del rows[pi]
-        units = {(i, j) for (i, j) in units if i != pi and j != pj}
         n_unit += 1
 
     diag = [1] * n_unit
@@ -254,63 +209,6 @@ def smith_normal_form(M):
     return SNFResult(tuple(diag), len(diag))
 
 
-# -- ranks by independent algorithms ----------------------------------------
-
-
-def rank_over_q(M):
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    a = [row[:] for row in M.data]
-    m, n = M.rows, M.cols
-    rank = 0
-    prev = 1
-    for c in range(n):
-        piv = None
-        for i in range(rank, m):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for i in range(rank + 1, m):
-            for j in range(c + 1, n):
-                a[i][j] = (a[i][j] * a[rank][c] - a[i][c] * a[rank][j]) // prev
-            a[i][c] = 0
-        prev = a[rank][c]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def rank_mod_p(M, p):
-    """Rank over F_p (vectorized elimination)."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    A = np.array(M.data, dtype=np.int64) % p
-    m, n = A.shape
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if A[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = (A[r] * inv) % p
-        mask = A[r + 1:, c] != 0
-        if mask.any():
-            A[r + 1:][mask] = (A[r + 1:][mask] - np.outer(A[r + 1:, c][mask], A[r])) % p
-        r += 1
-        if r == m:
-            break
-    return r
-
-
 # -- homology ---------------------------------------------------------------
 
 
@@ -318,10 +216,9 @@ def reduced_homology(K, budget=DEFAULT_SIMPLEX_BUDGET):
     """Reduced Betti numbers and torsion coefficients over Z.
 
     betti_d = f_d - rank(d_d) - rank(d_{d+1}); torsion of H_d is read off
-    the invariant factors > 1 of d_{d+1}.  Beyond DENSE_COLUMN_LIMIT columns
-    a boundary matrix is handled in rank-only mode (Bareiss rank plus mod-p
-    ranks at 2, 3, 5); equal ranks report "no torsion detected" rather than
-    a proof, and the profile notes would be wrong to claim more."""
+    the invariant factors > 1 of d_{d+1}.  Every boundary matrix, whatever
+    its size, goes through the exact Smith normal form, so both are exact
+    in every dimension."""
     if K.dim < 0:
         return HomologyProfile((), ())
     if K.n_simplices > budget:
@@ -331,29 +228,16 @@ def reduced_homology(K, budget=DEFAULT_SIMPLEX_BUDGET):
     dim = K.dim
     ranks = [0] * (dim + 2)
     torsion = [()] * (dim + 1)
-    exact = True
     for d in range(dim + 1):
-        M = boundary_matrix(K, d)
-        if M.cols <= DENSE_COLUMN_LIMIT:
-            snf = smith_normal_form(M)
-            ranks[d] = snf.rank
-            if d >= 1:
-                torsion[d - 1] = tuple(v for v in snf.diagonal if v > 1)
-        else:
-            exact = False
-            r = rank_over_q(M)
-            for p in (2, 3, 5):
-                if rank_mod_p(M, p) != r:
-                    raise ResourceLimitError(
-                        f"torsion detected at p={p} in a boundary matrix of "
-                        f"{M.cols} columns; raise the dense limit to resolve it"
-                    )
-            ranks[d] = r
+        snf = smith_normal_form(boundary_matrix(K, d))
+        ranks[d] = snf.rank
+        if d >= 1:
+            torsion[d - 1] = tuple(v for v in snf.diagonal if v > 1)
     fv = K.f_vector().entries
     betti = tuple(fv[d + 1] - ranks[d] - ranks[d + 1] for d in range(dim + 1))
     if any(b < 0 for b in betti):
         raise AssertionError(f"negative Betti number computed: {betti}")
-    return HomologyProfile(betti, tuple(torsion), exact)
+    return HomologyProfile(betti, tuple(torsion))
 
 
 def reisner_check(K, orbit_sample=False, budget=DEFAULT_SIMPLEX_BUDGET):

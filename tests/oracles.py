@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: spans are enumerated element by
 element, determinants are expanded by cofactors, minimality is exhausted
-over windows.  None of it shares code with the library's elimination or
+over windows, primes are found by trial division and ranks over Q by
+elimination on Fractions.  None of it shares code with the library's elimination or
 Smith normal form paths, so agreement is evidence, not tautology.
 """
 
@@ -118,3 +119,36 @@ def rescan_greedy_matching(K, pivots):
                 pairs.append((s, up))
     critical = tuple(s for s in K.all_simplices() if s not in matched)
     return tuple(sorted(pairs)), critical
+
+
+def trial_division_is_prime(n):
+    """Primality by trying every divisor up to sqrt(n)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def rank_over_q_fractions(rows):
+    """Rank over Q of a dense integer matrix (list of rows) by Gaussian
+    elimination on Fractions."""
+    from fractions import Fraction
+
+    a = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    ncols = len(a[0]) if a else 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] / a[rank][c]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank

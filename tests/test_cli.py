@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import unicomplex
 from unicomplex.cli import dispatch, emit_report
 
 
@@ -50,6 +56,24 @@ def test_bhargava_report():
     assert code == 0
     rep = json.loads(text)
     assert rep["results"]["k3"]["factorial"] == "168"
+
+
+def test_bhargava_large_prime_is_fast():
+    start = time.perf_counter()
+    code, _ = run("bhargava", "--set", "integers", "--k", "3",
+                  "--primes", "1000000000000000003")
+    assert code == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(unicomplex.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, unicomplex.cli; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_byte_determinism():
@@ -99,6 +123,7 @@ def test_usage_errors_exit_2():
     ["homology", "--facets", "{F}", "--link-dim", "5"],
     ["homology", "--facets", "{F}", "--link-dim", "-1"],
     ["morse", "--facets", "{F}", "--pivots", "0", "--flavor", "line"],
+    ["bhargava", "--set", "integers", "--k", "3", "--primes", str(2**89 - 1)],
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, argv):
     facets = tmp_path / "tri.facets"
@@ -115,10 +140,8 @@ def test_dispatch_contract_on_generated_values(tmp_path):
     facets = str(tmp_path / "path.facets")
     with open(facets, "w") as fh:
         fh.write("a b\nb c\nc d\n")
-    # At most 8 characters: a large prime makes the trial-division
-    # primality check run for minutes.
     values = st.one_of(
-        st.text(max_size=8), st.text(alphabet="0123456789,- ", max_size=8)
+        st.text(max_size=24), st.text(alphabet="0123456789,- ", max_size=24)
     )
     argvs = st.one_of(
         values.map(lambda t: ["morse", "--facets", facets, "--pivots", t]),

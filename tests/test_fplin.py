@@ -4,18 +4,20 @@ import pytest
 
 from unicomplex.errors import InputError
 from unicomplex.fplin import (
+    MILLER_RABIN_BOUND,
     FpLine,
     FpVector,
     PrimeField,
     enumerate_lines_fp,
     enumerate_vectors_fp,
     fp_vector,
+    is_prime,
     is_unimodular_fp,
     line_canonical_fp,
     rank_fp,
 )
 
-from oracles import scalar_class, span_size_rank
+from oracles import scalar_class, span_size_rank, trial_division_is_prime
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -31,6 +33,26 @@ def test_prime_field_rejects_composites():
             PrimeField(bad)
     for good in (2, 3, 5, 7, 11, 13):
         PrimeField(good)
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == trial_division_is_prime(n) for n in range(10**5))
+    assert not is_prime(-7)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to base 2; to bases 2..7; to 2..23; to 2..37
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    for p in (10**18 + 3, 2**61 - 1, 2**31 - 1):
+        assert is_prime(p)
+
+
+def test_is_prime_bound():
+    assert not is_prime(MILLER_RABIN_BOUND - 1)
+    for n in (MILLER_RABIN_BOUND, 2**89 - 1):
+        with pytest.raises(InputError):
+            is_prime(n)
 
 
 def test_rank_standard_basis():

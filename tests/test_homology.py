@@ -1,18 +1,20 @@
+import copy
+import json
 import random
+from itertools import combinations
 
 import pytest
 
+from oracles import rank_over_q_fractions
+from unicomplex.cli import dispatch
 from unicomplex.errors import InputError
 from unicomplex.homology import (
-    IntMatrix,
     boundary_matrix,
-    rank_mod_p,
-    rank_over_q,
     reduced_homology,
     reisner_check,
     smith_normal_form,
 )
-from unicomplex.scomplex import SimplicialComplex
+from unicomplex.scomplex import SimplicialComplex, parse_facet_list
 from unicomplex.universal_fp import UniversalKind, build_universal, sphere_count
 
 
@@ -32,17 +34,47 @@ def rp2():
     return SimplicialComplex.from_simplices(facets, labeled(6))
 
 
+def moore_space_z7():
+    """M(Z/7, 1) on 25 vertices: the ring b_k = a_(k mod 3), k = 0..20, runs
+    seven times round the circle a0 a1 a2; a band joins it to the 21-gon c,
+    which is coned off at z."""
+    b = [f"a{k % 3}" for k in range(21)]
+    c = [f"c{k}" for k in range(21)]
+    facets = []
+    for k in range(21):
+        k1 = (k + 1) % 21
+        facets += [(b[k], b[k1], c[k]), (b[k1], c[k], c[k1]), (c[k], c[k1], "z")]
+    return facets
+
+
+def moore_space_and_simplex_skeleton():
+    """Facet-list text of M(Z/7, 1) taken disjoint with the 2-skeleton of a
+    25-vertex simplex: 2363 triangles."""
+    facets = moore_space_z7() + list(combinations([f"s{i}" for i in range(25)], 3))
+    return "".join(" ".join(f) + "\n" for f in facets)
+
+
+def sparse(rows):
+    return {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(rows)}
+
+
+def dense(M, m, n):
+    a = [[0] * n for _ in range(m)]
+    for i, row in M.items():
+        for j, v in row.items():
+            a[i][j] = v
+    return a
+
+
 def test_boundary_triangle():
-    M = boundary_matrix(circle(), 1)
-    assert (M.rows, M.cols) == (3, 3)
+    M = dense(boundary_matrix(circle(), 1), 3, 3)
     for j in range(3):
-        col = [M.data[i][j] for i in range(3)]
+        col = [M[i][j] for i in range(3)]
         assert sorted(col) == [-1, 0, 1]
 
 
 def test_boundary_augmentation():
-    M = boundary_matrix(circle(), 0)
-    assert M.data == [[1, 1, 1]]
+    assert boundary_matrix(circle(), 0) == {0: {0: 1, 1: 1, 2: 1}}
 
 
 def test_boundary_out_of_range():
@@ -52,66 +84,71 @@ def test_boundary_out_of_range():
 
 def test_chain_complex_identity():
     K = build_universal(UniversalKind("K", 2, 3))
-    for d in range(1, K.dim + 1):
+    for d in range(K.dim):
         lower = boundary_matrix(K, d)
-        upper = boundary_matrix(K, d + 1) if d < K.dim else None
-        if upper is not None:
-            assert lower.mul(upper).is_zero()
+        upper = boundary_matrix(K, d + 1)
+        for row in lower.values():
+            composed = {}
+            for j, a in row.items():
+                for k, b in upper.get(j, {}).items():
+                    composed[k] = composed.get(k, 0) + a * b
+            assert not any(composed.values())
 
 
 def test_snf_gcd_lcm_oracle():
-    snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    snf = smith_normal_form(sparse([[2, 0], [0, 3]]))
     assert snf.diagonal == (1, 6)
 
 
 def test_snf_identity_and_zero():
-    eye = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    eye = sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert smith_normal_form(eye) == smith_normal_form(eye)
     assert smith_normal_form(eye).diagonal == (1, 1, 1)
-    zero = IntMatrix.from_rows([[0, 0], [0, 0]])
-    assert smith_normal_form(zero).diagonal == ()
-    assert smith_normal_form(zero).rank == 0
+    for zero in (sparse([[0, 0], [0, 0]]), {}, {0: {1: 0}}):
+        assert smith_normal_form(zero).diagonal == ()
+        assert smith_normal_form(zero).rank == 0
+
+
+def test_snf_leaves_argument_unchanged():
+    rng = random.Random(3)
+    for _ in range(20):
+        M = sparse([[rng.randint(-3, 3) for _ in range(6)] for _ in range(5)])
+        before = copy.deepcopy(M)
+        smith_normal_form(M)
+        assert M == before
 
 
 def test_snf_permutation_invariance():
     rng = random.Random(5)
     base = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)]
-    want = smith_normal_form(IntMatrix.from_rows(base))
+    want = smith_normal_form(sparse(base))
     for _ in range(10):
         rows = base[:]
         rng.shuffle(rows)
         cols = list(range(5))
         rng.shuffle(cols)
         shuffled = [[row[c] for c in cols] for row in rows]
-        assert smith_normal_form(IntMatrix.from_rows(shuffled)) == want
+        assert smith_normal_form(sparse(shuffled)) == want
 
 
 def test_snf_divisibility_chain_random():
     rng = random.Random(17)
     for _ in range(40):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        M = IntMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        )
-        snf = smith_normal_form(M)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        snf = smith_normal_form(sparse(rows))
         for a, b in zip(snf.diagonal, snf.diagonal[1:]):
             assert b % a == 0
-        assert snf.rank == rank_over_q(M)
+        assert snf.rank == rank_over_q_fractions(rows)
 
 
 def test_rank_q_equals_snf_rank_on_boundaries():
     K = build_universal(UniversalKind("X", 3, 2))
+    fv = K.f_vector().entries
     for d in range(K.dim + 1):
         M = boundary_matrix(K, d)
-        assert rank_over_q(M) == smith_normal_form(M).rank
-
-
-def test_rank_mod_p_detects_torsion_prime():
-    # multiplication by 2 on a rank-1 lattice: rank 1 over Q, 0 over F_2
-    M = IntMatrix.from_rows([[2]])
-    assert rank_over_q(M) == 1
-    assert rank_mod_p(M, 2) == 0
-    assert rank_mod_p(M, 3) == 1
+        rows = dense(M, fv[d], fv[d + 1])
+        assert rank_over_q_fractions(rows) == smith_normal_form(M).rank
 
 
 def test_homology_circle():
@@ -149,23 +186,28 @@ def test_euler_consistency():
         assert sum((-1) ** d * b for d, b in enumerate(prof.betti)) == chi - 1
 
 
-def test_rank_only_mode_flags_inexact(monkeypatch):
-    import unicomplex.homology as hom
+def test_torsion_found_in_2363_triangles(tmp_path):
+    text = moore_space_and_simplex_skeleton()
+    K = parse_facet_list(text)
+    assert K.f_vector().entries[-1] == 2363
+    prof = reduced_homology(K)
+    assert prof.betti == (1, 0, 2024)
+    assert prof.torsion == ((), (7,), ())
 
-    monkeypatch.setattr(hom, "DENSE_COLUMN_LIMIT", 4)
-    K = build_universal(UniversalKind("X", 3, 2))
-    prof = hom.reduced_homology(K)
-    assert prof.betti == (0, 17)
-    assert not prof.exact
+    facets = tmp_path / "moore.facets"
+    facets.write_text(text)
+    code, report = dispatch(["homology", "--facets", str(facets)])
+    assert code == 0
+    results = json.loads(report)["results"]
+    assert results["torsion_free"] is False
+    assert results["torsion"] == [[], ["7"], []]
+    assert "exact" not in results
 
 
-def test_rank_only_mode_refuses_hidden_torsion(monkeypatch):
-    import unicomplex.homology as hom
-    from unicomplex.errors import ResourceLimitError
-
-    monkeypatch.setattr(hom, "DENSE_COLUMN_LIMIT", 4)
-    with pytest.raises(ResourceLimitError):
-        hom.reduced_homology(rp2())
+def test_complete_graph_k70():
+    K = SimplicialComplex.from_simplices(combinations(range(70), 2), labeled(70))
+    assert K.f_vector().entries == (1, 70, 2415)
+    assert reduced_homology(K).betti == (0, 2346)
 
 
 def test_reisner_universal_true():
