@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import InputError, ResourceLimitError
 from .fplin import (
@@ -24,7 +25,7 @@ from .fplin import (
     line_canonical_fp,
     _echelon_insert,
 )
-from .universal_fp import UniversalKind, build_universal
+from .universal_fp import build_universal, formula_f_vector, sphere_count
 
 
 @dataclass(frozen=True)
@@ -32,30 +33,49 @@ class ShellingOrder:
     facets: tuple  # ordered simplices (vertex-id tuples), each facet once
 
 
+def shelling_h_vector(K, order):
+    """Check the shelling condition in one pass by restriction faces and
+    count their sizes.
+
+    R(F_k) is the set of vertices v of facet k with F_k - v a face of an
+    earlier facet.  The faces of F_k in the earlier complex always include
+    those missing a vertex of R(F_k); the intersection is pure of
+    codimension 1 exactly when nothing more is there, that is, when R(F_k)
+    itself is not a face of the earlier complex (faces are closed under
+    subsets).  The empty face belongs to every nonempty complex, so a facet
+    meeting no codimension-1 face of the earlier ones fails.
+
+    Returns (None, h) for a shelling, whose h-vector h_i counts the facets
+    with |R(F_k)| = i, or (k, h) with the first failing 1-based index k and
+    the counts over the facets before it."""
+    facets = K.facets()
+    width = K.dim + 1
+    if any(len(f) != width for f in facets):
+        raise InputError("shellings are defined for pure complexes")
+    forder = [tuple(f) for f in order.facets]
+    if len(set(forder)) != len(forder) or sorted(forder) != facets:
+        raise InputError("order must cover every facet exactly once")
+    h = [0] * (width + 1)
+    seen = set()  # every face of the facets placed; empty, so F_1 passes
+    for k, F in enumerate(forder):
+        restriction = tuple(
+            v for i, v in enumerate(F) if F[:i] + F[i + 1:] in seen
+        )
+        if restriction in seen:
+            return k + 1, tuple(h)
+        h[len(restriction)] += 1
+        for size in range(width + 1):
+            seen.update(combinations(F, size))
+    return None, tuple(h)
+
+
 def verify_shelling(K, order):
     """Check the shelling condition: for each k >= 2 the maximal faces of
     the intersection of facet k with the union of the earlier ones all have
     cardinality |F_k| - 1.  Returns (True, None) or (False, k) with the
     first failing 1-based index."""
-    if not K.is_pure():
-        raise InputError("shellings are defined for pure complexes")
-    facets = K.facets()
-    forder = [tuple(f) for f in order.facets]
-    if len(set(forder)) != len(forder) or sorted(forder) != facets:
-        raise InputError("order must cover every facet exactly once")
-    prev = []
-    for k, F in enumerate(forder):
-        if k:
-            fs = set(F)
-            inters = {tuple(sorted(fs & g)) for g in prev}
-            maximal = [
-                s for s in inters
-                if not any(s != t and set(s) < set(t) for t in inters)
-            ]
-            if any(len(s) != len(F) - 1 for s in maximal):
-                return False, k + 1
-        prev.append(set(F))
-    return True, None
+    idx, _ = shelling_h_vector(K, order)
+    return idx is None, idx
 
 
 # -- inductive construction over F_p ----------------------------------------
@@ -174,8 +194,10 @@ def _shell_labels(variant, p, amb, d, memo):
 
 
 def construct_shelling_fp(kind, built=None):
-    """The inductive shelling order for X/K(F_p^n); the output is verified
-    and a failure is a hard error carrying the counterexample index."""
+    """The inductive shelling order for X/K(F_p^n).  The output is verified,
+    and the h-vector of the same pass must equal the one of the closed-form
+    f-vector, with h_n the sphere count; a failure is a hard error carrying
+    the counterexample index or the two vectors."""
     if built is None:
         built = build_universal(kind)
     label_facets = _shell_labels(kind.variant, kind.p, kind.n, 0, {})
@@ -183,12 +205,34 @@ def construct_shelling_fp(kind, built=None):
     order = ShellingOrder(
         tuple(tuple(sorted(vid[lab] for lab in f)) for f in label_facets)
     )
-    ok, idx = verify_shelling(built, order)
-    if not ok:
+    idx, h = shelling_h_vector(built, order)
+    if idx is not None:
         raise AssertionError(
             f"constructed order for {kind} fails the shelling condition at facet {idx}"
         )
+    want = h_vector_from_f(formula_f_vector(kind).entries)
+    if h != want:
+        raise AssertionError(
+            f"constructed shelling of {kind} has h-vector {h}, "
+            f"the closed-form f-vector gives {want}"
+        )
+    spheres = sphere_count(kind).count
+    if h[-1] != spheres:
+        raise AssertionError(
+            f"constructed shelling of {kind} has h_{kind.n} = {h[-1]}, "
+            f"sphere_count gives {spheres}"
+        )
     return order
+
+
+def h_vector_from_f(f):
+    """h-vector of a pure complex from its f-vector (f_{-1}, f_0, ...):
+    h_k = sum_i (-1)^(k-i) C(n-i, k-i) f_{i-1} with n = len(f) - 1."""
+    n = len(f) - 1
+    return tuple(
+        sum((-1) ** (k - i) * comb(n - i, k - i) * f[i] for i in range(k + 1))
+        for k in range(n + 1)
+    )
 
 
 # -- shiftedness -------------------------------------------------------------

@@ -172,17 +172,14 @@ def criterion_6(ws):
 
 
 def criterion_7(ws):
-    """Constructed shellings verify; shiftedness matches the known cases."""
+    """Constructed shellings verify (construct_shelling_fp checks the order
+    and its h-vector); shiftedness matches the known cases."""
     for variant, p, n in (
         ("K", 2, 2), ("K", 2, 3), ("K", 3, 2), ("K", 3, 3),
         ("X", 2, 2), ("X", 2, 3), ("X", 3, 2),
     ):
         kind = UniversalKind(variant, p, n)
-        K = ws.built(kind)
-        order = shelling.construct_shelling_fp(kind, K)
-        ok, idx = shelling.verify_shelling(K, order)
-        if not ok:
-            return False, f"{kind}: shelling fails at facet {idx}"
+        shelling.construct_shelling_fp(kind, ws.built(kind))
     expectations = (
         (UniversalKind("X", 2, 2), True),
         (UniversalKind("X", 3, 2), False),

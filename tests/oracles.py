@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: spans are enumerated element by
 element, determinants are expanded by cofactors, minimality is exhausted
-over windows, primes are found by trial division and ranks over Q by
-elimination on Fractions.  None of it shares code with the library's elimination or
-Smith normal form paths, so agreement is evidence, not tautology.
+over windows, primes are found by trial division, ranks over Q by
+elimination on Fractions and shellings by intersecting every facet with
+every earlier one.  None of it shares code with the library's elimination,
+Smith normal form or restriction-face paths, so agreement is evidence, not
+tautology.
 """
 
 from itertools import combinations, product
@@ -152,3 +154,22 @@ def rank_over_q_fractions(rows):
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+def pairwise_first_non_shelling_step(order):
+    """First 1-based index k >= 2 at which facet k meets the union of the
+    earlier facets in something that is not pure of codimension 1, or None.
+
+    By the definition, facet against facet: the maximal faces of
+    F_k & (F_1 | ... | F_(k-1)) are the maximal sets among F_k & F_j, j < k,
+    and each must have |F_k| - 1 vertices."""
+    earlier = []
+    for k, facet in enumerate(order):
+        F = frozenset(facet)
+        if earlier:
+            meets = {F & G for G in earlier}
+            maximal = [s for s in meets if not any(s < t for t in meets)]
+            if any(len(s) != len(F) - 1 for s in maximal):
+                return k + 1
+        earlier.append(F)
+    return None

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import unicomplex
+from unicomplex import cli
 from unicomplex.cli import dispatch, emit_report
+from unicomplex.errors import AcyclicityError
 
 
 def run(*argv):
@@ -204,6 +206,19 @@ def test_shelling_construct_command():
     rep = json.loads(text)
     assert rep["results"]["verified"] is True
     assert rep["results"]["n_facets"] == "6"
+
+
+@pytest.mark.parametrize(
+    "error", [AssertionError("h-vector differs"), AcyclicityError([(0,), (0, 1)])]
+)
+def test_self_check_failure_exits_1_with_one_line(monkeypatch, error):
+    def failing(kind, built=None):
+        raise error
+
+    monkeypatch.setattr(cli, "construct_shelling_fp", failing)
+    code, text = run("shelling", "--variant", "K", "--p", "3", "--n", "2")
+    assert code == 1
+    assert text == f"self-check failed: {error}\n"
 
 
 def test_shifted_command():

@@ -1,15 +1,28 @@
+import random
+from itertools import combinations
+
 import pytest
 
+from unicomplex import shelling
 from unicomplex.errors import InputError, ResourceLimitError
 from unicomplex.homology import reisner_check
-from unicomplex.scomplex import SimplicialComplex
+from unicomplex.scomplex import FVector, SimplicialComplex
 from unicomplex.shelling import (
     ShellingOrder,
     construct_shelling_fp,
+    h_vector_from_f,
     is_shifted,
+    shelling_h_vector,
     verify_shelling,
 )
-from unicomplex.universal_fp import UniversalKind, build_universal
+from unicomplex.universal_fp import SphereCount, UniversalKind, build_universal
+
+from oracles import pairwise_first_non_shelling_step
+
+UNIVERSAL_SHELLED = [
+    ("K", 2, 2), ("K", 3, 2), ("K", 2, 3), ("K", 3, 3), ("K", 2, 4),
+    ("X", 2, 2), ("X", 3, 2), ("X", 2, 3), ("X", 3, 3),
+]
 
 
 def labeled(n):
@@ -55,13 +68,7 @@ def test_verify_requires_pure_and_complete():
         verify_shelling(K, ShellingOrder(((0, 1), (0, 1), (0, 2))))
 
 
-@pytest.mark.parametrize(
-    "variant,p,n",
-    [
-        ("K", 2, 2), ("K", 3, 2), ("K", 2, 3), ("K", 3, 3), ("K", 2, 4),
-        ("X", 2, 2), ("X", 3, 2), ("X", 2, 3), ("X", 3, 3),
-    ],
-)
+@pytest.mark.parametrize("variant,p,n", UNIVERSAL_SHELLED + [("K", 5, 3)])
 def test_constructed_shellings_verify(variant, p, n):
     kind = UniversalKind(variant, p, n)
     K = build_universal(kind)
@@ -69,6 +76,96 @@ def test_constructed_shellings_verify(variant, p, n):
     assert len(order.facets) == len(K.facets())
     ok, idx = verify_shelling(K, order)
     assert ok, f"failed at {idx}"
+
+
+def test_h_vector_of_small_shellings():
+    K = triangle_boundary()
+    assert shelling_h_vector(K, ShellingOrder(((0, 1), (0, 2), (1, 2)))) == (
+        None, (1, 1, 1)
+    )
+    path = SimplicialComplex.from_simplices([(0, 1), (1, 2), (2, 3)], labeled(4))
+    order = ShellingOrder(((0, 1), (1, 2), (2, 3)))
+    assert shelling_h_vector(path, order) == (None, (1, 2, 0))
+    assert h_vector_from_f((1, 3, 3)) == (1, 1, 1)
+    assert h_vector_from_f((1, 4, 3)) == (1, 2, 0)
+
+
+def test_construction_asserts_closed_form_h_vector(monkeypatch):
+    kind = UniversalKind("K", 3, 2)
+    K = build_universal(kind)
+    # K(F_3^2): f = (1, 4, 6), h = (1, 2, 3), a wedge of 3 circles
+    monkeypatch.setattr(shelling, "sphere_count", lambda kind: SphereCount(1, 4))
+    with pytest.raises(AssertionError, match="sphere_count"):
+        construct_shelling_fp(kind, K)
+    monkeypatch.setattr(shelling, "formula_f_vector", lambda kind: FVector((1, 5, 6)))
+    with pytest.raises(AssertionError, match="h-vector"):
+        construct_shelling_fp(kind, K)
+
+
+def _agrees_with_oracle(K, facets):
+    ok, idx = verify_shelling(K, ShellingOrder(tuple(facets)))
+    want = pairwise_first_non_shelling_step(facets)
+    assert (ok, idx) == (want is None, want), facets
+    return want
+
+
+@pytest.mark.parametrize("variant,p,n", UNIVERSAL_SHELLED)
+def test_verify_matches_pairwise_oracle_on_universal(variant, p, n):
+    kind = UniversalKind(variant, p, n)
+    K = build_universal(kind)
+    rng = random.Random(f"{variant}{p}{n}")
+    constructed = list(construct_shelling_fp(kind, K).facets)
+    assert _agrees_with_oracle(K, constructed) is None
+    for _ in range(4):
+        perm = list(constructed)
+        rng.shuffle(perm)
+        _agrees_with_oracle(K, perm)
+    # adjacent swaps of the constructed order, near the front where the
+    # oracle is cheap and the swapped facets are most often incompatible
+    front = range(min(len(constructed) - 1, 40))
+    for i in rng.sample(front, min(len(front), 6)):
+        swapped = list(constructed)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        _agrees_with_oracle(K, swapped)
+
+
+def _random_pure_complex(rng, dim, n_vertices):
+    """Random facets of one dimension, labelling only the vertices used, so
+    the complex is pure; it is often disconnected."""
+    candidates = list(combinations(range(n_vertices), dim + 1))
+    facets = rng.sample(candidates, rng.randint(1, min(len(candidates), 16)))
+    used = {v for f in facets for v in f}
+    return SimplicialComplex.from_simplices(facets, {v: v for v in used})
+
+
+def test_verify_matches_pairwise_oracle_on_random_complexes():
+    rng = random.Random(20171)
+    verdicts = set()
+    for trial in range(600):
+        dim = trial % 4
+        K = _random_pure_complex(rng, dim, rng.randint(dim + 1, 8))
+        for _ in range(3):
+            order = list(K.facets())
+            rng.shuffle(order)
+            verdicts.add((dim, _agrees_with_oracle(K, order) is None))
+        # grow an order greedily, preferring facets the oracle accepts, so
+        # long valid prefixes and late failures are covered too
+        order, rest = [], list(K.facets())
+        while rest:
+            rng.shuffle(rest)
+            pick = next(
+                (F for F in rest
+                 if pairwise_first_non_shelling_step(order + [F]) is None),
+                rest[0],
+            )
+            order.append(pick)
+            rest.remove(pick)
+        verdicts.add((dim, _agrees_with_oracle(K, order) is None))
+    # two disjoint copies of a triangle boundary: disconnected, never shellable
+    two = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    K = SimplicialComplex.from_simplices(two, labeled(6))
+    assert _agrees_with_oracle(K, two) == 4
+    assert verdicts == {(d, v) for d in range(4) for v in (True, False)} - {(0, False)}
 
 
 def test_shelled_complexes_are_cohen_macaulay():
