@@ -88,22 +88,23 @@ def _vp(x, p):
 
 
 def _greedy_p_ordering(candidates, p, K, start_index):
+    """Greedy p-ordering: each step takes the first candidate of least
+    valuation sum over the chosen prefix.  The sums are kept per candidate
+    and grow by one term per step."""
     chosen = [candidates[start_index]]
     rest = [c for i, c in enumerate(candidates) if i != start_index]
+    sums = [0] * len(rest)
     exps = [0]
     for _ in range(K):
-        best = None
-        best_exp = None
-        best_pos = None
-        for pos, c in enumerate(rest):
-            e = sum(_vp(c - a, p) for a in chosen)
-            if best_exp is None or e < best_exp:
-                best, best_exp, best_pos = c, e, pos
-        if best is None:
+        if not rest:
             raise InputError("ground set exhausted before reaching K")
-        chosen.append(best)
+        a = chosen[-1]
+        sums = [e + _vp(c - a, p) for e, c in zip(sums, rest)]
+        best_exp = min(sums)
+        pos = sums.index(best_exp)
+        chosen.append(rest.pop(pos))
+        sums.pop(pos)
         exps.append(best_exp)
-        rest.pop(best_pos)
     return chosen, exps
 
 

@@ -17,7 +17,8 @@ import sys
 import time
 
 from . import __version__
-from .bhargava import INTEGERS, explicit, generalized_factorial, geometric, nu_k
+from .bhargava import INTEGERS, explicit, generalized_factorial, geometric, \
+    p_ordering
 from .buchstaber import buchstaber_bounds, min_rank_search, zeta_theta_bounds
 from .errors import AcyclicityError, InputError, ResourceLimitError
 from .homology import reduced_homology, reisner_check
@@ -375,11 +376,17 @@ def _parse_ground_set(spec):
 def cmd_bhargava(args):
     S = _parse_ground_set(args.set)
     primes = args.primes.values if args.primes else ()
+    # one p-ordering per prime serves every k; an explicit set stops at its
+    # last element, where generalized_factorial reports k out of range
+    top = args.k if S.kind != "explicit" else min(args.k, len(S.elements) - 1)
+    orderings = {}
     results = {}
     for k in range(args.k + 1):
         entry = {"factorial": generalized_factorial(S, k)}
         for p in primes:
-            entry[f"nu_p{p}"] = nu_k(S, p, k)
+            if p not in orderings:
+                orderings[p] = p_ordering(S, p, top)
+            entry[f"nu_p{p}"] = orderings[p].valuations[k]
         results[f"k{k}"] = entry
     return 0, results
 

@@ -3,9 +3,10 @@
 Everything here is deliberately naive: spans are enumerated element by
 element, determinants are expanded by cofactors, minimality is exhausted
 over windows, primes are found by trial division, ranks over Q by
-elimination on Fractions and shellings by intersecting every facet with
-every earlier one.  None of it shares code with the library's elimination,
-Smith normal form or restriction-face paths, so agreement is evidence, not
+elimination on Fractions, shellings by intersecting every facet with
+every earlier one and p-orderings by re-summing every valuation at every
+step.  None of it shares code with the library's elimination, Smith normal
+form, restriction-face or running-sum paths, so agreement is evidence, not
 tautology.
 """
 
@@ -92,6 +93,26 @@ def min_valuation_over_window(chosen, window, p):
         if best is None or e < best:
             best = e
     return best
+
+
+def reference_greedy_p_ordering(window, p, K, start_index):
+    """Greedy p-ordering of a finite window, quadratic: at every step each
+    unchosen candidate's valuation sum is recomputed over the whole chosen
+    prefix, and the first candidate (in window order) of least sum is taken.
+    Returns (chosen elements, their valuation exponents)."""
+    chosen = [window[start_index]]
+    exps = [0]
+    for _ in range(K):
+        best = None
+        for c in window:
+            if c in chosen:
+                continue
+            e = sum(p_exponent(c - a, p) for a in chosen)
+            if best is None or e < best[1]:
+                best = (c, e)
+        chosen.append(best[0])
+        exps.append(best[1])
+    return chosen, exps
 
 
 def scalar_class(coords, p):

@@ -4,6 +4,7 @@ from unicomplex.errors import InputError
 from unicomplex.bhargava import (
     INTEGERS,
     check_identities,
+    default_budget,
     explicit,
     generalized_factorial,
     geometric,
@@ -12,7 +13,7 @@ from unicomplex.bhargava import (
     p_ordering,
 )
 
-from oracles import min_valuation_over_window, p_exponent
+from oracles import min_valuation_over_window, p_exponent, reference_greedy_p_ordering
 
 
 def test_ground_set_validation():
@@ -66,6 +67,36 @@ def test_greedy_valuations_match_exhaustive_window_oracle():
             chosen.append(nxt)
         ordering = p_ordering(INTEGERS, p, 4)
         assert ordering.valuations == tuple(p**e for e in exps)
+
+
+def integer_window(size):
+    """0, 1, -1, 2, -2, ... written out here, not taken from the library."""
+    out = [0]
+    for k in range(1, size):
+        out += [k, -k]
+    return out[:size]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_p_ordering_matches_quadratic_reference(p):
+    squares = [i * i for i in range(1, 14)]
+    mixed = [7, -3, 12, 0, 5, 40, -18, 2, 33, 27, 1, -64, 11]
+    sets = [
+        (INTEGERS, integer_window),
+        (geometric(1, 2), lambda size: [2**i for i in range(size)]),
+        (geometric(3, -5), lambda size: [3 * (-5) ** i for i in range(size)]),
+        (explicit(squares), lambda size: squares[:size]),
+        (explicit(mixed), lambda size: mixed[:size]),
+    ]
+    for S, window in sets:
+        for K in (0, 1, 2, 5, 8, 12):
+            size = default_budget(S, K)
+            assert S.enumerate(size) == window(size)
+            for start in (s for s in (0, 1, 3) if s < size):
+                ordering = p_ordering(S, p, K, start_index=start)
+                chosen, exps = reference_greedy_p_ordering(window(size), p, K, start)
+                assert list(ordering.elements) == chosen
+                assert ordering.valuations == tuple(p**e for e in exps)
 
 
 def test_nu_examples():

@@ -6,14 +6,17 @@ from itertools import combinations
 import pytest
 
 from oracles import rank_over_q_fractions
+from unicomplex import homology
 from unicomplex.cli import dispatch
 from unicomplex.errors import InputError
 from unicomplex.homology import (
     boundary_matrix,
+    coreduction_matching,
     reduced_homology,
     reisner_check,
     smith_normal_form,
 )
+from unicomplex.morse import check_acyclic, critical_cells
 from unicomplex.scomplex import SimplicialComplex, parse_facet_list
 from unicomplex.universal_fp import UniversalKind, build_universal, sphere_count
 
@@ -222,3 +225,121 @@ def test_reisner_disjoint_edges_false():
     ok, witness = reisner_check(K)
     assert not ok
     assert witness == ((), 0)
+
+
+# -- the coreduction / Morse-complex path against the full boundaries ---------
+
+
+def full_boundary_homology(K):
+    """(betti, torsion) from the SNF of every full boundary matrix."""
+    fv = K.f_vector().entries
+    snfs = [smith_normal_form(boundary_matrix(K, d)) for d in range(K.dim + 1)]
+    ranks = [snf.rank for snf in snfs] + [0]
+    betti = tuple(fv[d + 1] - ranks[d] - ranks[d + 1] for d in range(K.dim + 1))
+    torsion = tuple(
+        tuple(v for v in snfs[d + 1].diagonal if v > 1) for d in range(K.dim)
+    ) + ((),)
+    return betti, torsion
+
+
+def relabelled(K, rng):
+    """K with its vertex ids shuffled."""
+    ids = K.vertices()
+    perm = ids[:]
+    rng.shuffle(perm)
+    new = dict(zip(ids, perm))
+    facets = [tuple(sorted(new[v] for v in f)) for f in K.facets()]
+    return SimplicialComplex.from_simplices(facets, {new[v]: K.labels[v] for v in ids})
+
+
+def random_complex(rng):
+    """Up to 24 random faces on <= 8 vertices, most of them of the top size."""
+    n = rng.randint(1, 8)
+    top = rng.randint(0, 3)
+
+    def size():
+        return top + 1 if rng.random() < 0.7 else rng.randint(1, top + 1)
+
+    facets = [
+        tuple(sorted(rng.sample(range(n), min(n, size()))))
+        for _ in range(rng.randint(1, 24))
+    ]
+    return SimplicialComplex.from_simplices(facets, labeled(n))
+
+
+def assert_matches_full_boundaries(K):
+    prof = reduced_homology(K)
+    assert (prof.betti, prof.torsion) == full_boundary_homology(K)
+    return prof
+
+
+def test_morse_path_matches_full_boundaries_on_named_complexes():
+    rng = random.Random(41)
+    assert assert_matches_full_boundaries(circle()).betti == (0, 1)
+    for _ in range(20):
+        assert assert_matches_full_boundaries(relabelled(rp2(), rng)).torsion == (
+            (), (2,), ())
+    moore = parse_facet_list(moore_space_and_simplex_skeleton())
+    assert assert_matches_full_boundaries(relabelled(moore, rng)).torsion == (
+        (), (7,), ())
+
+
+def test_morse_path_matches_full_boundaries_on_universal_links():
+    for variant, p, n in (("K", 3, 3), ("X", 3, 3), ("K", 2, 4), ("X", 2, 3)):
+        K = build_universal(UniversalKind(variant, p, n))
+        for d in range(K.dim):
+            assert_matches_full_boundaries(K.link(K.sorted_simplices(d)[0]))
+
+
+def test_morse_path_matches_full_boundaries_on_random_complexes():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(300):
+        K = random_complex(rng)
+        prof = assert_matches_full_boundaries(K)
+        assert reduced_homology(relabelled(K, rng)) == prof
+        seen.add((K.dim, prof.betti[-1] > 0, any(prof.betti[:-1])))
+    # homology in the top and in a lower dimension, in every dimension
+    assert {d for d, top, _ in seen if top} == {0, 1, 2, 3}
+    assert {d for d, _, lower in seen if lower} == {1, 2, 3}
+
+
+@pytest.mark.parametrize("name", ["X-3-3", "K-2-4", "K-5-3", "moore"])
+def test_coreduction_matching_is_acyclic(name):
+    if name == "moore":
+        kind = None
+        K = parse_facet_list(moore_space_and_simplex_skeleton())
+    else:
+        variant, p, n = name.split("-")
+        kind = UniversalKind(variant, int(p), int(n))
+        K = build_universal(kind)
+    matching = coreduction_matching(K)
+    assert check_acyclic(K, matching) == (True, None)
+    census = {d: len(cells) for d, cells in critical_cells(matching).items()}
+    assert sum((-1) ** d * c for d, c in census.items()) == K.f_vector().euler
+    if kind is not None:
+        assert census == {0: 1, K.dim: sphere_count(kind).count}
+
+
+def test_census_mismatch_is_a_self_check_failure(monkeypatch):
+    real = homology.coreduce
+
+    def unmatch_one_lower_cell(K):
+        cells, faces, partner, stamp = real(K)
+        a = next(c for c, b in enumerate(partner) if b > c)
+        partner[a] = -1  # counted critical while its partner stays matched
+        return cells, faces, partner, stamp
+
+    monkeypatch.setattr(homology, "coreduce", unmatch_one_lower_cell)
+    with pytest.raises(AssertionError, match="critical census"):
+        reduced_homology(circle())
+    code, report = dispatch(["homology", "--variant", "K", "--p", "2", "--n", "3"])
+    assert code == 1
+    assert report.startswith("self-check failed: critical census")
+
+
+def test_frontier_k73_exact():
+    kind = UniversalKind("K", 7, 3)
+    prof = reduced_homology(build_universal(kind))
+    assert prof.betti == (0, 0, 24528) == (0, 0, sphere_count(kind).count)
+    assert prof.torsion_free
