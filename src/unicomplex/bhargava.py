@@ -179,24 +179,44 @@ def generalized_factorial(S, k):
     support."""
     if k < 0:
         raise InputError("k must be >= 0")
+    if S.kind == "explicit" and k >= len(S.elements):
+        raise _out_of_range(k, S)
+    return generalized_factorials(S, k)[k]
+
+
+def generalized_factorials(S, k_max):
+    """[0!_S, 1!_S, ..., k_max!_S].
+
+    On an explicit set the support primes are found once and each gets one
+    p-ordering, whose valuations serve every k: the greedy steps do not
+    depend on how far the ordering runs.  The errors come in the order of
+    a k-by-k computation: those of the p-orderings first, then, for k_max
+    past the last element, an InputError naming the first k out of range."""
     if S.kind == "integers":
-        return factorial(k)
+        return [factorial(k) for k in range(k_max + 1)]
     if S.kind == "geometric":
-        return S.a**k * prod(S.q**k - S.q**j for j in range(k))
-    if k >= len(S.elements):
-        raise InputError(
-            f"k = {k} out of range for an explicit set of {len(S.elements)} elements"
-        )
-    if k == 0:
-        return 1
-    support = set()
+        return [S.a**k * prod(S.q**k - S.q**j for j in range(k))
+                for k in range(k_max + 1)]
     elems = S.elements
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            d = abs(elems[i] - elems[j])
-            for p in _prime_factors(d):
-                support.add(p)
-    return prod(nu_k(S, p, k) for p in sorted(support))
+    top = min(k_max, len(elems) - 1)
+    out = [1] * (top + 1)
+    if top > 0:
+        support = set()
+        for i in range(len(elems)):
+            for j in range(i + 1, len(elems)):
+                support.update(_prime_factors(abs(elems[i] - elems[j])))
+        for p in sorted(support):
+            for k, nu in enumerate(p_ordering(S, p, top).valuations):
+                out[k] *= nu
+    if k_max > top:
+        raise _out_of_range(len(elems), S)
+    return out
+
+
+def _out_of_range(k, S):
+    return InputError(
+        f"k = {k} out of range for an explicit set of {len(S.elements)} elements"
+    )
 
 
 def _prime_factors(n):

@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .bhargava import INTEGERS, explicit, generalized_factorial, geometric, \
+from .bhargava import INTEGERS, explicit, generalized_factorials, geometric, \
     p_ordering
 from .buchstaber import buchstaber_bounds, min_rank_search, zeta_theta_bounds
 from .errors import AcyclicityError, InputError, ResourceLimitError
@@ -376,16 +376,19 @@ def _parse_ground_set(spec):
 def cmd_bhargava(args):
     S = _parse_ground_set(args.set)
     primes = args.primes.values if args.primes else ()
+    if args.k < 0:
+        return 0, {}
     # one p-ordering per prime serves every k; an explicit set stops at its
-    # last element, where generalized_factorial reports k out of range
+    # last element, where generalized_factorials reports k out of range
     top = args.k if S.kind != "explicit" else min(args.k, len(S.elements) - 1)
     orderings = {}
+    for p in primes:
+        if p not in orderings:
+            orderings[p] = p_ordering(S, p, top)
     results = {}
-    for k in range(args.k + 1):
-        entry = {"factorial": generalized_factorial(S, k)}
+    for k, fact in enumerate(generalized_factorials(S, args.k)):
+        entry = {"factorial": fact}
         for p in primes:
-            if p not in orderings:
-                orderings[p] = p_ordering(S, p, top)
             entry[f"nu_p{p}"] = orderings[p].valuations[k]
         results[f"k{k}"] = entry
     return 0, results

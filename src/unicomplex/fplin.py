@@ -4,12 +4,25 @@ Vectors are immutable coordinate tuples with entries reduced into [0, p).
 Lines (projective points) are represented by the unique generator whose
 first nonzero coordinate is 1, which makes equality and enumeration order
 well defined.
+
+Independence is tested in two ways.  `_echelon_insert` keeps an echelon
+basis of the span and reduces each new vector against it; `echelon_basis`
+and the shelling construction use it.  `_quotient_step_fp` keeps the
+quotient instead, the F_p twin of `zlattice._quotient_step`: the state of
+an independent set sigma of k vectors in F_p^n is the rows of a surjection
+Q: F_p^n -> F_p^(n-k) whose kernel is span(sigma), the identity for the
+empty set.  sigma + {w} is independent iff Q w != 0, and one pivot
+elimination on Q w followed by dropping the pivot row gives the surjection
+for sigma + {w}.  Near the top of a frontier the state has few rows, so
+the test for the last vertex of a facet is a single dot product; the
+F_p builder runs on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .errors import InputError
 
@@ -117,6 +130,30 @@ def _echelon_insert(basis, vec, p):
             out.sort()
             return tuple(out)
     return None
+
+
+def _quotient_step_fp(rows, w, p):
+    """Extend an independent set by the vector w over F_p.  `rows` is the
+    surjection Q whose kernel is the span of the set; returns the rows of
+    the surjection for the set plus w (one row fewer), or None if w lies in
+    the span."""
+    if len(rows) == 1:  # sigma + {w} spans F_p^n: nothing to eliminate
+        return () if sum(map(mul, rows[0], w)) % p else None
+    c = [sum(map(mul, row, w)) % p for row in rows]
+    i = next((k for k, x in enumerate(c) if x), None)
+    if i is None:
+        return None
+    pivot = rows[i]
+    inv = pow(c[i], -1, p)
+    out = []
+    for j, (row, x) in enumerate(zip(rows, c)):
+        if j == i:
+            continue
+        if x:
+            f = x * inv % p
+            row = tuple((a - f * b) % p for a, b in zip(row, pivot))
+        out.append(row)
+    return tuple(out)
 
 
 def echelon_basis(rows, p):

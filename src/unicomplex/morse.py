@@ -13,6 +13,19 @@ Discrete Morse theory asks only that the pairs be covering pairs forming an
 acyclic matching.  No test that the pivot's label lies outside span(sigma) is
 needed: every simplex of every complex the library builds is an independent
 set, so sigma + {pivot_k} being a simplex already implies it.
+
+Acyclicity is Forman's criterion: a matching is a discrete gradient iff it
+has no closed V-path.  A V-path is a sequence lo_0, up_0, lo_1, up_1, ...
+in which each (lo_i, up_i) is a pair and lo_(i+1) != lo_i is a
+codimension-1 face of up_i.  A directed cycle of the modified Hasse diagram
+(matched edges reversed to point up) is exactly a closed V-path: it cannot
+take two matched edges in a row, because a cell lies in at most one pair,
+so it alternates up and down inside one band of adjacent dimensions, and
+every cell it reaches by a down edge must leave by its matched edge, so it
+is the lower cell of a pair.  The search therefore runs on the lower cells
+of the pairs only, with at most dim + 1 edges out of each: the cost is
+O(pairs * dim), and critical cells and the simplices of no pair are never
+visited.
 """
 
 from __future__ import annotations
@@ -59,22 +72,24 @@ def greedy_matching(K, pivots):
     """Run the inductive pivot schedule and return the resulting matching.
 
     Every simplex of dimension >= 1 is indexed once under each of its
-    vertices; the step for pivot v pairs (up - v, up) for every up in the
-    star of v whose two members are both still unmatched."""
+    vertices that is a scheduled pivot; the step for pivot v pairs
+    (up - v, up) for every up in the star of v whose two members are both
+    still unmatched."""
     vertex_set = set(K.labels)
     for pv in pivots:
         if pv not in vertex_set:
             raise InputError(f"pivot {pv} is not a vertex of the complex")
-    star = {}
+    star = {v: [] for v in pivots}
     for d in range(1, K.dim + 1):
         for up in K.simplices_of_dim(d):
             for v in up:
-                star.setdefault(v, []).append(up)
+                if v in star:
+                    star[v].append(up)
 
     matched = set()
     pairs = []
     for pivot in pivots:
-        for up in star.get(pivot, ()):
+        for up in star[pivot]:
             if up in matched:
                 continue
             i = up.index(pivot)
@@ -84,12 +99,16 @@ def greedy_matching(K, pivots):
             matched.add(lo)
             matched.add(up)
             pairs.append((lo, up))
-    critical = tuple(s for s in K.all_simplices() if s not in matched)
+    critical = tuple(
+        s for d in range(K.dim + 1)
+        for s in sorted(K.simplices_of_dim(d).difference(matched))
+    )
     return Matching(tuple(sorted(pairs)), tuple(pivots), critical)
 
 
-def matching_from_pairs(K, pairs):
-    """Package explicit (lower, upper) pairs as a Matching (for checks)."""
+def _check_pairs(K, pairs):
+    """Raise InputError unless every pair is a covering pair of K and no
+    simplex occurs twice; returns the set of matched simplices."""
     seen = set()
     for lo, hi in pairs:
         if lo not in K or hi not in K:
@@ -99,57 +118,67 @@ def matching_from_pairs(K, pairs):
         if lo in seen or hi in seen:
             raise InputError("a simplex occurs in two pairs")
         seen.update((lo, hi))
+    return seen
+
+
+def matching_from_pairs(K, pairs):
+    """Package explicit (lower, upper) pairs as a Matching (for checks)."""
+    seen = _check_pairs(K, pairs)
     critical = tuple(s for s in K.all_simplices() if s not in seen)
     return Matching(tuple(sorted(pairs)), (), critical)
 
 
 def validate_matching(K, matching):
     """Every pair is a covering pair in K and no simplex occurs twice."""
-    matching_from_pairs(K, matching.pairs)
+    _check_pairs(K, matching.pairs)
     return True
 
 
-def check_acyclic(K, matching):
-    """Search the modified Hasse diagram for directed cycles.
+def _next_lower_cells(lo, up_of):
+    """Successors of lo in the V-path digraph: the faces f != lo of its
+    partner that are themselves lower cells of pairs."""
+    up = up_of[lo]
+    for i in range(len(up)):
+        f = up[:i] + up[i + 1:]
+        if f != lo and f in up_of:
+            yield f
 
-    Matched edges are reversed (they point up one dimension); any directed
-    cycle must alternate inside a single adjacent-dimension band, so each
-    band is searched independently.  Returns (True, None) or (False, cycle).
+
+def check_acyclic(K, matching):
+    """Search for a closed V-path (Forman's criterion; see the module
+    docstring for why that is every directed cycle of the modified Hasse
+    diagram).
+
+    The nodes are the lower cells of the pairs, with an edge lo -> f for
+    each codimension-1 face f != lo of partner(lo) that is itself a lower
+    cell; an iterative three-colour depth-first search finds a cycle in
+    O(pairs * dim).  Returns (True, None), or (False, cycle) with cycle the
+    closed V-path [lo, up, lo', up', ...] (its last upper cell has the first
+    lower cell as a face).
     """
     validate_matching(K, matching)
-    partner = matching.partner_map()
-    for d in range(K.dim):
-        succ = {}
-        for up in K.sorted_simplices(d + 1):
-            down = [up[:i] + up[i + 1:] for i in range(len(up))]
-            succ[up] = [f for f in down if partner.get(f) != up]
-        for lo in K.sorted_simplices(d):
-            up = partner.get(lo)
-            succ[lo] = [up] if up is not None and len(up) == len(lo) + 1 else []
-        color = {}
-        for start in succ:
-            if color.get(start):
-                continue
-            stack = [(start, iter(succ[start]))]
-            color[start] = 1
-            path = [start]
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    c = color.get(nxt, 0)
-                    if c == 1:
-                        return False, path[path.index(nxt):]
-                    if c == 0:
-                        color[nxt] = 1
-                        path.append(nxt)
-                        stack.append((nxt, iter(succ[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    path.pop()
-                    stack.pop()
+    up_of = dict(matching.pairs)
+    color = {}  # 1 on the current path, 2 finished
+    for start in up_of:
+        if start in color:
+            continue
+        color[start] = 1
+        path = [start]
+        stack = [_next_lower_cells(start, up_of)]
+        while stack:
+            for nxt in stack[-1]:
+                c = color.get(nxt)
+                if c == 1:
+                    loop = path[path.index(nxt):]
+                    return False, [cell for lo in loop for cell in (lo, up_of[lo])]
+                if c is None:
+                    color[nxt] = 1
+                    path.append(nxt)
+                    stack.append(_next_lower_cells(nxt, up_of))
+                    break
+            else:
+                color[path.pop()] = 2
+                stack.pop()
     return True, None
 
 

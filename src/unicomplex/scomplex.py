@@ -43,13 +43,14 @@ class FVector:
 class SimplicialComplex:
     """Immutable finite simplicial complex, closed under taking subsets."""
 
-    __slots__ = ("_by_dim", "labels", "meta")
+    __slots__ = ("_by_dim", "_facets", "labels", "meta")
 
     def __init__(self, by_dim, labels, meta=None):
         trimmed = [frozenset(level) for level in by_dim]
         while trimmed and not trimmed[-1]:
             trimmed.pop()
         self._by_dim = tuple(trimmed)
+        self._facets = None  # sorted tuple, computed on first use
         self.labels = dict(labels)
         self.meta = dict(meta) if meta else {}
 
@@ -114,21 +115,27 @@ class SimplicialComplex:
         return 0 <= d <= self.dim and s in self._by_dim[d]
 
     def is_pure(self):
-        return all(len(f) - 1 == self.dim for f in self.facets())
+        """All facets have dimension dim: every top simplex is a facet, so
+        that holds iff there are no other facets."""
+        return not self._by_dim or len(self.facets()) == len(self._by_dim[-1])
 
     def facets(self):
-        """Maximal simplices, sorted."""
-        out = []
-        for d, level in enumerate(self._by_dim):
-            if d == self.dim:
-                out.extend(level)
-                continue
-            covered = set()
-            for tau in self._by_dim[d + 1]:
-                for i in range(len(tau)):
-                    covered.add(tau[:i] + tau[i + 1:])
-            out.extend(level - covered)
-        return sorted(out)
+        """Maximal simplices, sorted, as a fresh list.  They are computed
+        once per complex: the codimension-1 faces of each level are struck
+        from the level below, stopping once nothing is left there."""
+        if self._facets is None:
+            out = list(self._by_dim[-1]) if self._by_dim else []
+            for level, upper in zip(self._by_dim, self._by_dim[1:]):
+                left = set(level)
+                strike = left.discard
+                for tau in upper:
+                    for i in range(len(tau)):
+                        strike(tau[:i] + tau[i + 1:])
+                    if not left:
+                        break
+                out.extend(left)
+            self._facets = tuple(sorted(out))
+        return list(self._facets)
 
     def f_vector(self):
         return FVector((1,) + tuple(len(level) for level in self._by_dim))

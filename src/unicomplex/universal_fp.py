@@ -5,6 +5,12 @@ linearly independent subsets.  K(F_p^n) has the lines through the origin as
 vertices, with simplices the sets of lines spanning a subspace of dimension
 equal to their number.  Both are pure of dimension n-1 and carry a transitive
 GL(n, F_p) action, which is what makes the closed-form face counts below work.
+
+The builder grows simplices in the shared frontier loop with the quotient
+step `fplin._quotient_step_fp`: a simplex sigma carries the rows of a
+surjection F_p^n -> F_p^(n-k) with kernel span(sigma), and a later vertex w
+extends it iff its image under that surjection is nonzero.  The built level
+sizes are checked against the closed-form f-vector, a second derivation.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .fplin import (
     enumerate_lines_fp,
     enumerate_vectors_fp,
     line_canonical_fp,
-    _echelon_insert,
+    _quotient_step_fp,
 )
 from .scomplex import FVector, SimplicialComplex, grow_by_extension
 
@@ -105,7 +111,8 @@ def total_simplex_count(kind):
 def build_universal(kind, budget=DEFAULT_SIMPLEX_BUDGET):
     """Construct the complex explicitly by incremental extension: a simplex
     is grown only by vertices (in enumeration order, past its last one) that
-    raise the rank, so each unimodular subset is produced exactly once."""
+    raise the rank, so each unimodular subset is produced exactly once.  The
+    rank test is the quotient step, starting from the identity rows."""
     if total_simplex_count(kind) > budget:
         raise ResourceLimitError(
             f"{kind} has {total_simplex_count(kind)} simplices, over budget {budget}"
@@ -118,13 +125,19 @@ def build_universal(kind, budget=DEFAULT_SIMPLEX_BUDGET):
     else:
         labels_seq = enumerate_lines_fp(n, field)
         gens = [l.generator.coords for l in labels_seq]
-    by_dim = grow_by_extension(gens, n, (), partial(_echelon_insert, p=p),
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    by_dim = grow_by_extension(gens, n, identity, partial(_quotient_step_fp, p=p),
                                budget, str(kind))
     labels = {i: lab for i, lab in enumerate(labels_seq)}
     meta = {"universal": kind, "ring": "fp", "p": p, "n": n, "variant": kind.variant}
     K = SimplicialComplex(by_dim, labels, meta)
     if K.dim != n - 1 or not K.is_pure():
         raise AssertionError(f"built {kind} is not pure of dimension {n - 1}")
+    built, formula = K.f_vector().entries, formula_f_vector(kind).entries
+    if built != formula:
+        raise AssertionError(
+            f"built {kind} has f-vector {built}, the closed form gives {formula}"
+        )
     return K
 
 
@@ -211,5 +224,5 @@ def eq_an_basis_count(k_complex):
         raise InputError("Eq-(A_n)-style count is defined for K complexes")
     pivots = set(standard_pivot_ids(k_complex))
     return sum(
-        1 for f in k_complex.sorted_simplices(kind.n - 1) if not pivots & set(f)
+        1 for f in k_complex.simplices_of_dim(kind.n - 1) if not pivots & set(f)
     )

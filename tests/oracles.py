@@ -4,10 +4,11 @@ Everything here is deliberately naive: spans are enumerated element by
 element, determinants are expanded by cofactors, minimality is exhausted
 over windows, primes are found by trial division, ranks over Q by
 elimination on Fractions, shellings by intersecting every facet with
-every earlier one and p-orderings by re-summing every valuation at every
-step.  None of it shares code with the library's elimination, Smith normal
-form, restriction-face or running-sum paths, so agreement is evidence, not
-tautology.
+every earlier one, p-orderings by re-summing every valuation at every
+step and acyclicity by searching the whole modified Hasse diagram.  None of
+it shares code with the library's elimination, quotient-step, Smith normal
+form, restriction-face, running-sum or V-path paths, so agreement is
+evidence, not tautology.
 """
 
 from itertools import combinations, product
@@ -193,4 +194,51 @@ def pairwise_first_non_shelling_step(order):
             if any(len(s) != len(F) - 1 for s in maximal):
                 return k + 1
         earlier.append(F)
+    return None
+
+
+def hasse_band_cycle(K, pairs):
+    """A directed cycle of the modified Hasse diagram of K with the given
+    (lower, upper) pairs reversed, or None.
+
+    Every simplex of each band of adjacent dimensions d, d + 1 is a node:
+    an unmatched cell points to each of its codimension-1 faces except its
+    partner, and a matched lower cell points up to its partner.  Each band
+    is searched in full by depth-first search."""
+    partner = {}
+    for lo, hi in pairs:
+        partner[lo] = hi
+        partner[hi] = lo
+    for d in range(K.dim):
+        succ = {}
+        for up in K.sorted_simplices(d + 1):
+            down = [up[:i] + up[i + 1:] for i in range(len(up))]
+            succ[up] = [f for f in down if partner.get(f) != up]
+        for lo in K.sorted_simplices(d):
+            up = partner.get(lo)
+            succ[lo] = [up] if up is not None and len(up) == len(lo) + 1 else []
+        color = {}
+        for start in succ:
+            if color.get(start):
+                continue
+            stack = [(start, iter(succ[start]))]
+            color[start] = 1
+            path = [start]
+            while stack:
+                node, it = stack[-1]
+                advanced = False
+                for nxt in it:
+                    c = color.get(nxt, 0)
+                    if c == 1:
+                        return path[path.index(nxt):]
+                    if c == 0:
+                        color[nxt] = 1
+                        path.append(nxt)
+                        stack.append((nxt, iter(succ[nxt])))
+                        advanced = True
+                        break
+                if not advanced:
+                    color[node] = 2
+                    path.pop()
+                    stack.pop()
     return None

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from unicomplex.errors import InputError
@@ -7,13 +10,19 @@ from unicomplex.bhargava import (
     default_budget,
     explicit,
     generalized_factorial,
+    generalized_factorials,
     geometric,
     is_p_ordering,
     nu_k,
     p_ordering,
 )
 
-from oracles import min_valuation_over_window, p_exponent, reference_greedy_p_ordering
+from oracles import (
+    min_valuation_over_window,
+    p_exponent,
+    reference_greedy_p_ordering,
+    trial_division_is_prime,
+)
 
 
 def test_ground_set_validation():
@@ -131,6 +140,31 @@ def test_generalized_factorial_explicit_matches_product_of_nus():
         for p in (2, 3, 5, 7):
             prod *= nu_k(S, p, k)
         assert val == prod
+
+
+def test_generalized_factorials_match_per_k_nu_products():
+    rng = random.Random(11)
+    for _ in range(12):
+        elems = rng.sample(range(-40, 41), rng.randint(1, 9))
+        S = explicit(elems)
+        top = len(elems) - 1
+        diffs = [abs(a - b) for a, b in combinations(elems, 2)]
+        support = [p for p in range(2, 81)
+                   if trial_division_is_prime(p) and any(d % p == 0 for d in diffs)]
+        want = []
+        for k in range(top + 1):
+            val = 1
+            for p in support:
+                val *= nu_k(S, p, k)
+            want.append(val)
+        assert generalized_factorials(S, top) == want
+        assert [generalized_factorial(S, k) for k in range(top + 1)] == want
+        assert generalized_factorials(S, top - 1) == want[:-1]
+        with pytest.raises(InputError, match=f"k = {len(elems)} out of range"):
+            generalized_factorials(S, top + 3)
+    for S in (INTEGERS, geometric(1, 3), geometric(2, -2)):
+        assert generalized_factorials(S, 5) == [generalized_factorial(S, k) for k in range(6)]
+    assert generalized_factorials(INTEGERS, -1) == []
 
 
 def test_generalized_factorial_explicit_range():

@@ -15,6 +15,7 @@ from unicomplex.fplin import (
     is_unimodular_fp,
     line_canonical_fp,
     rank_fp,
+    _quotient_step_fp,
 )
 
 from oracles import scalar_class, span_size_rank, trial_division_is_prime
@@ -170,3 +171,33 @@ def test_enumerate_lines_sorted_unique():
 
 def test_fp_vector_reduces():
     assert fp_vector((-1, 5), F3) == V(2, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_quotient_step_fold_against_span_size(p):
+    # fold random rows into the identity surjection: a row is accepted
+    # exactly when it raises the span-size rank, and the rows left form a
+    # surjection of the right size that kills every accepted row
+    rng = random.Random(p)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        state = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        accepted = []
+        for _ in range(rng.randint(1, n + 2)):
+            w = tuple(rng.randrange(p) for _ in range(n))
+            if rng.random() < 0.3 and accepted:
+                w = tuple(sum(rng.randrange(p) * v[i] for v in accepted) % p
+                          for i in range(n))
+            independent = span_size_rank(accepted + [w], p) == len(accepted) + 1
+            nxt = _quotient_step_fp(state, w, p)
+            assert (nxt is not None) == independent
+            if nxt is None:
+                continue
+            state = nxt
+            accepted.append(w)
+            assert len(state) == n - len(accepted)
+            if state:
+                assert span_size_rank(list(state), p) == len(state)
+            for row in state:
+                for v in accepted:
+                    assert sum(a * b for a, b in zip(row, v)) % p == 0

@@ -22,7 +22,7 @@ from unicomplex.universal_fp import (
 )
 from unicomplex.zlattice import build_truncated_universal_z
 
-from oracles import rescan_greedy_matching
+from oracles import hasse_band_cycle, rescan_greedy_matching
 
 
 def labeled(n):
@@ -107,6 +107,7 @@ def test_classic_cyclic_matching_detected():
     ok, cycle = check_acyclic(K, M)
     assert not ok
     assert len(cycle) == 6
+    _assert_closed_v_path(cycle, M.pairs)
 
 
 def test_empty_matching_acyclic():
@@ -219,3 +220,67 @@ def test_greedy_matching_equals_rescan_oracle():
         pairs, critical = rescan_greedy_matching(K, pivots)
         assert M.pairs == pairs, name
         assert M.critical == critical, name
+
+
+def _random_covering_matching(K, rng, keep):
+    """Covering pairs taken greedily from the shuffled Hasse edges, each
+    kept with probability `keep`."""
+    edges = list(hasse_edges(K))
+    rng.shuffle(edges)
+    matched, pairs = set(), []
+    for up, down in edges:
+        if up in matched or down in matched or rng.random() > keep:
+            continue
+        matched.update((up, down))
+        pairs.append((down, up))
+    return pairs
+
+
+def _assert_closed_v_path(cycle, pairs):
+    """cycle = [lo_0, up_0, ..., lo_(r-1), up_(r-1)] with every (lo_i, up_i)
+    a pair, all lo_i distinct and of one dimension, and lo_(i+1 mod r) a
+    codimension-1 face of up_i other than lo_i."""
+    up_of = dict(pairs)
+    lows, ups = cycle[0::2], cycle[1::2]
+    assert len(cycle) % 2 == 0 and len(lows) >= 2
+    assert len(set(lows)) == len(lows)
+    assert len({len(lo) for lo in lows}) == 1
+    for i, (lo, up) in enumerate(zip(lows, ups)):
+        assert up_of[lo] == up
+        nxt = lows[(i + 1) % len(lows)]
+        assert nxt != lo and len(nxt) + 1 == len(up) and set(nxt) < set(up)
+
+
+def _acyclicity_cases():
+    rng = random.Random(1998)
+    for t in range(60):
+        n = rng.randint(4, 8)
+        facets = [
+            tuple(sorted(rng.sample(range(n), rng.randint(2, min(4, n)))))
+            for _ in range(rng.randint(2, 7))
+        ]
+        K = SimplicialComplex.from_simplices(facets, labeled(n))
+        yield f"random {t}", K, _random_covering_matching(K, rng, rng.choice((0.3, 1.0)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield f"random {t} greedy", K, greedy_matching(K, perm[:rng.randint(1, n)]).pairs
+    for kind in (UniversalKind("K", 2, 3), UniversalKind("K", 3, 3),
+                 UniversalKind("X", 3, 2), UniversalKind("X", 2, 3)):
+        K = build_universal(kind)
+        yield f"{kind} standard", K, greedy_matching(K, standard_pivot_ids(K)).pairs
+        yield f"{kind} random", K, _random_covering_matching(K, rng, 1.0)
+    K = build_truncated_universal_z("K", 3, 4)
+    yield "K(Z^3) norm 4 all vertices", K, greedy_matching(K, list(range(K.n_vertices))).pairs
+
+
+def test_check_acyclic_against_hasse_band_oracle():
+    verdicts = []
+    for name, K, pairs in _acyclicity_cases():
+        ok, cycle = check_acyclic(K, matching_from_pairs(K, pairs))
+        assert ok == (hasse_band_cycle(K, pairs) is None), name
+        if ok:
+            assert cycle is None, name
+        else:
+            _assert_closed_v_path(cycle, pairs)
+        verdicts.append(ok)
+    assert verdicts.count(True) >= 15 and verdicts.count(False) >= 15

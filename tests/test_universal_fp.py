@@ -40,7 +40,8 @@ def test_build_examples():
 
 @pytest.mark.parametrize(
     "kind",
-    [X22, K32, K23, X32, UniversalKind("X", 2, 3)],
+    [X22, K32, K23, X32, UniversalKind("X", 2, 3), UniversalKind("K", 3, 3),
+     UniversalKind("K", 5, 2), UniversalKind("K", 7, 2)],
 )
 def test_build_against_powerset_oracle(kind):
     K = build_universal(kind)
