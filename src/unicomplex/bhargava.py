@@ -219,15 +219,28 @@ def _out_of_range(k, S):
     )
 
 
+# Trial division stops here; what is left is then decided by `is_prime`.
+TRIAL_DIVISION_BOUND = 10**6
+
+
 def _prime_factors(n):
+    """Prime factors of n >= 0 by trial division up to TRIAL_DIVISION_BOUND.
+    A cofactor left above the bound must be prime, decided by `is_prime`;
+    a composite one would need factoring past the bound, so it is refused
+    with InputError."""
     out = set()
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
         while n % d == 0:
             out.add(d)
             n //= d
         d += 1
     if n > 1:
+        if d * d <= n and not is_prime(n):
+            raise InputError(
+                f"{n} has no prime factor up to {TRIAL_DIVISION_BOUND} and is "
+                "not prime; its factorization is out of reach"
+            )
         out.add(n)
     return out
 

@@ -51,13 +51,14 @@ def _greedy_clique(adj, order):
     return clique
 
 
-def chromatic_number(K, max_vertices=COLORING_VERTEX_CAP):
+def chromatic_number(K):
     """Exact chromatic number of the 1-skeleton with a witness coloring,
-    by branch and bound over vertex colorings."""
+    by branch and bound over vertex colorings of at most
+    COLORING_VERTEX_CAP vertices."""
     verts = K.vertices()
-    if len(verts) > max_vertices:
+    if len(verts) > COLORING_VERTEX_CAP:
         raise ResourceLimitError(
-            f"{len(verts)} vertices exceeds the coloring cap {max_vertices}"
+            f"{len(verts)} vertices exceeds the coloring cap {COLORING_VERTEX_CAP}"
         )
     if not verts:
         return 0, {}

@@ -24,7 +24,7 @@ from .errors import AcyclicityError, InputError, ResourceLimitError
 from .homology import reduced_homology, reisner_check
 from .morse import critical_cells, greedy_matching, check_acyclic, \
     morse_summary, pivot_free_facet_count
-from .scomplex import format_facet_list, parse_facet_list
+from .scomplex import SIMPLEX_BUDGET, format_facet_list, parse_facet_list
 from .shelling import ShellingOrder, construct_shelling_fp, is_shifted, \
     verify_shelling
 from .universal_fp import (
@@ -146,17 +146,22 @@ def _pair_list(text):
     return _Parsed(text, pairs)
 
 
+def _add_budget(sub):
+    sub.add_argument("--budget", type=int, default=SIMPLEX_BUDGET,
+                     help="most simplices built or read from a facet file")
+
+
 def _add_universal_args(sub, required=True):
     sub.add_argument("--variant", choices=("X", "K"), required=required)
     sub.add_argument("--p", type=int, required=required)
     sub.add_argument("--n", type=int, required=required)
-    sub.add_argument("--budget", type=int, default=10**7)
+    _add_budget(sub)
 
 
 def _get_complex(args):
     if getattr(args, "facets", None):
         with open(args.facets) as fh:
-            return parse_facet_list(fh.read()), None
+            return parse_facet_list(fh.read(), budget=args.budget), None
     if args.variant is None or args.p is None or args.n is None:
         raise UsageError("give either --facets FILE or --variant/--p/--n")
     kind = UniversalKind(args.variant, args.p, args.n)
@@ -216,7 +221,7 @@ def cmd_homology(args):
             )
         s = K.sorted_simplices(args.link_dim)[0]
         K = K.link(s)
-    prof = reduced_homology(K, budget=args.budget)
+    prof = reduced_homology(K)
     results = {
         "betti": list(prof.betti),
         "torsion": [list(t) for t in prof.torsion],
@@ -292,7 +297,7 @@ def cmd_shelling(args):
 
 def cmd_shifted(args):
     K, _ = _get_complex(args)
-    ok, witness = is_shifted(K, max_vertices=args.max_vertices)
+    ok, witness = is_shifted(K)
     results = {"shifted": ok}
     if witness:
         results["labeling"] = {str(K.labels[v]): lab for v, lab in witness.items()}
@@ -456,7 +461,6 @@ def build_parser():
     s = subs.add_parser(parents=[common], name="shifted", help="shiftedness with witness labeling")
     _add_universal_args(s, required=False)
     s.add_argument("--facets")
-    s.add_argument("--max-vertices", type=int, default=10)
     s.set_defaults(func=cmd_shifted)
 
     s = subs.add_parser(parents=[common], name="buchstaber", help="invariant bounds and values")
@@ -468,7 +472,7 @@ def build_parser():
     s = subs.add_parser(parents=[common], name="zcheck", help="Z-lattice suite / quasitoric pairs")
     s.add_argument("--n", type=int, default=2)
     s.add_argument("--max-norm", type=int, default=3)
-    s.add_argument("--budget", type=int, default=10**6)
+    _add_budget(s)
     s.add_argument("--pair", help="quasitoric pair file")
     s.set_defaults(func=cmd_zcheck)
 

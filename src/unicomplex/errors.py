@@ -6,7 +6,10 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured budget (simplex count, search size, window size) was exceeded."""
+    """A resource limit was reached: the one simplex budget
+    (`scomplex.SIMPLEX_BUDGET`, or `--budget` on the CLI), which the
+    builders and the facet-list reader enforce while a complex is made, or
+    one of the fixed caps of the Buchstaber searches."""
 
 
 class AcyclicityError(RuntimeError):

@@ -25,10 +25,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import gcd
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .morse import Matching
-
-DEFAULT_SIMPLEX_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -336,7 +334,7 @@ def _morse_boundary(faces, partner, stamp, lower, upper):
 # -- homology ---------------------------------------------------------------
 
 
-def reduced_homology(K, budget=DEFAULT_SIMPLEX_BUDGET):
+def reduced_homology(K):
     """Reduced Betti numbers and torsion coefficients over Z.
 
     K is coreduced to its critical cells; betti_d = #critical_d - rank_d -
@@ -347,10 +345,6 @@ def reduced_homology(K, budget=DEFAULT_SIMPLEX_BUDGET):
     critical cells; otherwise it is zero."""
     if K.dim < 0:
         return HomologyProfile((), ())
-    if K.n_simplices > budget:
-        raise ResourceLimitError(
-            f"complex with {K.n_simplices} simplices exceeds homology budget {budget}"
-        )
     dim = K.dim
     cells, faces, partner, stamp = coreduce(K)
     critical = [[] for _ in range(dim + 1)]
@@ -377,7 +371,7 @@ def reduced_homology(K, budget=DEFAULT_SIMPLEX_BUDGET):
     return HomologyProfile(betti, tuple(torsion))
 
 
-def reisner_check(K, orbit_sample=False, budget=DEFAULT_SIMPLEX_BUDGET):
+def reisner_check(K, orbit_sample=False):
     """Cohen-Macaulayness over every field, by the homological criterion:
     every link (including the whole complex, the link of the empty simplex)
     must have vanishing reduced homology below its top dimension, with no
@@ -395,7 +389,7 @@ def reisner_check(K, orbit_sample=False, budget=DEFAULT_SIMPLEX_BUDGET):
         top = L.dim
         if top <= 0:
             continue
-        prof = reduced_homology(L, budget)
+        prof = reduced_homology(L)
         for i in range(top):
             if prof.betti[i] or prof.torsion[i]:
                 return False, (s, i)

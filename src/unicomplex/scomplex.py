@@ -13,6 +13,11 @@ from itertools import combinations
 
 from .errors import InputError, ResourceLimitError
 
+# The one default resource limit: the most simplices any entry point builds
+# or reads.  Builders check it against a count known before allocation where
+# there is one, and otherwise count simplices as they are produced.
+SIMPLEX_BUDGET = 10**7
+
 
 def check_simplex(vertices):
     """Validate and normalize one simplex: strictly increasing int tuple."""
@@ -57,14 +62,21 @@ class SimplicialComplex:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_simplices(cls, simplices, labels, meta=None):
+    def from_simplices(cls, simplices, labels, meta=None, budget=SIMPLEX_BUDGET):
         """Downward closure of the given simplices.  Every key of `labels`
         becomes a vertex (so isolated vertices are allowed); every simplex
-        must use labeled vertices only."""
+        must use labeled vertices only.
+
+        Raises ResourceLimitError before the faces of a simplex are added
+        when they would take the closure past `budget` distinct simplices; a
+        simplex with 2^|s| - 1 > budget faces is refused outright."""
         labels = dict(labels)
-        by_dim = [set()]
-        for v in labels:
-            by_dim[0].add((v,))
+        by_dim = [{(v,) for v in labels}]
+        count = len(labels)
+        if count > budget:
+            raise ResourceLimitError(
+                f"{count} vertices exceed simplex budget {budget}"
+            )
         for s in simplices:
             s = check_simplex(s)
             if not s:
@@ -72,12 +84,22 @@ class SimplicialComplex:
             for v in s:
                 if v not in labels:
                     raise InputError(f"simplex {s} uses unlabeled vertex {v}")
-            d = len(s) - 1
-            while len(by_dim) <= d:
+            if 2 ** len(s) - 1 > budget:
+                raise ResourceLimitError(
+                    f"simplex with {len(s)} vertices has {2 ** len(s) - 1} "
+                    f"faces, over simplex budget {budget}"
+                )
+            while len(by_dim) < len(s):
                 by_dim.append(set())
-            for k in range(1, len(s) + 1):
-                for face in combinations(s, k):
-                    by_dim[k - 1].add(face)
+            for k in range(2, len(s) + 1):
+                level = by_dim[k - 1]
+                new = [f for f in combinations(s, k) if f not in level]
+                count += len(new)
+                if count > budget:
+                    raise ResourceLimitError(
+                        f"closure exceeds simplex budget {budget}"
+                    )
+                level.update(new)
         return cls(by_dim, labels, meta)
 
     # -- basic queries -----------------------------------------------------
@@ -240,7 +262,9 @@ def _token_key(tok):
         return (1, 0, tok)
 
 
-def parse_facet_list(text):
+def parse_facet_list(text, budget=SIMPLEX_BUDGET):
+    """The complex closed from a facet-list text, under the simplex budget
+    of `SimplicialComplex.from_simplices`."""
     facets_tokens = []
     tokens = set()
     for line in text.splitlines():
@@ -256,7 +280,7 @@ def parse_facet_list(text):
     vid = {tok: i for i, tok in enumerate(order)}
     labels = {i: tok for tok, i in vid.items()}
     facets = [tuple(sorted(vid[t] for t in toks)) for toks in facets_tokens]
-    return SimplicialComplex.from_simplices(facets, labels)
+    return SimplicialComplex.from_simplices(facets, labels, budget=budget)
 
 
 def format_facet_list(K, header=None):

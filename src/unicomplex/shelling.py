@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .fplin import (
     FpLine,
     FpVector,
@@ -238,7 +238,35 @@ def h_vector_from_f(f):
 # -- shiftedness -------------------------------------------------------------
 
 
-def is_shifted(K, max_vertices=10):
+def _shift_constraints(K, verts):
+    """The constraint digraph of `is_shifted` on vertex indices: bit j of
+    out[i] is set when verts[j] must get a larger label than verts[i].
+
+    Replacing v by u in a facet f leaves K exactly when u is outside f and
+    outside cof(f - v) = {u | (f - v) + u in K}.  One pass over the levels
+    that hold facets records cof(r) as a bitset for every codimension-1
+    face r there; then each facet f and each v in f add the complement of
+    f | cof(f - v) to the out-set of v."""
+    index = {v: i for i, v in enumerate(verts)}
+    facets = K.facets()
+    cof = {}
+    for size in {len(f) for f in facets}:
+        for s in K.simplices_of_dim(size - 1):
+            for i in range(size):
+                r = s[:i] + s[i + 1:]
+                cof[r] = cof.get(r, 0) | 1 << index[s[i]]
+    everything = (1 << len(verts)) - 1
+    out = [0] * len(verts)
+    for f in facets:
+        fbits = 0
+        for v in f:
+            fbits |= 1 << index[v]
+        for i, v in enumerate(f):
+            out[index[v]] |= everything & ~(fbits | cof[f[:i] + f[i + 1:]])
+    return out
+
+
+def is_shifted(K):
     """Decide whether some vertex labeling makes K closed under replacing a
     vertex of a simplex by one with a smaller label.
 
@@ -248,38 +276,24 @@ def is_shifted(K, max_vertices=10):
     larger label than v.  K is shifted iff the constraint digraph is
     acyclic; a witness labeling is read off a topological order."""
     verts = K.vertices()
-    if len(verts) > max_vertices:
-        raise ResourceLimitError(
-            f"{len(verts)} vertices exceeds the shiftedness cap {max_vertices}; "
-            "restrict to a vertex orbit sample and retry"
-        )
-    facets = [set(f) for f in K.facets()]
-    after = {v: set() for v in verts}  # v -> vertices that must get larger labels
-    for v in verts:
-        holding = [f for f in facets if v in f]
-        for u in verts:
-            if u == v:
-                continue
-            for f in holding:
-                if u in f:
-                    continue
-                if tuple(sorted((f - {v}) | {u})) not in K:
-                    after[v].add(u)
-                    break
-    indeg = {v: 0 for v in verts}
-    for outs in after.values():
-        for u in outs:
-            indeg[u] += 1
-    heap = [v for v in verts if indeg[v] == 0]
+    m = len(verts)
+    succ = [
+        [j for j in range(m) if outs >> j & 1] for outs in _shift_constraints(K, verts)
+    ]
+    indeg = [0] * m
+    for targets in succ:
+        for j in targets:
+            indeg[j] += 1
+    heap = [i for i in range(m) if indeg[i] == 0]
     heapq.heapify(heap)
     order = []
     while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for u in sorted(after[v]):
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(heap, u)
-    if len(order) < len(verts):
+        i = heapq.heappop(heap)
+        order.append(verts[i])
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, j)
+    if len(order) < m:
         return False, None
     return True, {v: i + 1 for i, v in enumerate(order)}

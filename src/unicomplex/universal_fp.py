@@ -29,9 +29,7 @@ from .fplin import (
     line_canonical_fp,
     _quotient_step_fp,
 )
-from .scomplex import FVector, SimplicialComplex, grow_by_extension
-
-DEFAULT_SIMPLEX_BUDGET = 10**7
+from .scomplex import SIMPLEX_BUDGET, FVector, SimplicialComplex, grow_by_extension
 
 
 @dataclass(frozen=True)
@@ -108,15 +106,16 @@ def total_simplex_count(kind):
     return sum(formula_f_vector(kind).entries[1:])
 
 
-def build_universal(kind, budget=DEFAULT_SIMPLEX_BUDGET):
+def build_universal(kind, budget=SIMPLEX_BUDGET):
     """Construct the complex explicitly by incremental extension: a simplex
     is grown only by vertices (in enumeration order, past its last one) that
     raise the rank, so each unimodular subset is produced exactly once.  The
-    rank test is the quotient step, starting from the identity rows."""
-    if total_simplex_count(kind) > budget:
-        raise ResourceLimitError(
-            f"{kind} has {total_simplex_count(kind)} simplices, over budget {budget}"
-        )
+    rank test is the quotient step, starting from the identity rows.  The
+    closed-form simplex count is checked against `budget` before anything
+    is allocated."""
+    total = total_simplex_count(kind)
+    if total > budget:
+        raise ResourceLimitError(f"{kind} has {total} simplices, over budget {budget}")
     p, n = kind.p, kind.n
     field = kind.field
     if kind.variant == "X":

@@ -27,7 +27,7 @@ from itertools import product
 from math import gcd
 
 from .errors import InputError
-from .scomplex import SimplicialComplex, grow_by_extension
+from .scomplex import SIMPLEX_BUDGET, SimplicialComplex, grow_by_extension
 
 
 @dataclass(frozen=True, order=True)
@@ -171,10 +171,11 @@ def enumerate_z_vectors(n, max_norm):
     return tuple(vecs)
 
 
-def build_truncated_universal_z(variant, n, max_norm, budget=10**6):
+def build_truncated_universal_z(variant, n, max_norm, budget=SIMPLEX_BUDGET):
     """Full subcomplex of X(Z^n) or K(Z^n) on the vertices within the norm
     bound.  Every simplex is grown by the quotient-map step, so each one is
-    unimodular over Z."""
+    unimodular over Z.  No closed form counts the simplices, so the frontier
+    loop counts them against `budget` as they are produced."""
     if variant not in ("X", "K"):
         raise InputError(f"variant must be 'X' or 'K', got {variant!r}")
     if variant == "K":

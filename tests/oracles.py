@@ -5,10 +5,11 @@ element, determinants are expanded by cofactors, minimality is exhausted
 over windows, primes are found by trial division, ranks over Q by
 elimination on Fractions, shellings by intersecting every facet with
 every earlier one, p-orderings by re-summing every valuation at every
-step and acyclicity by searching the whole modified Hasse diagram.  None of
-it shares code with the library's elimination, quotient-step, Smith normal
-form, restriction-face, running-sum or V-path paths, so agreement is
-evidence, not tautology.
+step, acyclicity by searching the whole modified Hasse diagram and
+shiftedness by trying every vertex swap in every facet.  None of it shares
+code with the library's elimination, quotient-step, Smith normal form,
+restriction-face, running-sum, V-path or coface-bitset paths, so agreement
+is evidence, not tautology.
 """
 
 from itertools import combinations, product
@@ -242,3 +243,33 @@ def hasse_band_cycle(K, pairs):
                     path.pop()
                     stack.pop()
     return None
+
+
+def quadratic_shift_labeling(K):
+    """(True, labeling) when some vertex labeling makes K closed under
+    replacing a vertex of a facet by one with a smaller label, else
+    (False, None).
+
+    For every ordered vertex pair (v, u) and every facet f holding v but
+    not u, (f - v) + u is looked up in K; a miss means u must be labeled
+    above v.  Labels are then handed out one at a time to the smallest
+    vertex no unlabeled vertex must precede."""
+    verts = K.vertices()
+    facets = [set(f) for f in K.facets()]
+    above = {v: set() for v in verts}  # v -> vertices labeled above v
+    for v in verts:
+        for u in verts:
+            if u == v:
+                continue
+            for f in facets:
+                if v in f and u not in f and tuple(sorted((f - {v}) | {u})) not in K:
+                    above[v].add(u)
+                    break
+    labeling = {}
+    while len(labeling) < len(verts):
+        free = [u for u in verts if u not in labeling
+                and not any(u in above[v] for v in verts if v not in labeling)]
+        if not free:
+            return False, None
+        labeling[free[0]] = len(labeling) + 1
+    return True, labeling

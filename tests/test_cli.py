@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -13,6 +14,7 @@ import unicomplex
 from unicomplex import cli
 from unicomplex.cli import dispatch, emit_report
 from unicomplex.errors import AcyclicityError
+from unicomplex.scomplex import SIMPLEX_BUDGET
 
 
 def run(*argv):
@@ -66,6 +68,14 @@ def test_bhargava_large_prime_is_fast():
                   "--primes", "1000000000000000003")
     assert code == 0
     assert time.perf_counter() - start < 1.0
+
+
+def test_bhargava_large_prime_difference_is_fast():
+    start = time.perf_counter()
+    code, text = run("bhargava", "--set", "list:0,1000000000000000003", "--k", "1")
+    assert code == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(text)["results"]["k1"]["factorial"] == "1000000000000000003"
 
 
 def test_cli_import_leaves_numpy_out():
@@ -126,6 +136,8 @@ def test_usage_errors_exit_2():
     ["homology", "--facets", "{F}", "--link-dim", "-1"],
     ["morse", "--facets", "{F}", "--pivots", "0", "--flavor", "line"],
     ["bhargava", "--set", "integers", "--k", "3", "--primes", str(2**89 - 1)],
+    # 1000003 * 1000033: both factors lie past the trial-division bound
+    ["bhargava", "--set", "list:0,1000036000099", "--k", "1"],
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, argv):
     facets = tmp_path / "tri.facets"
@@ -171,6 +183,51 @@ def test_resource_error_exit_3():
     code, text = run("build", "--variant", "X", "--p", "5", "--n", "9")
     assert code == 3
     assert "budget" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology"],
+    ["morse", "--pivots", "0"],
+    ["shelling", "--order", "{F}"],
+    ["shifted"],
+    ["buchstaber"],
+])
+def test_facet_file_over_budget_exits_3(tmp_path, argv):
+    # two tetrahedra on a common triangle: 23 distinct simplices, 15 each
+    facets = tmp_path / "two.facets"
+    facets.write_text("a b c d\nb c d e\n")
+    argv = [a.replace("{F}", str(facets)) for a in argv]
+    code, text = run(*argv, "--facets", str(facets), "--budget", "22")
+    assert code == 3
+    assert text == "resource error: closure exceeds simplex budget 22\n"
+    code, _ = run(*argv, "--facets", str(facets), "--budget", "23")
+    assert code in (0, 1)
+
+
+def test_huge_facet_refused_before_closing(tmp_path):
+    facets = tmp_path / "big.facets"
+    facets.write_text(" ".join(f"v{i}" for i in range(40)) + "\n")
+    start = time.perf_counter()
+    code, text = run("homology", "--facets", str(facets))
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
+    assert text.count("\n") == 1 and "budget" in text
+
+
+def test_one_budget_option():
+    subparsers = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    with_budget = []
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            assert "--max-vertices" not in action.option_strings, name
+            if action.dest == "budget":
+                assert action.default == SIMPLEX_BUDGET, name
+                with_budget.append(name)
+    assert with_budget == ["build", "fvector", "homology", "morse", "shelling",
+                           "shifted", "buchstaber", "zcheck"]
 
 
 def test_build_and_reload_facets(tmp_path):
@@ -227,6 +284,11 @@ def test_shifted_command():
     assert json.loads(text)["results"]["shifted"] is True
     code, text = run("shifted", "--variant", "X", "--p", "3", "--n", "2")
     assert json.loads(text)["results"]["shifted"] is False
+    code, text = run("shifted", "--variant", "K", "--p", "2", "--n", "4")
+    assert code == 0
+    rep = json.loads(text)
+    assert rep["results"]["shifted"] is False
+    assert "max_vertices" not in rep["parameters"]
 
 
 def test_buchstaber_command(tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from unicomplex.errors import InputError
+from unicomplex.errors import InputError, ResourceLimitError
 from unicomplex.scomplex import (
     SimplicialComplex,
     empty_complex,
@@ -129,3 +129,17 @@ def test_facet_list_numeric_label_order():
 def test_facet_list_rejects_repeats():
     with pytest.raises(InputError):
         parse_facet_list("a a b\n")
+
+
+def test_closure_budget_counts_distinct_simplices():
+    # two triangles on an edge plus an isolated vertex: 5 + 5 + 2 = 12
+    # distinct simplices, though each triangle has 7 faces
+    text = "a b c\nb c d\ne\n"
+    assert parse_facet_list(text, budget=12).n_simplices == 12
+    with pytest.raises(ResourceLimitError, match="closure exceeds simplex budget 11"):
+        parse_facet_list(text, budget=11)
+    with pytest.raises(ResourceLimitError, match="5 vertices exceed"):
+        parse_facet_list(text, budget=4)
+    # refused from its size alone, before any face is made
+    with pytest.raises(ResourceLimitError, match="18 vertices has 262143 faces"):
+        SimplicialComplex.from_simplices([tuple(range(18))], labeled(18), budget=1000)

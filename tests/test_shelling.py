@@ -1,10 +1,11 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from unicomplex import shelling
-from unicomplex.errors import InputError, ResourceLimitError
+from unicomplex.errors import InputError
 from unicomplex.homology import reisner_check
 from unicomplex.scomplex import FVector, SimplicialComplex
 from unicomplex.shelling import (
@@ -15,9 +16,14 @@ from unicomplex.shelling import (
     shelling_h_vector,
     verify_shelling,
 )
-from unicomplex.universal_fp import SphereCount, UniversalKind, build_universal
+from unicomplex.universal_fp import (
+    SphereCount,
+    UniversalKind,
+    build_universal,
+    formula_f_vector,
+)
 
-from oracles import pairwise_first_non_shelling_step
+from oracles import pairwise_first_non_shelling_step, quadratic_shift_labeling
 
 UNIVERSAL_SHELLED = [
     ("K", 2, 2), ("K", 3, 2), ("K", 2, 3), ("K", 3, 3), ("K", 2, 4),
@@ -205,12 +211,54 @@ def test_shifted_simplex_boundary():
     assert ok
 
 
-def test_shifted_vertex_cap():
-    K = SimplicialComplex.from_simplices([], labeled(11))
-    with pytest.raises(ResourceLimitError):
-        is_shifted(K)
-    ok, _ = is_shifted(K, max_vertices=11)
-    assert ok
+def _random_shift_complex(rng):
+    """A seeded random complex with isolated vertices and facets of mixed
+    sizes; half of them are closed under shifting for a random vertex
+    order first, so both verdicts occur."""
+    m = rng.randint(1, 9)
+    verts = list(range(0, 2 * m, 2))  # ids need not be dense
+    sets = [tuple(sorted(rng.sample(verts, rng.randint(1, min(m, 4)))))
+            for _ in range(rng.randint(0, 2 * m))]
+    if rng.random() < 0.5:
+        rank = {v: i for i, v in enumerate(rng.sample(verts, m))}
+        sets = [
+            t for s in sets for t in combinations(verts, len(s))
+            if all(a <= b for a, b in zip(sorted(rank[v] for v in t),
+                                          sorted(rank[v] for v in s)))
+        ]
+    return SimplicialComplex.from_simplices(
+        [tuple(sorted(t)) for t in sets], {v: v for v in verts}
+    )
+
+
+def test_shifted_matches_quadratic_oracle_on_random_complexes():
+    rng = random.Random(20261018)
+    verdicts = set()
+    for _ in range(400):
+        K = _random_shift_complex(rng)
+        got = is_shifted(K)
+        assert got == quadratic_shift_labeling(K), K.facets()
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("variant,p,n", [
+    ("K", 2, 4), ("K", 7, 3), ("X", 3, 3), ("K", 3, 2),
+])
+def test_shifted_follows_transitive_action(variant, p, n):
+    # GL_n(F_p) moves any vertex to any other, so every vertex carries the
+    # same number of constraints: none (shifted, the full skeleton) or some
+    kind = UniversalKind(variant, p, n)
+    K = build_universal(kind)
+    f = formula_f_vector(kind).entries
+    full_skeleton = f[-1] == comb(f[1], n)
+    outs = shelling._shift_constraints(K, K.vertices())
+    degrees = {bin(out).count("1") for out in outs}
+    assert len(degrees) == 1
+    assert (degrees == {0}) == full_skeleton
+    ok, labeling = is_shifted(K)
+    assert ok == full_skeleton
+    assert (labeling is not None) == full_skeleton
 
 
 def test_shifted_implies_lex_shelling():
