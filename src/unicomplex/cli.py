@@ -38,9 +38,9 @@ from .universal_fp import (
 from .verify import FP_PAIRS, run_all
 from .zlattice import (
     build_truncated_universal_z,
-    critical_family_sigma,
     enumerate_z_lines,
     parse_quasitoric_pair,
+    sigma_family,
     validate_quasitoric_pair,
 )
 
@@ -61,7 +61,13 @@ def _stringify(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
-        return str(obj)
+        try:
+            return str(obj)
+        except ValueError:
+            raise ResourceLimitError(
+                f"a report integer has more than {sys.get_int_max_str_digits()} "
+                "digits, the interpreter's limit for printing it"
+            ) from None
     if isinstance(obj, (list, tuple)):
         return [_stringify(x) for x in obj]
     if isinstance(obj, dict):
@@ -327,7 +333,7 @@ def cmd_buchstaber(args):
 def cmd_zcheck(args):
     if args.pair:
         with open(args.pair) as fh:
-            pair = parse_quasitoric_pair(fh.read())
+            pair = parse_quasitoric_pair(fh.read(), budget=args.budget)
         ok, witness = validate_quasitoric_pair(pair)
         results = {"pair_valid": ok, "n": pair.n, "m": pair.m}
         if not ok:
@@ -340,17 +346,8 @@ def cmd_zcheck(args):
     matching = greedy_matching(K, pivots)
     ok, _ = check_acyclic(K, matching)
     census = {str(d): len(c) for d, c in critical_cells(matching).items()}
-    lab_to_id = {lab: v for v, lab in K.labels.items()}
-    sigmas = {}
-    if args.n >= 2:
-        k = 1
-        while True:
-            sigma = critical_family_sigma(args.n, k)
-            if not all(l in lab_to_id for l in sigma):
-                break
-            simp = tuple(sorted(lab_to_id[l] for l in sigma))
-            sigmas[f"sigma_{k}"] = simp in set(matching.critical)
-            k += 1
+    critical = set(matching.critical)
+    sigmas = {f"sigma_{k}": simp in critical for k, simp in sigma_family(K)}
     results = {
         "lines": [str(l) for l in enumerate_z_lines(args.n, args.max_norm)],
         **_fv(K),

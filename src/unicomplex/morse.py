@@ -128,12 +128,6 @@ def matching_from_pairs(K, pairs):
     return Matching(tuple(sorted(pairs)), (), critical)
 
 
-def validate_matching(K, matching):
-    """Every pair is a covering pair in K and no simplex occurs twice."""
-    _check_pairs(K, matching.pairs)
-    return True
-
-
 def _next_lower_cells(lo, up_of):
     """Successors of lo in the V-path digraph: the faces f != lo of its
     partner that are themselves lower cells of pairs."""
@@ -156,7 +150,7 @@ def check_acyclic(K, matching):
     closed V-path [lo, up, lo', up', ...] (its last upper cell has the first
     lower cell as a face).
     """
-    validate_matching(K, matching)
+    _check_pairs(K, matching.pairs)
     up_of = dict(matching.pairs)
     color = {}  # 1 on the current path, 2 finished
     for start in up_of:

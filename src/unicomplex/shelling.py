@@ -7,11 +7,18 @@ vertices), orders groups by size of that set and then lexicographically,
 and orders each group by a recursively constructed shelling of the link of
 the subspace the new vertices cut out of the old coordinate hyperplane.
 The verifier, not the construction, is the ground truth.
+
+Shiftedness checks one labeling.  In a shifted complex domination of vertices
+(u dominates v when replacing v by u never leaves the complex) is a total
+preorder, and strict domination strictly raises the number of faces through
+a vertex, so the vertices sorted by that number, most first, form a valid
+labeling whenever one exists.  Checking it takes one sort of each coface
+list and one binary search per codimension-1 face of each facet.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -238,62 +245,42 @@ def h_vector_from_f(f):
 # -- shiftedness -------------------------------------------------------------
 
 
-def _shift_constraints(K, verts):
-    """The constraint digraph of `is_shifted` on vertex indices: bit j of
-    out[i] is set when verts[j] must get a larger label than verts[i].
+def is_shifted(K):
+    """Decide whether some vertex labeling makes K closed under replacing a
+    vertex of a simplex by one with a smaller label.
 
-    Replacing v by u in a facet f leaves K exactly when u is outside f and
-    outside cof(f - v) = {u | (f - v) + u in K}.  One pass over the levels
-    that hold facets records cof(r) as a bitset for every codimension-1
-    face r there; then each facet f and each v in f add the complement of
-    f | cof(f - v) to the out-set of v."""
-    index = {v: i for i, v in enumerate(verts)}
+    Say u dominates v when replacing v by u never leaves K.  A face s that
+    holds v but not u goes to s - v + u, an injection into the faces that
+    hold u but not v, so u dominating v gives u at least as many faces as v,
+    and strictly more unless v dominates u too.  In a shifted complex
+    domination is a total preorder (Klivans), so sorting the vertices by
+    (-faces through the vertex, id) gives a valid labeling whenever any
+    exists: it is the only one checked.
+
+    Closure on all simplices reduces to closure on facets: K is shifted iff
+    for each facet f = r + v every u outside f labeled below v has r + u in
+    K.  With cof(r) = {u | r + u in K} sorted by label, that is one count:
+    the labels of cof(r) below label(v) number label(v) minus those of r."""
+    faces = dict.fromkeys(K.vertices(), 0)
+    for d in range(K.dim + 1):
+        for s in K.simplices_of_dim(d):
+            for v in s:
+                faces[v] += 1
+    order = sorted(faces, key=lambda v: (-faces[v], v))
+    label = {v: i for i, v in enumerate(order)}
     facets = K.facets()
     cof = {}
     for size in {len(f) for f in facets}:
         for s in K.simplices_of_dim(size - 1):
             for i in range(size):
-                r = s[:i] + s[i + 1:]
-                cof[r] = cof.get(r, 0) | 1 << index[s[i]]
-    everything = (1 << len(verts)) - 1
-    out = [0] * len(verts)
+                cof.setdefault(s[:i] + s[i + 1:], []).append(label[s[i]])
+    for labels in cof.values():
+        labels.sort()
     for f in facets:
-        fbits = 0
-        for v in f:
-            fbits |= 1 << index[v]
         for i, v in enumerate(f):
-            out[index[v]] |= everything & ~(fbits | cof[f[:i] + f[i + 1:]])
-    return out
-
-
-def is_shifted(K):
-    """Decide whether some vertex labeling makes K closed under replacing a
-    vertex of a simplex by one with a smaller label.
-
-    Replacement closure on all simplices reduces to closure on facets, and
-    whether labels can be chosen at all reduces to precedence constraints:
-    if replacing v by u in some facet leaves the complex, u must get a
-    larger label than v.  K is shifted iff the constraint digraph is
-    acyclic; a witness labeling is read off a topological order."""
-    verts = K.vertices()
-    m = len(verts)
-    succ = [
-        [j for j in range(m) if outs >> j & 1] for outs in _shift_constraints(K, verts)
-    ]
-    indeg = [0] * m
-    for targets in succ:
-        for j in targets:
-            indeg[j] += 1
-    heap = [i for i in range(m) if indeg[i] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        i = heapq.heappop(heap)
-        order.append(verts[i])
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, j)
-    if len(order) < m:
-        return False, None
+            r = f[:i] + f[i + 1:]
+            lv = label[v]
+            below = lv - sum(1 for w in r if label[w] < lv)
+            if bisect_left(cof[r], lv) != below:
+                return False, None
     return True, {v: i + 1 for i, v in enumerate(order)}

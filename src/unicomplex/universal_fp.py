@@ -29,6 +29,7 @@ from .fplin import (
     line_canonical_fp,
     _quotient_step_fp,
 )
+from .morse import pivot_free_facet_count
 from .scomplex import SIMPLEX_BUDGET, FVector, SimplicialComplex, grow_by_extension
 
 
@@ -221,7 +222,4 @@ def eq_an_basis_count(k_complex):
     kind = k_complex.meta.get("universal")
     if kind is None or kind.variant != "K":
         raise InputError("Eq-(A_n)-style count is defined for K complexes")
-    pivots = set(standard_pivot_ids(k_complex))
-    return sum(
-        1 for f in k_complex.simplices_of_dim(kind.n - 1) if not pivots & set(f)
-    )
+    return pivot_free_facet_count(k_complex, standard_pivot_ids(k_complex))

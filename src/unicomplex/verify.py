@@ -304,17 +304,10 @@ def criterion_9(ws, samples=10**4):
         ok, cycle = morse.check_acyclic(K, M)
         if not ok:
             return False, f"W matching cyclic at norm {norm}: {cycle}"
-        lab_to_id = {lab: v for v, lab in K.labels.items()}
         crit = set(M.critical)
-        k = 1
-        while True:
-            sigma = zlattice.critical_family_sigma(2, k)
-            if not all(l in lab_to_id for l in sigma):
-                break
-            simp = tuple(sorted(lab_to_id[l] for l in sigma))
+        for k, simp in zlattice.sigma_family(K):
             if simp not in crit:
                 return False, f"sigma_{k} not critical at norm {norm}"
-            k += 1
         prof = homology.reduced_homology(K)
         if prof.betti[0] != 0:
             return False, f"truncation at norm {norm} is disconnected"

@@ -23,7 +23,7 @@ builder runs it inside the shared frontier loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 from math import gcd
 
 from .errors import InputError
@@ -211,6 +211,21 @@ def critical_family_sigma(n, k):
     return lines
 
 
+def sigma_family(K):
+    """(k, simplex) for k = 1, 2, ... while every line of sigma_k is a vertex
+    of the truncation K of K(Z^n), with the simplex as sorted vertex ids;
+    nothing for n < 2, where the family is not defined."""
+    n = K.meta["n"]
+    if n < 2:
+        return
+    lab_to_id = {lab: v for v, lab in K.labels.items()}
+    for k in count(1):
+        sigma = critical_family_sigma(n, k)
+        if not all(l in lab_to_id for l in sigma):
+            return
+        yield k, tuple(sorted(lab_to_id[l] for l in sigma))
+
+
 # -- quasitoric pairs ---------------------------------------------------------
 
 
@@ -268,9 +283,10 @@ def pair_to_simplicial_map(pair):
     return {v: pair.column(j) for j, v in enumerate(verts)}
 
 
-def parse_quasitoric_pair(text):
+def parse_quasitoric_pair(text, budget=SIMPLEX_BUDGET):
     """Pair file: a facet-list block for P*, a blank line, then n rows of m
-    whitespace-separated integers (columns in sorted vertex-label order)."""
+    whitespace-separated integers (columns in sorted vertex-label order).
+    The facet block is closed under the simplex budget."""
     from .scomplex import parse_facet_list
 
     lines = text.splitlines()
@@ -285,7 +301,7 @@ def parse_quasitoric_pair(text):
             break
     if split is None:
         raise InputError("pair file needs a blank line between facets and matrix")
-    K = parse_facet_list("\n".join(lines[:split]))
+    K = parse_facet_list("\n".join(lines[:split]), budget=budget)
     rows = []
     for line in lines[split:]:
         stripped = line.split("#", 1)[0].strip()

@@ -8,7 +8,7 @@ every earlier one, p-orderings by re-summing every valuation at every
 step, acyclicity by searching the whole modified Hasse diagram and
 shiftedness by trying every vertex swap in every facet.  None of it shares
 code with the library's elimination, quotient-step, Smith normal form,
-restriction-face, running-sum, V-path or coface-bitset paths, so agreement
+restriction-face, running-sum, V-path or degree-labeling paths, so agreement
 is evidence, not tautology.
 """
 

@@ -185,6 +185,18 @@ def test_resource_error_exit_3():
     assert "budget" in text
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["bhargava", "--set", "integers", "--k", "1800"],
+    ["bhargava", "--set", "geometric:1:7", "--k", "80"],
+    ["fvector", "--variant", "K", "--p", "3", "--n", "200", "--link-dim", "3"],
+])
+def test_report_integer_past_digit_limit_exits_3(argv):
+    code, text = run(*argv)
+    assert code == 3
+    assert text.count("\n") == 1
+    assert f"more than {sys.get_int_max_str_digits()} digits" in text
+
 @pytest.mark.parametrize("argv", [
     ["homology"],
     ["morse", "--pivots", "0"],
@@ -291,6 +303,32 @@ def test_shifted_command():
     assert "max_vertices" not in rep["parameters"]
 
 
+
+def test_shifted_long_cycle_is_fast(tmp_path):
+    # a 2*10^4-vertex cycle: far under the simplex budget, so the decision
+    # must not grow with the square of the vertex count
+    n = 2 * 10**4
+    facets = tmp_path / "cycle.facets"
+    facets.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+    start = time.perf_counter()
+    code, text = run("shifted", "--facets", str(facets))
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert json.loads(text)["results"] == {"shifted": False}
+
+
+def test_shifted_large_cone_gets_degree_sorted_labeling(tmp_path):
+    # the join of the edge {y, z} with 2000 points is shifted; y and z lie in
+    # 4002 faces each and every point in 4, so they take labels 1 and 2
+    facets = tmp_path / "cone.facets"
+    facets.write_text("".join(f"y z {i}\n" for i in range(2000)))
+    code, text = run("shifted", "--facets", str(facets))
+    assert code == 0
+    results = json.loads(text)["results"]
+    assert results["shifted"] is True
+    want = {"y": "1", "z": "2", **{str(i): str(i + 3) for i in range(2000)}}
+    assert results["labeling"] == want
+
 def test_buchstaber_command(tmp_path):
     facets = tmp_path / "k4.facets"
     facets.write_text("a b\na c\na d\nb c\nb d\nc d\n")
@@ -314,6 +352,16 @@ def test_zcheck_pair_command(tmp_path):
     rep = json.loads(text)
     assert rep["results"]["failing_facet"] == ["1", "2"]
 
+
+
+def test_zcheck_pair_reads_under_budget(tmp_path):
+    pair = tmp_path / "cp2.pair"
+    pair.write_text("1 2\n1 3\n2 3\n\n1 0 -1\n0 1 -1\n")
+    code, text = run("zcheck", "--pair", str(pair), "--budget", "1")
+    assert code == 3
+    assert text == "resource error: 3 vertices exceed simplex budget 1\n"
+    code, _ = run("zcheck", "--pair", str(pair), "--budget", "6")
+    assert code == 0
 
 def test_verify_all_reduced_scale():
     code, text = run(

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -246,19 +247,21 @@ def test_shifted_matches_quadratic_oracle_on_random_complexes():
     ("K", 2, 4), ("K", 7, 3), ("X", 3, 3), ("K", 3, 2),
 ])
 def test_shifted_follows_transitive_action(variant, p, n):
-    # GL_n(F_p) moves any vertex to any other, so every vertex carries the
-    # same number of constraints: none (shifted, the full skeleton) or some
+    # GL_n(F_p) moves any vertex to any other, so every vertex lies in the
+    # same number of faces and the degree-sorted labeling is the identity
     kind = UniversalKind(variant, p, n)
     K = build_universal(kind)
     f = formula_f_vector(kind).entries
     full_skeleton = f[-1] == comb(f[1], n)
-    outs = shelling._shift_constraints(K, K.vertices())
-    degrees = {bin(out).count("1") for out in outs}
-    assert len(degrees) == 1
-    assert (degrees == {0}) == full_skeleton
+    faces = Counter(v for d in range(K.dim + 1)
+                    for s in K.simplices_of_dim(d) for v in s)
+    assert len(set(faces.values())) == 1 and len(faces) == K.n_vertices
     ok, labeling = is_shifted(K)
     assert ok == full_skeleton
-    assert (labeling is not None) == full_skeleton
+    if ok:
+        assert labeling == {v: i + 1 for i, v in enumerate(K.vertices())}
+    else:
+        assert labeling is None
 
 
 def test_shifted_implies_lex_shelling():

@@ -17,6 +17,7 @@ from unicomplex.zlattice import (
     is_unimodular_z,
     pair_to_simplicial_map,
     parse_quasitoric_pair,
+    sigma_family,
     validate_quasitoric_pair,
     z_line,
 )
@@ -152,6 +153,18 @@ def test_w_matching_acyclic_and_sigma_critical():
             assert tuple(sorted(lab_to_id[l] for l in sigma)) in crit
             k += 1
 
+
+
+@pytest.mark.parametrize("n,norm", [(2, 4), (2, 9), (3, 3)])
+def test_sigma_family_stops_at_the_truncation(n, norm):
+    K = build_truncated_universal_z("K", n, norm)
+    got = list(sigma_family(K))
+    assert [k for k, _ in got] == list(range(1, len(got) + 1)) and got
+    for k, simp in got:
+        assert simp in K
+        assert {K.labels[v] for v in simp} == set(critical_family_sigma(n, k))
+    beyond = critical_family_sigma(n, len(got) + 1)
+    assert not set(beyond) <= set(K.labels.values())
 
 def test_truncations_connected_with_growing_top_betti():
     last = -1
