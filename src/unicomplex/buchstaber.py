@@ -142,7 +142,8 @@ def min_rank_search(K, p, r_max=SEARCH_RANK_CAP):
     backtracking over vertex assignments to lines; returns (r, map) or
     (None, None).  The first vertex is pinned to the first line (the target
     symmetry group is transitive on lines), later candidates are tried in
-    canonical order, so the witness is deterministic."""
+    canonical order, so the witness is deterministic.  Each set of placed
+    lines has its unimodularity decided once per rank."""
     PrimeField(p)
     verts = K.vertices()
     if len(verts) > SEARCH_VERTEX_CAP:
@@ -161,13 +162,19 @@ def min_rank_search(K, p, r_max=SEARCH_RANK_CAP):
         lines = enumerate_lines_fp(r, field)
         gens = [l.generator for l in lines]
         assign = {}
+        unimodular = {}  # sorted tuple of placed line indices -> verdict
 
         def consistent(v):
             for f in facets_with[v]:
                 placed = [assign[u] for u in f if u in assign]
                 if len(set(placed)) != len(placed):
                     return False
-                if not is_unimodular_fp([gens[i] for i in placed], field):
+                key = tuple(sorted(placed))
+                ok = unimodular.get(key)
+                if ok is None:
+                    ok = unimodular[key] = is_unimodular_fp(
+                        [gens[i] for i in key], field)
+                if not ok:
                     return False
             return True
 

@@ -3,7 +3,9 @@
 Every command prints one report (json, csv, or text).  Reports are a pure
 function of the arguments and the artifact version: keys are emitted
 sorted, all integers are rendered as decimal strings, and wall-clock
-timing is only included on request (it is the one nondeterministic field).
+timing is only included on request (`--timing` adds `timing_seconds`, and
+`seconds` per criterion of `verify-all`; these are the only
+nondeterministic fields).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 resource budget exceeded.
@@ -400,9 +402,12 @@ def cmd_verify_all(args):
     pairs = args.pairs.values if args.pairs else FP_PAIRS
     outcome = run_all(fp_pairs=pairs, oracle_samples=args.oracle_samples)
     results = {
-        name: {"pass": ok, "detail": detail} for name, ok, detail in outcome
+        name: {"pass": ok, "detail": detail} for name, ok, detail, _ in outcome
     }
-    results["all_passed"] = all(ok for _, ok, _ in outcome)
+    if args.timing:
+        for name, _, _, seconds in outcome:
+            results[name]["seconds"] = f"{seconds:.3f}"
+    results["all_passed"] = all(ok for _, ok, _, _ in outcome)
     return (0 if results["all_passed"] else 1), results
 
 

@@ -13,9 +13,10 @@ an independent set sigma of k vectors in F_p^n is the rows of a surjection
 Q: F_p^n -> F_p^(n-k) whose kernel is span(sigma), the identity for the
 empty set.  sigma + {w} is independent iff Q w != 0, and one pivot
 elimination on Q w followed by dropping the pivot row gives the surjection
-for sigma + {w}.  Near the top of a frontier the state has few rows, so
-the test for the last vertex of a facet is a single dot product; the
-F_p builder runs on it.
+for sigma + {w}.  The F_p builder runs it below the top level of its
+frontier; at the top the state is one row q, and the vertices completing a
+facet are those off the hyperplane q w = 0, which the builder reads from a
+bitset kept per row (`universal_fp`).
 """
 
 from __future__ import annotations
@@ -136,24 +137,21 @@ def _quotient_step_fp(rows, w, p):
     """Extend an independent set by the vector w over F_p.  `rows` is the
     surjection Q whose kernel is the span of the set; returns the rows of
     the surjection for the set plus w (one row fewer), or None if w lies in
-    the span."""
-    if len(rows) == 1:  # sigma + {w} spans F_p^n: nothing to eliminate
-        return () if sum(map(mul, rows[0], w)) % p else None
-    c = [sum(map(mul, row, w)) % p for row in rows]
-    i = next((k for k, x in enumerate(c) if x), None)
-    if i is None:
-        return None
-    pivot = rows[i]
-    inv = pow(c[i], -1, p)
+    the span.  The first row with a nonzero image is the pivot: it is
+    dropped, and a multiple of it is subtracted from every later row whose
+    image is nonzero, so that the image becomes 0."""
     out = []
-    for j, (row, x) in enumerate(zip(rows, c)):
-        if j == i:
-            continue
-        if x:
+    pivot = None
+    for row in rows:
+        x = sum(map(mul, row, w)) % p
+        if not x:
+            out.append(row)
+        elif pivot is None:
+            pivot, inv = row, pow(x, -1, p)
+        else:
             f = x * inv % p
-            row = tuple((a - f * b) % p for a, b in zip(row, pivot))
-        out.append(row)
-    return tuple(out)
+            out.append(tuple([(a - f * b) % p for a, b in zip(row, pivot)]))
+    return None if pivot is None else tuple(out)
 
 
 def echelon_basis(rows, p):

@@ -6,16 +6,16 @@ when no such simplex is left, a live simplex with no live faces is taken as
 critical.  The pairs form an acyclic matching, and since every incidence of
 a simplicial complex is +-1 they are valid over Z.  The boundary of the
 Morse complex on the critical simplices is computed over Z by following the
-gradient flow (Harker-Mischaikow-Mrozek-Nanda), with the alternating signs
-of `boundary_matrix`, and an augmentation row over the critical vertices
-makes the Betti numbers reduced.  Each Morse boundary then goes through the
-exact Smith normal form: +-1 pivots are eliminated on sparse rows first, a
-dense minimal-pivot sweep finishes any non-unit block, and the divisibility
-chain is repaired and checked.  Betti numbers and torsion are therefore
-exact in every dimension.
+gradient flow (Harker-Mischaikow-Mrozek-Nanda), with the sign (-1)^k on
+the face that drops the k-th vertex, and an augmentation row over the
+critical vertices makes the Betti numbers reduced.  Each Morse boundary
+then goes through the exact Smith normal form: +-1 pivots are eliminated on
+sparse rows first, a dense minimal-pivot sweep finishes any non-unit block,
+and the divisibility chain is repaired and checked.  Betti numbers and
+torsion are therefore exact in every dimension.
 
-`boundary_matrix` is the full chain-level boundary operator, kept as the
-reference the Morse complex is tested against.
+The full chain-level boundary operator is not built here; the tests keep it
+(`tests/oracles.py`) as the reference the Morse complex is checked against.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import gcd
 
-from .errors import InputError
 from .morse import Matching
 
 
@@ -45,22 +44,6 @@ class HomologyProfile:
     @property
     def torsion_free(self):
         return all(not t for t in self.torsion)
-
-
-def boundary_matrix(K, d):
-    """The boundary operator C_d -> C_{d-1} as sparse rows {row: {col: +-1}}
-    indexed by the sorted simplices; for d = 0 the augmentation row."""
-    if d < 0 or d > K.dim:
-        raise InputError(f"boundary dimension {d} out of range [0, {K.dim}]")
-    cols = K.sorted_simplices(d)
-    if d == 0:
-        return {0: dict.fromkeys(range(len(cols)), 1)}
-    row_index = {s: i for i, s in enumerate(K.sorted_simplices(d - 1))}
-    rows = {}
-    for j, s in enumerate(cols):
-        for k in range(len(s)):
-            rows.setdefault(row_index[s[:k] + s[k + 1:]], {})[j] = -1 if k % 2 else 1
-    return rows
 
 
 # -- Smith normal form -------------------------------------------------------

@@ -9,7 +9,9 @@ vertex id to an opaque label (an FpVector, FpLine, ZLine, or plain string).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 from .errors import InputError, ResourceLimitError
 
@@ -210,41 +212,77 @@ def empty_complex():
     return SimplicialComplex([], {})
 
 
-def grow_by_extension(gens, depth, start, extend, budget, what):
+def _bit_ids(bits):
+    """The positions of the set bits of an int, ascending.  Peeling the
+    lowest bit costs per set bit, where a scan of `bin(bits)` costs per
+    bit; the candidate sets over Z are sparse."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def grow_by_extension(gens, depth, start, extend, finish, budget, what):
     """Simplices (grouped by dimension, up to depth - 1) of the complex on
     vertex ids 0..len(gens)-1 whose faces are the subsets that `extend`
     accepts one generator at a time.
 
     `extend(state, w)` returns the state of sigma + {w} from the state of
     sigma, or None when sigma + {w} is not a simplex; `start` is the state of
-    the empty simplex.  A simplex is grown only by generators past its last
-    vertex, so each simplex is produced exactly once.  States of the top
-    level are never extended and so are not kept.  Raises ResourceLimitError
-    naming `what` once more than `budget` simplices have been produced."""
-    m = len(gens)
+    the empty simplex.  The top level is never extended: `finish(state,
+    bits)` takes the state of a simplex one below it and a bitset of
+    candidate ids (bit j for generator j) and returns the bitset of those
+    that complete it, in one step per simplex.
+
+    Candidates are bitsets (Python ints): those of a simplex are the AND of
+    one bitset per vertex, all ids for the empty simplex.  A vertex's bitset
+    is every id after it until the edge level replaces it by the vertex's
+    later neighbours: a simplex only grows by a common neighbour of its
+    vertices, since the complex is closed under faces.  So each simplex is
+    produced exactly once, in frontier order and ascending id within it.
+    Raises ResourceLimitError naming `what` before a batch of simplices
+    takes the count past `budget`."""
+    everything = (1 << len(gens)) - 1
+    later = [everything >> (i + 1) << (i + 1) for i in range(len(gens))]
+
+    def candidates(simp):
+        return reduce(and_, map(later.__getitem__, simp), everything)
+
+    count = 0
+
+    def charge(k):
+        nonlocal count
+        count += k
+        if count > budget:
+            raise ResourceLimitError(f"{what} exceeds simplex budget {budget}")
+
     by_dim = []
     frontier = [((), start)]
-    count = 0
-    for d in range(depth):
+    for d in range(depth - 1):
         level = set()
         nxt = []
-        keep = d < depth - 1
         for simp, state in frontier:
-            for j in range(simp[-1] + 1 if simp else 0, m):
+            kids = []
+            for j in _bit_ids(candidates(simp)):
                 ext = extend(state, gens[j])
-                if ext is None:
-                    continue
-                new = simp + (j,)
-                level.add(new)
-                count += 1
-                if count > budget:
-                    raise ResourceLimitError(
-                        f"{what} exceeds simplex budget {budget}"
-                    )
-                if keep:
-                    nxt.append((new, ext))
+                if ext is not None:
+                    kids.append((simp + (j,), ext))
+            charge(len(kids))
+            level.update(new for new, _ in kids)
+            nxt.extend(kids)
+            if d == 1:  # the edges at simp[0] are known: its later neighbours
+                later[simp[0]] = sum(1 << new[-1] for new, _ in kids)
         by_dim.append(level)
         frontier = nxt
+    if depth > 0:
+        level = set()
+        for simp, state in frontier:
+            acc = finish(state, candidates(simp))
+            charge(acc.bit_count())
+            level.update(simp + (j,) for j in _bit_ids(acc))
+        by_dim.append(level)
     return by_dim
 
 

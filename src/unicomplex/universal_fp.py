@@ -6,11 +6,16 @@ vertices, with simplices the sets of lines spanning a subspace of dimension
 equal to their number.  Both are pure of dimension n-1 and carry a transitive
 GL(n, F_p) action, which is what makes the closed-form face counts below work.
 
-The builder grows simplices in the shared frontier loop with the quotient
-step `fplin._quotient_step_fp`: a simplex sigma carries the rows of a
-surjection F_p^n -> F_p^(n-k) with kernel span(sigma), and a later vertex w
-extends it iff its image under that surjection is nonzero.  The built level
-sizes are checked against the closed-form f-vector, a second derivation.
+The builder grows simplices in the shared frontier loop
+`scomplex.grow_by_extension` with the quotient step
+`fplin._quotient_step_fp`: a simplex sigma carries the rows of a surjection
+F_p^n -> F_p^(n-k) with kernel span(sigma), and a candidate vertex w
+extends it iff its image under that surjection is nonzero.  Candidates are
+bitsets of vertex ids.  At the top level the surjection is one row q, and
+the vertices completing a facet are the candidates off the hyperplane
+q w = 0: that bitset is computed once per row, so each facet costs one AND
+and no arithmetic.  The built level sizes are checked against the
+closed-form f-vector, a second derivation.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import factorial, prod
+from operator import mul
 
 from .errors import InputError, ResourceLimitError
 from .fplin import (
@@ -107,13 +113,33 @@ def total_simplex_count(kind):
     return sum(formula_f_vector(kind).entries[1:])
 
 
+def _finish_fp(gens, p):
+    """The top-level step of the frontier over F_p: the state is one row q,
+    and w completes the simplex iff q w != 0, i.e. w lies off the
+    hyperplane ker q.  The bitset of generators off it is computed once per
+    row and then each simplex takes `bits & off` with no arithmetic per
+    candidate.  Rows are keyed as the quotient step leaves them, so a
+    hyperplane is scanned at most once for each of its p - 1 rows."""
+    off = {}
+
+    def finish(rows, bits):
+        h = off.get(rows)
+        if h is None:
+            (q,) = rows
+            h = off[rows] = sum(1 << j for j, w in enumerate(gens)
+                                if sum(map(mul, q, w)) % p)
+        return bits & h
+
+    return finish
+
+
 def build_universal(kind, budget=SIMPLEX_BUDGET):
     """Construct the complex explicitly by incremental extension: a simplex
     is grown only by vertices (in enumeration order, past its last one) that
     raise the rank, so each unimodular subset is produced exactly once.  The
-    rank test is the quotient step, starting from the identity rows.  The
-    closed-form simplex count is checked against `budget` before anything
-    is allocated."""
+    rank test is the quotient step, starting from the identity rows, and the
+    top level is finished by `_finish_fp`.  The closed-form simplex count is
+    checked against `budget` before anything is allocated."""
     total = total_simplex_count(kind)
     if total > budget:
         raise ResourceLimitError(f"{kind} has {total} simplices, over budget {budget}")
@@ -127,7 +153,7 @@ def build_universal(kind, budget=SIMPLEX_BUDGET):
         gens = [l.generator.coords for l in labels_seq]
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     by_dim = grow_by_extension(gens, n, identity, partial(_quotient_step_fp, p=p),
-                               budget, str(kind))
+                               _finish_fp(gens, p), budget, str(kind))
     labels = {i: lab for i, lab in enumerate(labels_seq)}
     meta = {"universal": kind, "ring": "fp", "p": p, "n": n, "variant": kind.variant}
     K = SimplicialComplex(by_dim, labels, meta)

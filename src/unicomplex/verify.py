@@ -10,6 +10,7 @@ asked to confirm itself against its own output alone.
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 from math import comb, gcd
 
@@ -399,13 +400,16 @@ CRITERIA = (
 
 
 def run_all(fp_pairs=FP_PAIRS, oracle_samples=10**4):
-    """Run every criterion; returns a list of (name, ok, detail)."""
+    """Run every criterion; returns a list of (name, ok, detail, seconds).
+    A criterion's seconds include building the workspace complexes it is
+    the first to use."""
     ws = Workspace(fp_pairs)
     results = []
     for name, fn in CRITERIA:
+        started = time.perf_counter()
         if fn is criterion_9:
             ok, detail = fn(ws, samples=oracle_samples)
         else:
             ok, detail = fn(ws)
-        results.append((name, ok, detail))
+        results.append((name, ok, detail, time.perf_counter() - started))
     return results

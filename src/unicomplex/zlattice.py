@@ -16,8 +16,12 @@ Z^(n-k), sigma + {w} is unimodular iff Q w is primitive, i.e. gcd(Q w) = 1.
 In that case integer row operations on Q (Euclid on the entries of Q w)
 reduce Q w to a single entry +-1, and dropping that row leaves a surjection
 whose kernel is span(sigma + {w}).  Each test costs O(n^2) integer
-operations; `is_unimodular_z` folds the step over a list and the truncation
-builder runs it inside the shared frontier loop.
+operations; `is_unimodular_z` folds the step over a list.  The truncation
+builder runs it inside the shared frontier loop `scomplex.grow_by_extension`
+below the top level, on bitset candidates (the AND of the later-neighbour
+bitsets of the simplex's vertices).  At the top the state is one primitive
+row q, and a candidate w completes a facet iff q w = +-1: one dot product,
+with no row update.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count, product
 from math import gcd
+from operator import mul
 
 from .errors import InputError
-from .scomplex import SIMPLEX_BUDGET, SimplicialComplex, grow_by_extension
+from .scomplex import SIMPLEX_BUDGET, SimplicialComplex, _bit_ids, grow_by_extension
 
 
 @dataclass(frozen=True, order=True)
@@ -89,20 +94,36 @@ def _quotient_step(rows, w):
     surjection Q whose kernel is the span of the set; returns the rows of
     the surjection for the set plus w, or None if that set is not
     unimodular."""
-    c = [sum(a * b for a, b in zip(row, w)) for row in rows]
+    c = [sum(map(mul, row, w)) for row in rows]
     if gcd(*c) != 1:
         return None
     rows = list(rows)
     while True:
-        live = [i for i, x in enumerate(c) if x]
-        i = min(live, key=lambda k: abs(c[k]))
+        live = [k for k, x in enumerate(c) if x]
         if len(live) == 1:
+            i = live[0]
             return tuple(rows[:i] + rows[i + 1:])
+        i = min(live, key=lambda k: abs(c[k]))
+        ci, pivot = c[i], rows[i]
         for j in live:
             if j != i:
-                q = c[j] // c[i]
-                c[j] -= q * c[i]
-                rows[j] = tuple(a - q * b for a, b in zip(rows[j], rows[i]))
+                q = c[j] // ci
+                c[j] -= q * ci
+                rows[j] = tuple([a - q * b for a, b in zip(rows[j], pivot)])
+
+
+def _finish_z(gens):
+    """The top-level step of the frontier over Z: the state is one row q,
+    and w completes the simplex iff q w = +-1, one dot product each."""
+    def finish(rows, bits):
+        (q,) = rows
+        acc = 0
+        for j in _bit_ids(bits):
+            if abs(sum(map(mul, q, gens[j]))) == 1:
+                acc |= 1 << j
+        return acc
+
+    return finish
 
 
 def is_unimodular_z(vectors):
@@ -173,9 +194,10 @@ def enumerate_z_vectors(n, max_norm):
 
 def build_truncated_universal_z(variant, n, max_norm, budget=SIMPLEX_BUDGET):
     """Full subcomplex of X(Z^n) or K(Z^n) on the vertices within the norm
-    bound.  Every simplex is grown by the quotient-map step, so each one is
-    unimodular over Z.  No closed form counts the simplices, so the frontier
-    loop counts them against `budget` as they are produced."""
+    bound.  Every simplex is grown by the quotient-map step, or at the top
+    level accepted by `_finish_z`, so each one is unimodular over Z.  No
+    closed form counts the simplices, so the frontier loop counts them
+    against `budget` batch by batch, before each batch is added."""
     if variant not in ("X", "K"):
         raise InputError(f"variant must be 'X' or 'K', got {variant!r}")
     if variant == "K":
@@ -185,7 +207,7 @@ def build_truncated_universal_z(variant, n, max_norm, budget=SIMPLEX_BUDGET):
         labels_seq = enumerate_z_vectors(n, max_norm)
         gens = [v.coords for v in labels_seq]
     by_dim = grow_by_extension(
-        gens, n, _identity_rows(n), _quotient_step, budget,
+        gens, n, _identity_rows(n), _quotient_step, _finish_z(gens), budget,
         f"truncated {variant}(Z^{n}), max_norm={max_norm}",
     )
     labels = {i: lab for i, lab in enumerate(labels_seq)}

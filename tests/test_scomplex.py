@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import gcd
+
 import pytest
 
 from unicomplex.errors import InputError, ResourceLimitError
@@ -5,6 +8,7 @@ from unicomplex.scomplex import (
     SimplicialComplex,
     empty_complex,
     format_facet_list,
+    grow_by_extension,
     parse_facet_list,
 )
 
@@ -143,3 +147,26 @@ def test_closure_budget_counts_distinct_simplices():
     # refused from its size alone, before any face is made
     with pytest.raises(ResourceLimitError, match="18 vertices has 262143 faces"):
         SimplicialComplex.from_simplices([tuple(range(18))], labeled(18), budget=1000)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_grow_by_extension_pairwise_coprime(depth):
+    # a flag complex with a non-trivial edge level: the sets of pairwise
+    # coprime numbers among 2..16, the state being their product
+    gens = list(range(2, 17))
+
+    def extend(state, w):
+        return state * w if gcd(state, w) == 1 else None
+
+    def finish(state, bits):
+        return sum(1 << j for j, w in enumerate(gens)
+                   if bits >> j & 1 and gcd(state, w) == 1)
+
+    by_dim = grow_by_extension(gens, depth, 1, extend, finish, 10**6, "toy")
+    want = [{s for s in combinations(range(len(gens)), k + 1)
+             if all(gcd(gens[a], gens[b]) == 1 for a, b in combinations(s, 2))}
+            for k in range(depth)]
+    assert by_dim == want
+    total = sum(map(len, want))
+    with pytest.raises(ResourceLimitError, match="toy exceeds simplex budget"):
+        grow_by_extension(gens, depth, 1, extend, finish, total - 1, "toy")

@@ -115,7 +115,9 @@ def test_truncation_simplices_unimodular():
 
 
 @pytest.mark.parametrize(
-    "variant,n,max_norm", [("K", 2, 5), ("K", 3, 3), ("X", 2, 3), ("X", 3, 2)]
+    "variant,n,max_norm",
+    [("K", 2, 5), ("K", 3, 3), ("X", 2, 3), ("X", 3, 2), ("X", 3, 3),
+     ("K", 4, 2)],  # K(Z^4) has a level between the edges and the top
 )
 def test_truncation_is_every_unimodular_subset(variant, n, max_norm):
     K = build_truncated_universal_z(variant, n, max_norm)
@@ -135,6 +137,29 @@ def test_truncation_is_every_unimodular_subset(variant, n, max_norm):
 def test_truncation_budget():
     with pytest.raises(ResourceLimitError, match=r"truncated K\(Z\^3\), max_norm=5"):
         build_truncated_universal_z("K", 3, 5, budget=1000)
+
+
+@pytest.mark.parametrize("variant,n,max_norm", [("K", 3, 4), ("X", 2, 5)])
+def test_truncation_budget_edge(variant, n, max_norm):
+    # n = 3 finishes its top level in batches under the edges; n = 2 finishes
+    # it straight from the vertices
+    total = build_truncated_universal_z(variant, n, max_norm).n_simplices
+    K = build_truncated_universal_z(variant, n, max_norm, budget=total)
+    assert K.n_simplices == total
+    what = rf"truncated {variant}\(Z\^{n}\), max_norm={max_norm} exceeds"
+    with pytest.raises(ResourceLimitError, match=what):
+        build_truncated_universal_z(variant, n, max_norm, budget=total - 1)
+
+
+@pytest.mark.parametrize("n,max_norm", [(2, 14), (3, 3), (3, 4), (3, 5), (4, 2)])
+def test_greedy_census_is_the_homology(n, max_norm):
+    # zcheck's all-vertex schedule is perfect on these truncations: one
+    # critical vertex and one critical top cell per top Betti number
+    K = build_truncated_universal_z("K", n, max_norm)
+    census = critical_cells(greedy_matching(K, list(range(K.n_vertices))))
+    betti = reduced_homology(K).betti
+    assert betti[:-1] == (0,) * (n - 1)
+    assert {d: len(c) for d, c in census.items()} == {0: 1, n - 1: betti[-1]}
 
 
 def test_w_matching_acyclic_and_sigma_critical():
