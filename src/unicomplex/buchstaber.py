@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
 from .fplin import PrimeField, enumerate_lines_fp, is_unimodular_fp
-from .scomplex import SimplicialComplex
 
 SEARCH_VERTEX_CAP = 12
 SEARCH_RANK_CAP = 4

@@ -21,7 +21,7 @@ import time
 from . import __version__
 from .bhargava import INTEGERS, explicit, generalized_factorials, geometric, \
     p_ordering
-from .buchstaber import buchstaber_bounds, min_rank_search, zeta_theta_bounds
+from .buchstaber import buchstaber_bounds
 from .errors import AcyclicityError, InputError, ResourceLimitError
 from .homology import reduced_homology, reisner_check
 from .morse import critical_cells, greedy_matching, check_acyclic, \
@@ -211,8 +211,10 @@ def cmd_fvector(args):
     sc = sphere_count(kind, link_dim=args.link_dim)
     results["sphere_dimension"] = sc.dimension
     results["sphere_count"] = sc.count
-    if args.method in ("enumeration", "both") and args.link_dim is None:
+    if args.method in ("enumeration", "both"):
         K = build_universal(kind, budget=args.budget)
+        if args.link_dim is not None:
+            K = K.link(K.sorted_simplices(args.link_dim)[0])
         results["enumeration"] = list(K.f_vector().entries)
         results["match"] = results["enumeration"] == results["formula"]
         if not results["match"]:

@@ -5,18 +5,18 @@ Lines (projective points) are represented by the unique generator whose
 first nonzero coordinate is 1, which makes equality and enumeration order
 well defined.
 
-Independence is tested in two ways.  `_echelon_insert` keeps an echelon
-basis of the span and reduces each new vector against it; `echelon_basis`
-and the shelling construction use it.  `_quotient_step_fp` keeps the
-quotient instead, the F_p twin of `zlattice._quotient_step`: the state of
-an independent set sigma of k vectors in F_p^n is the rows of a surjection
-Q: F_p^n -> F_p^(n-k) whose kernel is span(sigma), the identity for the
-empty set.  sigma + {w} is independent iff Q w != 0, and one pivot
-elimination on Q w followed by dropping the pivot row gives the surjection
-for sigma + {w}.  The F_p builder runs it below the top level of its
-frontier; at the top the state is one row q, and the vertices completing a
-facet are those off the hyperplane q w = 0, which the builder reads from a
-bitset kept per row (`universal_fp`).
+Independence is tested by one quotient step, `_quotient_step_fp`, the F_p
+twin of `zlattice._quotient_step`: the state of an independent set sigma of
+k vectors in F_p^n is the rows of a surjection Q: F_p^n -> F_p^(n-k) whose
+kernel is span(sigma), the identity for the empty set.  sigma + {w} is
+independent iff Q w != 0, and one pivot elimination on Q w followed by
+dropping the pivot row gives the surjection for sigma + {w}.  `rank_fp`,
+`is_unimodular_fp` and the shelling construction fold it from the identity
+rows.  The F_p builder runs it below the top level of its frontier; at the
+top the state is one row q, and the vertices completing a facet are those
+off the hyperplane q w = 0, which the builder reads from a bitset kept per
+row (`universal_fp`).  `echelon_basis` is kept for the one place that needs
+an explicit basis of a span.
 """
 
 from __future__ import annotations
@@ -113,24 +113,9 @@ def _common_dimension(vectors):
     return dims.pop() if dims else 0
 
 
-def _echelon_insert(basis, vec, p):
-    """Reduce vec against an echelon basis (rows with leading 1, sorted by
-    pivot column).  Returns the extended basis, or None if vec is in the span.
-    """
-    row = list(vec)
-    for pivot_col, brow in basis:
-        c = row[pivot_col]
-        if c:
-            row = [(a - c * b) % p for a, b in zip(row, brow)]
-    for col, c in enumerate(row):
-        if c:
-            inv = pow(c, -1, p)
-            row = tuple((a * inv) % p for a in row)
-            out = list(basis)
-            out.append((col, row))
-            out.sort()
-            return tuple(out)
-    return None
+def _identity_rows(n):
+    """The quotient state of the empty set in F_p^n or Z^n."""
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def _quotient_step_fp(rows, w, p):
@@ -154,30 +139,52 @@ def _quotient_step_fp(rows, w, p):
     return None if pivot is None else tuple(out)
 
 
+def _span_quotient_fp(vectors, n, p):
+    """Fold `_quotient_step_fp` over coordinate tuples of F_p^n from the
+    identity rows, skipping each vector in the span of those before it.
+    The span has rank n minus the number of rows returned."""
+    rows = _identity_rows(n)
+    for w in vectors:
+        nxt = _quotient_step_fp(rows, w, p)
+        if nxt is not None:
+            rows = nxt
+    return rows
+
+
 def echelon_basis(rows, p):
-    """Echelon basis (tuple of (pivot_col, row)) of the span of integer rows."""
-    basis = ()
+    """Echelon basis (tuple of (pivot_col, row), each row with a leading 1,
+    sorted by pivot column) of the span of integer rows."""
+    basis = []
     for r in rows:
-        ext = _echelon_insert(basis, [c % p for c in r], p)
-        if ext is not None:
-            basis = ext
-    return basis
+        row = [c % p for c in r]
+        for pivot_col, brow in basis:
+            c = row[pivot_col]
+            if c:
+                row = [(a - c * b) % p for a, b in zip(row, brow)]
+        col = next((k for k, c in enumerate(row) if c), None)
+        if col is not None:
+            inv = pow(row[col], -1, p)
+            basis.append((col, tuple((a * inv) % p for a in row)))
+            basis.sort()
+    return tuple(basis)
 
 
 def rank_fp(vectors, field):
-    """Rank of the span of the given vectors, by Gaussian elimination mod p."""
+    """Rank of the span of the given vectors."""
     vectors = list(vectors)
-    _common_dimension(vectors)
-    return len(echelon_basis((v.coords for v in vectors), field.p))
+    n = _common_dimension(vectors)
+    return n - len(_span_quotient_fp((v.coords for v in vectors), n, field.p))
 
 
 def is_unimodular_fp(vectors, field):
     """True iff the vectors are linearly independent (duplicates force False)."""
     vectors = list(vectors)
-    _common_dimension(vectors)
-    if len(set(vectors)) < len(vectors):
-        return False
-    return rank_fp(vectors, field) == len(vectors)
+    rows = _identity_rows(_common_dimension(vectors))
+    for v in vectors:
+        rows = _quotient_step_fp(rows, v.coords, field.p)
+        if rows is None:
+            return False
+    return True
 
 
 def line_canonical_fp(v, field):

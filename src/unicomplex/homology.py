@@ -9,10 +9,10 @@ Morse complex on the critical simplices is computed over Z by following the
 gradient flow (Harker-Mischaikow-Mrozek-Nanda), with the sign (-1)^k on
 the face that drops the k-th vertex, and an augmentation row over the
 critical vertices makes the Betti numbers reduced.  Each Morse boundary
-then goes through the exact Smith normal form: +-1 pivots are eliminated on
-sparse rows first, a dense minimal-pivot sweep finishes any non-unit block,
-and the divisibility chain is repaired and checked.  Betti numbers and
-torsion are therefore exact in every dimension.
+then goes through the exact Smith normal form: one sparse elimination loop
+pivots on +-1 entries while any are left and on an entry of least absolute
+value otherwise, and the divisibility chain is repaired and checked.  Betti
+numbers and torsion are therefore exact in every dimension.
 
 The full chain-level boundary operator is not built here; the tests keep it
 (`tests/oracles.py`) as the reference the Morse complex is checked against.
@@ -49,59 +49,6 @@ class HomologyProfile:
 # -- Smith normal form -------------------------------------------------------
 
 
-def _dense_snf_diagonal(a):
-    """Classic SNF sweep with minimal-absolute-value pivoting; returns the
-    positive diagonal entries (no divisibility repair here)."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag = []
-    t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = a[i][j]
-                if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        while True:
-            # clear column t with row operations, re-pivoting on remainders
-            redo = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if a[i][t] - q * a[t][t]:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                        a[t], a[i] = a[i], a[t]
-                        redo = True
-                        break
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            if redo:
-                continue
-            # clear row t with column operations
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if a[t][j] - q * a[t][t]:
-                        for row in a:
-                            row[j] -= q * row[t]
-                            row[t], row[j] = row[j], row[t]
-                        redo = True
-                        break
-                    for row in a:
-                        row[j] -= q * row[t]
-            if not redo:
-                break
-        diag.append(abs(a[t][t]))
-        t += 1
-    return [d for d in diag if d]
-
-
 def _fix_divisibility(diag):
     diag = sorted(diag)
     changed = True
@@ -117,13 +64,47 @@ def _fix_divisibility(diag):
     return diag
 
 
+def _pivot(rows, colrows, units):
+    """The next pivot: a unit of least sampled Markowitz cost, or, when no
+    unit is left, an entry of least absolute value, ties broken by
+    (row, col)."""
+    best = None
+    best_cost = None
+    seen = 0
+    stale = []
+    for pos in units:
+        i, j = pos
+        v = rows.get(i, {}).get(j, 0)
+        if v not in (1, -1):
+            # left behind by an earlier pivot's row or column
+            stale.append(pos)
+            continue
+        cost = (len(rows[i]) - 1) * (len(colrows[j]) - 1)
+        if best_cost is None or cost < best_cost:
+            best, best_cost = pos, cost
+        seen += 1
+        if best_cost == 0 or seen >= 64:
+            break
+    units.difference_update(stale)
+    if best is not None:
+        units.discard(best)
+        return best
+    return min((abs(v), i, j) for i, r in rows.items() for j, v in r.items())[1:]
+
+
 def smith_normal_form(M):
     """Smith normal form of a sparse integer matrix {row: {col: value}}.
 
-    The argument is not modified.  Unit entries are eliminated on a copy of
-    the rows (with a Markowitz cost heuristic to limit fill-in); any
-    remaining block is finished densely.  The result is invariant under
-    row/column permutation of the input."""
+    The argument is not modified; the elimination runs on a copy of the
+    rows, one pivot per round (see `_pivot`; the Markowitz cost limits
+    fill-in).  Row operations with floor quotients clear the pivot's column;
+    if a remainder is left there, the round ends.  Otherwise column
+    operations reduce every other entry of the pivot row modulo the pivot,
+    and a pivot left alone in its row and column is recorded and removed.
+    A round that removes nothing leaves an entry smaller than its pivot,
+    which the next round pivots on or undercuts, so the loop ends.  Every
+    +-1 entry is kept in the unit set, so a unit pivot takes one round.
+    The result is invariant under row/column permutation of the input."""
     rows = {}
     colrows = {}
     for i, r in M.items():
@@ -132,37 +113,16 @@ def smith_normal_form(M):
                 rows.setdefault(i, {})[j] = v
                 colrows.setdefault(j, set()).add(i)
     units = {(i, j) for i, r in rows.items() for j, v in r.items() if v in (1, -1)}
-    n_unit = 0
-    while units:
-        best = None
-        best_cost = None
-        seen = 0
-        stale = []
-        for pos in units:
-            i, j = pos
-            v = rows.get(i, {}).get(j, 0)
-            if v not in (1, -1):
-                # left behind by an earlier pivot's row or column
-                stale.append(pos)
-                continue
-            cost = (len(rows[i]) - 1) * (len(colrows[j]) - 1)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = pos, cost
-            seen += 1
-            if best_cost == 0 or seen >= 64:
-                break
-        units.difference_update(stale)
-        if best is None:
-            break
-        pi, pj = best
-        units.discard(best)
-        s = rows[pi][pj]
+    diag = []
+    while rows:
+        pi, pj = _pivot(rows, colrows, units)
         prow = rows[pi]
+        s = prow[pj]
         for i in list(colrows[pj]):
             if i == pi:
                 continue
-            f = rows[i][pj] * s
             ri = rows[i]
+            f = ri[pj] // s
             for j, v in prow.items():
                 nv = ri.get(j, 0) - f * v
                 if nv:
@@ -170,29 +130,33 @@ def smith_normal_form(M):
                     colrows[j].add(i)
                     if nv in (1, -1):
                         units.add((i, j))
-                else:
-                    if j in ri:
-                        del ri[j]
-                        colrows[j].discard(i)
+                elif j in ri:
+                    del ri[j]
+                    colrows[j].discard(i)
             if not ri:
                 del rows[i]
-        for j in prow:
-            colrows[j].discard(pi)
-            if not colrows[j]:
-                del colrows[j]
-        del rows[pi]
-        n_unit += 1
-
-    diag = [1] * n_unit
-    if rows:
-        live_rows = sorted(rows)
-        live_cols = sorted({j for r in rows.values() for j in r})
-        cindex = {j: k for k, j in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for k, i in enumerate(live_rows):
-            for j, v in rows[i].items():
-                dense[k][cindex[j]] = v
-        diag.extend(_dense_snf_diagonal(dense))
+        if len(colrows[pj]) > 1:
+            continue  # remainders are left in column pj
+        # column pj is clear, so column operations change only the pivot row
+        left = {}
+        for j, v in prow.items():
+            r = v % s
+            if r:
+                left[j] = r
+                if r in (1, -1):
+                    units.add((pi, j))
+            elif j != pj:
+                colrows[j].discard(pi)
+                if not colrows[j]:
+                    del colrows[j]
+        if left:
+            # the remainders stay with the pivot, and a smaller one is next
+            left[pj] = s
+            rows[pi] = left
+        else:
+            diag.append(abs(s))
+            del rows[pi]
+            del colrows[pj]
     diag = _fix_divisibility(diag)
     for a, b in zip(diag, diag[1:]):
         if b % a:

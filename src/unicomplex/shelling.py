@@ -30,7 +30,9 @@ from .fplin import (
     PrimeField,
     echelon_basis,
     line_canonical_fp,
-    _echelon_insert,
+    _identity_rows,
+    _quotient_step_fp,
+    _span_quotient_fp,
 )
 from .universal_fp import build_universal, formula_f_vector, sphere_count
 
@@ -101,10 +103,6 @@ def _vertex_labels(variant, p, n):
     return enumerate_vectors_fp(n, field)
 
 
-def _rank(rows, p):
-    return len(echelon_basis(rows, p))
-
-
 def _hyperplane_intersection_basis(rows, p):
     """Basis of (row space) intersected with {last coordinate = 0}, as
     echelon rows with the last coordinate dropped."""
@@ -125,14 +123,13 @@ def _completion_matrix(basis_rows, p, size):
     """Invertible size x size matrix whose first columns are the given
     vectors, completed greedily by standard basis vectors."""
     cols = [tuple(b) for b in basis_rows]
-    ech = echelon_basis(cols, p)
-    for t in range(size):
+    quotient = _span_quotient_fp(cols, size, p)
+    for e in _identity_rows(size):
         if len(cols) == size:
             break
-        e = tuple(1 if i == t else 0 for i in range(size))
-        ext = _echelon_insert(ech, e, p)
-        if ext is not None:
-            ech = ext
+        nxt = _quotient_step_fp(quotient, e, p)
+        if nxt is not None:
+            quotient = nxt
             cols.append(e)
     return cols  # column vectors
 
@@ -174,13 +171,13 @@ def _shell_labels(variant, p, amb, d, memo):
         memo[key] = out
         return out
 
-    std = [tuple(1 if i == j else 0 for i in range(amb)) for j in range(d)]
+    std = list(_identity_rows(amb)[:d])
     v1 = [lab for lab in all_labels if _coords(lab)[-1]]
     out = []
     for i in range(1, amb - d + 1):
         for combo in combinations(v1, i):
             rows = std + [_coords(lab) for lab in combo]
-            if _rank(rows, p) != d + i:
+            if len(_span_quotient_fp(rows, amb, p)) != amb - d - i:  # dependent
                 continue
             if i < amb - d:
                 wbasis = _hyperplane_intersection_basis(rows, p)

@@ -33,6 +33,7 @@ from .fplin import (
     enumerate_lines_fp,
     enumerate_vectors_fp,
     line_canonical_fp,
+    _identity_rows,
     _quotient_step_fp,
 )
 from .morse import pivot_free_facet_count
@@ -151,8 +152,8 @@ def build_universal(kind, budget=SIMPLEX_BUDGET):
     else:
         labels_seq = enumerate_lines_fp(n, field)
         gens = [l.generator.coords for l in labels_seq]
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    by_dim = grow_by_extension(gens, n, identity, partial(_quotient_step_fp, p=p),
+    by_dim = grow_by_extension(gens, n, _identity_rows(n),
+                               partial(_quotient_step_fp, p=p),
                                _finish_fp(gens, p), budget, str(kind))
     labels = {i: lab for i, lab in enumerate(labels_seq)}
     meta = {"universal": kind, "ring": "fp", "p": p, "n": n, "variant": kind.variant}

@@ -32,6 +32,7 @@ from math import gcd
 from operator import mul
 
 from .errors import InputError
+from .fplin import _identity_rows
 from .scomplex import SIMPLEX_BUDGET, SimplicialComplex, _bit_ids, grow_by_extension
 
 
@@ -83,10 +84,6 @@ def is_primitive(v):
     for x in v.coords:
         g = gcd(g, x)
     return g == 1
-
-
-def _identity_rows(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _quotient_step(rows, w):
@@ -187,6 +184,8 @@ def enumerate_z_lines(n, max_norm):
 def enumerate_z_vectors(n, max_norm):
     """All primitive vectors (both signs) with 1-norm <= max_norm, ordered
     by the same key as lines."""
+    if n < 1 or max_norm < 1:
+        raise InputError("need n >= 1 and max_norm >= 1")
     vecs = _primitive_vectors(n, max_norm, positive_first=False)
     vecs.sort(key=lambda v: (v.norm1(), tuple(reversed(v.coords))))
     return tuple(vecs)

@@ -2,15 +2,15 @@
 
 Everything here is deliberately naive: boundaries are full chain-level
 matrices, spans are enumerated element by element, determinants are
-expanded by cofactors, minimality is exhausted over windows, primes are
-found by trial division, ranks over Q by elimination on Fractions,
-shellings by intersecting every facet with every earlier one, p-orderings
-by re-summing every valuation at every step, acyclicity by searching the
-whole modified Hasse diagram and shiftedness by trying every vertex swap in
-every facet.  None of it shares code with the library's elimination,
-quotient-step, Smith normal form, coreduction, restriction-face,
-running-sum, V-path or degree-labeling paths, so agreement is evidence, not
-tautology.
+expanded by cofactors, invariant factors are quotients of gcds of minors,
+minimality is exhausted over windows, primes are found by trial division,
+ranks over Q by elimination on Fractions, shellings by intersecting every
+facet with every earlier one, p-orderings by re-summing every valuation at
+every step, acyclicity by searching the whole modified Hasse diagram and
+shiftedness by trying every vertex swap in every facet.  None of it shares
+code with the library's elimination, quotient-step, Smith normal form,
+coreduction, restriction-face, running-sum, V-path or degree-labeling
+paths, so agreement is evidence, not tautology.
 """
 
 from itertools import combinations, product
@@ -76,6 +76,27 @@ def det_cofactor(a):
             minor = [row[:j] + row[j + 1:] for row in a[1:]]
             total += (-1) ** j * a[0][j] * det_cofactor(minor)
     return total
+
+
+def determinantal_invariant_factors(rows):
+    """Invariant factors of an integer matrix by determinantal divisors:
+    d_k is the gcd of all k x k minors, and while d_k != 0 the k-th factor
+    is d_k / d_(k-1), with d_0 = 1."""
+    from math import gcd
+
+    m, n = len(rows), len(rows[0]) if rows else 0
+    factors = []
+    prev = 1
+    for k in range(1, min(m, n) + 1):
+        d = 0
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                d = gcd(d, det_cofactor([[rows[r][c] for c in cs] for r in rs]))
+        if not d:
+            break
+        factors.append(d // prev)
+        prev = d
+    return tuple(factors)
 
 
 def minor_gcd_unimodular(rows):

@@ -39,6 +39,38 @@ def test_fvector_both_methods_match():
     assert rep["results"]["match"] is True
 
 
+@pytest.mark.parametrize("variant,p,n,entries", [
+    ("K", 3, 3, ["1", "12", "54"]),
+    ("X", 3, 2, ["1", "6"]),
+])
+def test_fvector_link_enumeration(variant, p, n, entries):
+    argv = ("fvector", "--variant", variant, "--p", str(p), "--n", str(n),
+            "--link-dim", "0")
+    _, formula_only = run(*argv)
+    for method in ("enumeration", "both"):
+        code, text = run(*argv, "--method", method)
+        assert code == 0
+        results = json.loads(text)["results"]
+        assert results["formula"] == results["enumeration"] == entries
+        assert results["match"] is True
+    assert run(*argv, "--method", "formula") == (0, formula_only)
+    assert "enumeration" not in json.loads(formula_only)["results"]
+
+
+def test_fvector_link_enumeration_mismatch_exits_1(monkeypatch):
+    real = cli.formula_f_vector
+
+    def one_too_many(kind, link_dim=None):
+        fv = real(kind, link_dim)
+        return type(fv)(fv.entries[:-1] + (fv.entries[-1] + 1,))
+
+    monkeypatch.setattr(cli, "formula_f_vector", one_too_many)
+    code, text = run("fvector", "--variant", "K", "--p", "3", "--n", "3",
+                     "--link-dim", "0", "--method", "both")
+    assert code == 1
+    assert json.loads(text)["results"]["match"] is False
+
+
 def test_morse_report():
     code, text = run("morse", "--variant", "K", "--p", "2", "--n", "3")
     assert code == 0
@@ -138,6 +170,9 @@ def test_usage_errors_exit_2():
     ["bhargava", "--set", "integers", "--k", "3", "--primes", str(2**89 - 1)],
     # 1000003 * 1000033: both factors lie past the trial-division bound
     ["bhargava", "--set", "list:0,1000036000099", "--k", "1"],
+    ["build", "--ring", "z", "--variant", "X", "--n", "-1", "--max-norm", "3"],
+    ["build", "--ring", "z", "--variant", "X", "--n", "0", "--max-norm", "3"],
+    ["build", "--ring", "z", "--variant", "X", "--n", "2", "--max-norm", "0"],
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, argv):
     facets = tmp_path / "tri.facets"

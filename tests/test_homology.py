@@ -5,7 +5,11 @@ from itertools import combinations
 
 import pytest
 
-from oracles import boundary_matrix, rank_over_q_fractions
+from oracles import (
+    boundary_matrix,
+    determinantal_invariant_factors,
+    rank_over_q_fractions,
+)
 from unicomplex import homology
 from unicomplex.cli import dispatch
 from unicomplex.homology import (
@@ -33,6 +37,16 @@ def rp2():
         (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
     ]
     return SimplicialComplex.from_simplices(facets, labeled(6))
+
+
+def rp2_wedge(k):
+    """k copies of rp2() glued at vertex 0."""
+    facets = [
+        tuple(sorted(v and 5 * c + v for v in f))
+        for c in range(k)
+        for f in rp2().facets()
+    ]
+    return SimplicialComplex.from_simplices(facets, labeled(5 * k + 1))
 
 
 def moore_space_z7():
@@ -143,6 +157,17 @@ def test_snf_divisibility_chain_random():
         assert snf.rank == rank_over_q_fractions(rows)
 
 
+def test_snf_matches_determinantal_divisors():
+    rng = random.Random(10)
+    non_units = (0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9)
+    for t in range(400):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        pool = non_units if t % 4 else non_units + (1, -1)
+        rows = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+        want = determinantal_invariant_factors(rows)
+        assert smith_normal_form(sparse(rows)).diagonal == want, rows
+
+
 def test_rank_q_equals_snf_rank_on_boundaries():
     K = build_universal(UniversalKind("X", 3, 2))
     fv = K.f_vector().entries
@@ -178,6 +203,22 @@ def test_homology_universal_wedges():
         assert prof.betti[-1] == sphere_count(kind).count
         assert not any(prof.betti[:-1])
         assert prof.torsion_free
+
+
+def test_homology_torsion_rp2_wedge():
+    K = rp2_wedge(300)
+    cells, faces, partner, stamp = homology.coreduce(K)
+    edges, triangles = (
+        [c for c, b in enumerate(partner) if b < 0 and len(cells[c]) == size]
+        for size in (2, 3)
+    )
+    # the Morse boundary from dimension 2 to 1 is a 300 x 300 non-unit block
+    block = homology._morse_boundary(faces, partner, stamp, edges, triangles)
+    assert len(edges) == len(triangles) == len(block) == 300
+    assert all(abs(v) > 1 for row in block.values() for v in row.values())
+    prof = reduced_homology(K)
+    assert prof.betti == (0, 0, 0)
+    assert prof.torsion == ((), (2,) * 300, ())
 
 
 def test_euler_consistency():
