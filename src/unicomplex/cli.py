@@ -24,7 +24,7 @@ from .bhargava import INTEGERS, explicit, generalized_factorials, geometric, \
 from .buchstaber import buchstaber_bounds
 from .errors import AcyclicityError, InputError, ResourceLimitError
 from .homology import reduced_homology, reisner_check
-from .morse import critical_cells, greedy_matching, check_acyclic, \
+from .morse import critical_census, greedy_matching, check_acyclic, \
     morse_summary, pivot_free_facet_count
 from .scomplex import SIMPLEX_BUDGET, format_facet_list, parse_facet_list
 from .shelling import ShellingOrder, construct_shelling_fp, is_shifted, \
@@ -257,6 +257,7 @@ def cmd_morse(args):
     else:
         raise UsageError("--pivots is required for a facet-list complex")
     summary = morse_summary(K, pivots)
+    pivot_free = pivot_free_facet_count(K, pivots)
     results = {
         "pivots": list(summary.pivot_schedule),
         "pairs": summary.n_pairs,
@@ -265,10 +266,13 @@ def cmd_morse(args):
         "euler": summary.euler,
         "euler_consistent": summary.euler_consistent,
         "middle_critical": summary.middle_critical,
-        "pivot_free_facets": pivot_free_facet_count(K, pivots),
+        "pivot_free_facets": pivot_free,
     }
     if kind is not None and kind.variant == "K":
-        results["axis_avoiding_basis_count"] = eq_an_basis_count(K)
+        # the same count when the schedule is the standard one
+        results["axis_avoiding_basis_count"] = (
+            pivot_free if not args.pivots else eq_an_basis_count(K)
+        )
     return 0, results
 
 
@@ -349,7 +353,7 @@ def cmd_zcheck(args):
     pivots = list(range(K.n_vertices))
     matching = greedy_matching(K, pivots)
     ok, _ = check_acyclic(K, matching)
-    census = {str(d): len(c) for d, c in critical_cells(matching).items()}
+    census = {str(d): c for d, c in critical_census(matching).items()}
     critical = set(matching.critical)
     sigmas = {f"sigma_{k}": simp in critical for k, simp in sigma_family(K)}
     results = {

@@ -31,6 +31,7 @@ visited.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import AcyclicityError, InputError
 
@@ -39,7 +40,7 @@ from .errors import AcyclicityError, InputError
 class Matching:
     pairs: tuple  # ((lower, upper), ...) sorted
     pivot_schedule: tuple
-    critical: tuple  # sorted unmatched simplices
+    critical: tuple  # unmatched simplices, by dimension, each sorted
 
     def partner_map(self):
         out = {}
@@ -81,7 +82,7 @@ def greedy_matching(K, pivots):
             raise InputError(f"pivot {pv} is not a vertex of the complex")
     star = {v: [] for v in pivots}
     for d in range(1, K.dim + 1):
-        for up in K.simplices_of_dim(d):
+        for up in K.sorted_simplices(d):
             for v in up:
                 if v in star:
                     star[v].append(up)
@@ -101,7 +102,7 @@ def greedy_matching(K, pivots):
             pairs.append((lo, up))
     critical = tuple(
         s for d in range(K.dim + 1)
-        for s in sorted(K.simplices_of_dim(d).difference(matched))
+        for s in K.sorted_simplices(d) if s not in matched
     )
     return Matching(tuple(sorted(pairs)), tuple(pivots), critical)
 
@@ -109,9 +110,10 @@ def greedy_matching(K, pivots):
 def _check_pairs(K, pairs):
     """Raise InputError unless every pair is a covering pair of K and no
     simplex occurs twice; returns the set of matched simplices."""
+    level_of = {d + 1: K.simplices_of_dim(d) for d in range(K.dim + 1)}  # by size
     seen = set()
     for lo, hi in pairs:
-        if lo not in K or hi not in K:
+        if lo not in level_of.get(len(lo), ()) or hi not in level_of.get(len(hi), ()):
             raise InputError(f"pair ({lo}, {hi}) uses simplices outside the complex")
         if len(hi) != len(lo) + 1 or not set(lo).issubset(hi):
             raise InputError(f"pair ({lo}, {hi}) is not a covering pair")
@@ -176,12 +178,12 @@ def check_acyclic(K, matching):
     return True, None
 
 
-def critical_cells(matching):
-    """Unmatched simplices partitioned by dimension."""
-    by_dim = {}
-    for s in matching.critical:
-        by_dim.setdefault(len(s) - 1, []).append(s)
-    return {d: sorted(cells) for d, cells in sorted(by_dim.items())}
+def critical_census(matching):
+    """The number of critical cells of each dimension, {d: count} in
+    ascending d; `matching.critical` is sorted by dimension, so each
+    dimension is one run of it."""
+    return {size - 1: sum(1 for _ in run)
+            for size, run in groupby(matching.critical, len)}
 
 
 def pivot_free_facet_count(K, pivots):
@@ -189,7 +191,7 @@ def pivot_free_facet_count(K, pivots):
     step analysis predicts in prose; recorded next to the operational census,
     the two are not asserted equal)."""
     pv = set(pivots)
-    return sum(1 for f in K.facets() if not pv & set(f))
+    return sum(1 for f in K.facets() if pv.isdisjoint(f))
 
 
 def morse_summary(K, pivots):
@@ -202,7 +204,7 @@ def morse_summary(K, pivots):
     ok, cycle = check_acyclic(K, matching)
     if not ok:
         raise AcyclicityError(cycle)
-    census = {d: len(cells) for d, cells in critical_cells(matching).items()}
+    census = critical_census(matching)
     euler = K.f_vector().euler
     top = K.dim
     clean = set(census) <= {0, top} and census.get(0) == 1

@@ -4,12 +4,21 @@ Simplices are tuples of strictly increasing vertex ids (dense ints).  The
 empty simplex is implicit (f_{-1} = 1) and never stored.  A complex stores
 all simplices grouped by dimension together with a label table mapping each
 vertex id to an opaque label (an FpVector, FpLine, ZLine, or plain string).
+
+Each level is stored twice over the same tuples: once lexicographically
+sorted, and once as a frozenset for membership.  The sort runs once per
+level, when the complex is made, and nothing sorts a level again: the
+sorted queries, the facet list, and the layers above (matching,
+coreduction, Reisner links) read the stored order.  The frontier builder
+hands its levels over already in that order, so their sort is one linear
+pass (timsort finds a single run); facet files and links pay for it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from heapq import merge
 from itertools import combinations
 from operator import and_
 
@@ -50,13 +59,14 @@ class FVector:
 class SimplicialComplex:
     """Immutable finite simplicial complex, closed under taking subsets."""
 
-    __slots__ = ("_by_dim", "_facets", "labels", "meta")
+    __slots__ = ("_by_dim", "_sorted", "_facets", "labels", "meta")
 
     def __init__(self, by_dim, labels, meta=None):
-        trimmed = [frozenset(level) for level in by_dim]
-        while trimmed and not trimmed[-1]:
-            trimmed.pop()
-        self._by_dim = tuple(trimmed)
+        ordered = [tuple(sorted(level)) for level in by_dim]
+        while ordered and not ordered[-1]:
+            ordered.pop()
+        self._sorted = tuple(ordered)
+        self._by_dim = tuple(frozenset(level) for level in ordered)
         self._facets = None  # sorted tuple, computed on first use
         self.labels = dict(labels)
         self.meta = dict(meta) if meta else {}
@@ -123,11 +133,14 @@ class SimplicialComplex:
         return self._by_dim[d]
 
     def sorted_simplices(self, d):
-        return sorted(self.simplices_of_dim(d))
+        """The d-simplices in lexicographic order, as the stored tuple."""
+        if d < 0 or d > self.dim:
+            return ()
+        return self._sorted[d]
 
     def all_simplices(self):
-        for level in self._by_dim:
-            yield from sorted(level)
+        for level in self._sorted:
+            yield from level
 
     @property
     def n_simplices(self):
@@ -146,10 +159,11 @@ class SimplicialComplex:
     def facets(self):
         """Maximal simplices, sorted, as a fresh list.  They are computed
         once per complex: the codimension-1 faces of each level are struck
-        from the level below, stopping once nothing is left there."""
+        from the level below, stopping once nothing is left there, and the
+        sorted levels that remain are merged."""
         if self._facets is None:
-            out = list(self._by_dim[-1]) if self._by_dim else []
-            for level, upper in zip(self._by_dim, self._by_dim[1:]):
+            runs = [self._sorted[-1]] if self._sorted else []
+            for level, upper in zip(self._sorted, self._by_dim[1:]):
                 left = set(level)
                 strike = left.discard
                 for tau in upper:
@@ -157,8 +171,9 @@ class SimplicialComplex:
                         strike(tau[:i] + tau[i + 1:])
                     if not left:
                         break
-                out.extend(left)
-            self._facets = tuple(sorted(out))
+                if left:
+                    runs.append([s for s in level if s in left])
+            self._facets = runs[0] if len(runs) == 1 else tuple(merge(*runs))
         return list(self._facets)
 
     def f_vector(self):
@@ -172,20 +187,14 @@ class SimplicialComplex:
         if s and s not in self:
             raise InputError(f"simplex {s} not in complex")
         sset = set(s)
-        by_dim = []
-        link_vertices = set()
-        for d in range(len(s) - 1, self.dim + 1):
-            for rho in self._by_dim[d]:
-                if sset.issubset(rho):
-                    tau = tuple(v for v in rho if v not in sset)
-                    if not tau:
-                        continue
-                    k = len(tau) - 1
-                    while len(by_dim) <= k:
-                        by_dim.append(set())
-                    by_dim[k].add(tau)
-                    link_vertices.update(tau)
-        labels = {v: self.labels[v] for v in link_vertices}
+        # deleting the vertices of sigma keeps the lexicographic order of
+        # the simplices through it, so each level comes out sorted
+        by_dim = [
+            [tuple(v for v in rho if v not in sset)
+             for rho in self._sorted[d] if sset.issubset(rho)]
+            for d in range(len(s), self.dim + 1)
+        ]
+        labels = {v: self.labels[v] for (v,) in by_dim[0]} if by_dim else {}
         return SimplicialComplex(by_dim, labels, self.meta)
 
     def full_subcomplex(self, vertex_set):
@@ -195,7 +204,7 @@ class SimplicialComplex:
         if unknown:
             raise InputError(f"unknown vertices: {sorted(unknown)}")
         by_dim = [
-            {s for s in level if I.issuperset(s)} for level in self._by_dim
+            [s for s in level if I.issuperset(s)] for level in self._sorted
         ]
         labels = {v: self.labels[v] for v in I}
         return SimplicialComplex(by_dim, labels, self.meta)
@@ -205,7 +214,7 @@ class SimplicialComplex:
         if r < -1 or r > self.dim:
             raise InputError(f"skeleton dimension {r} out of range [-1, {self.dim}]")
         labels = self.labels if r >= 0 else {}
-        return SimplicialComplex(self._by_dim[: r + 1], labels, self.meta)
+        return SimplicialComplex(self._sorted[: r + 1], labels, self.meta)
 
 
 def empty_complex():
@@ -241,9 +250,15 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
     is every id after it until the edge level replaces it by the vertex's
     later neighbours: a simplex only grows by a common neighbour of its
     vertices, since the complex is closed under faces.  So each simplex is
-    produced exactly once, in frontier order and ascending id within it.
-    Raises ResourceLimitError naming `what` before a batch of simplices
-    takes the count past `budget`."""
+    produced exactly once, as a tuple of ascending ids.
+
+    Each level is a list in lexicographic order.  Level 0 is ascending.  If
+    a level is, so is the next: the frontier is that level, and each of its
+    simplices appends its children in ascending last id, so the children of
+    an earlier parent precede those of a later one and, under one parent,
+    they differ only in the last id.  `SimplicialComplex` then sorts each
+    level in one linear pass.  Raises ResourceLimitError naming `what`
+    before a batch of simplices takes the count past `budget`."""
     everything = (1 << len(gens)) - 1
     later = [everything >> (i + 1) << (i + 1) for i in range(len(gens))]
 
@@ -261,7 +276,6 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
     by_dim = []
     frontier = [((), start)]
     for d in range(depth - 1):
-        level = set()
         nxt = []
         for simp, state in frontier:
             kids = []
@@ -270,18 +284,17 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
                 if ext is not None:
                     kids.append((simp + (j,), ext))
             charge(len(kids))
-            level.update(new for new, _ in kids)
             nxt.extend(kids)
             if d == 1:  # the edges at simp[0] are known: its later neighbours
                 later[simp[0]] = sum(1 << new[-1] for new, _ in kids)
-        by_dim.append(level)
+        by_dim.append([new for new, _ in nxt])
         frontier = nxt
     if depth > 0:
-        level = set()
+        level = []
         for simp, state in frontier:
             acc = finish(state, candidates(simp))
             charge(acc.bit_count())
-            level.update(simp + (j,) for j in _bit_ids(acc))
+            level.extend(simp + (j,) for j in _bit_ids(acc))
         by_dim.append(level)
     return by_dim
 

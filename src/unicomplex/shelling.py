@@ -8,6 +8,14 @@ and orders each group by a recursively constructed shelling of the link of
 the subspace the new vertices cut out of the old coordinate hyperplane.
 The verifier, not the construction, is the ground truth.
 
+The construction works on vertex ids, each space's own enumeration order.
+The groups come from the frontier builder over the vertices off the old
+hyperplane, started at the quotient of the span being linked.  A recursive
+order lives in the space one dimension down; it is carried up by a
+transport table, the id of the image of each vertex of the smaller space
+under a completion matrix of the subspace, made once per subspace.  So a
+transported facet is a tuple of table lookups, sorted as ints.
+
 Shiftedness checks one labeling.  In a shifted complex domination of vertices
 (u dominates v when replacing v by u never leaves the complex) is a total
 preorder, and strict domination strictly raises the number of faces through
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -34,7 +43,15 @@ from .fplin import (
     _quotient_step_fp,
     _span_quotient_fp,
 )
-from .universal_fp import build_universal, formula_f_vector, sphere_count
+from .scomplex import grow_by_extension
+from .universal_fp import (
+    UniversalKind,
+    build_universal,
+    formula_f_vector,
+    sphere_count,
+    total_simplex_count,
+    _finish_fp,
+)
 
 
 @dataclass(frozen=True)
@@ -57,12 +74,12 @@ def shelling_h_vector(K, order):
     Returns (None, h) for a shelling, whose h-vector h_i counts the facets
     with |R(F_k)| = i, or (k, h) with the first failing 1-based index k and
     the counts over the facets before it."""
-    facets = K.facets()
-    width = K.dim + 1
-    if any(len(f) != width for f in facets):
+    if not K.is_pure():
         raise InputError("shellings are defined for pure complexes")
+    width = K.dim + 1
+    top = K.simplices_of_dim(K.dim)  # the facets, K being pure
     forder = [tuple(f) for f in order.facets]
-    if len(set(forder)) != len(forder) or sorted(forder) != facets:
+    if len(forder) != len(top) or set(forder) != top:
         raise InputError("order must cover every facet exactly once")
     h = [0] * (width + 1)
     seen = set()  # every face of the facets placed; empty, so F_1 passes
@@ -156,43 +173,79 @@ def _embed_label(variant, label):
     return FpLine(FpVector(coords)) if variant == "K" else FpVector(coords)
 
 
-def _shell_labels(variant, p, amb, d, memo):
+def _space(variant, p, amb, memo):
+    """The vertex labels of the complex on F_p^amb in enumeration order, and
+    the map from each label to its id."""
+    key = ("space", amb)
+    if key not in memo:
+        labels = _vertex_labels(variant, p, amb)
+        memo[key] = labels, {lab: u for u, lab in enumerate(labels)}
+    return memo[key]
+
+
+def _transport_table(variant, p, amb, wbasis, memo):
+    """The vertex ids of F_p^amb that the completion of `wbasis` followed by
+    the embedding into the first amb - 1 coordinates sends the vertices of
+    F_p^(amb-1) to, indexed by their ids.  The completion depends on
+    `wbasis` only, so one table serves every combination cutting out the
+    same subspace."""
+    key = ("table", amb, wbasis)
+    if key not in memo:
+        cols = _completion_matrix(wbasis, p, amb - 1)
+        small, _ = _space(variant, p, amb - 1, memo)
+        _, id_of = _space(variant, p, amb, memo)
+        memo[key] = [
+            id_of[_embed_label(variant, _transport_label(variant, cols, lab, p))]
+            for lab in small
+        ]
+    return memo[key]
+
+
+def _shell_ids(variant, p, amb, d, memo):
     """Ordered facets of the link of span(e_1..e_d) inside the universal
-    complex on F_p^amb, as tuples of labels."""
-    key = (variant, p, amb, d)
+    complex on F_p^amb, as sorted tuples of vertex ids in the enumeration of
+    F_p^amb.
+
+    The new vertices are the combinations, by size and then lexicographically,
+    of vertices off the hyperplane {last coordinate = 0} that are independent
+    modulo span(e_1..e_d): the simplices of a frontier over those vertices
+    that starts from the quotient of that span.  A combination short of a
+    facet is completed by the recursive order of a link in F_p^(amb-1),
+    carried over by a transport table."""
+    key = ("order", amb, d)
     if key in memo:
         return memo[key]
-    if d >= amb:
-        memo[key] = ()
-        return ()
-    all_labels = _vertex_labels(variant, p, amb)
+    labels, _ = _space(variant, p, amb, memo)
     if d == amb - 1:
-        out = tuple((lab,) for lab in all_labels if any(_coords(lab)[d:]))
+        out = tuple((u,) for u, lab in enumerate(labels) if any(_coords(lab)[d:]))
         memo[key] = out
         return out
 
     std = list(_identity_rows(amb)[:d])
-    v1 = [lab for lab in all_labels if _coords(lab)[-1]]
+    v1 = [u for u, lab in enumerate(labels) if _coords(lab)[-1]]
+    gens = [_coords(labels[u]) for u in v1]
+    # the combinations are simplices of the complex on F_p^amb, so its
+    # closed-form count bounds them
+    bound = total_simplex_count(UniversalKind(variant, p, amb))
+    levels = grow_by_extension(
+        gens, amb - d, _span_quotient_fp(std, amb, p),
+        partial(_quotient_step_fp, p=p), _finish_fp(gens, p), bound,
+        f"combinations in F_{p}^{amb}",
+    )
     out = []
-    for i in range(1, amb - d + 1):
-        for combo in combinations(v1, i):
-            rows = std + [_coords(lab) for lab in combo]
-            if len(_span_quotient_fp(rows, amb, p)) != amb - d - i:  # dependent
-                continue
-            if i < amb - d:
-                wbasis = _hyperplane_intersection_basis(rows, p)
-                k = d + i - 1
-                if len(wbasis) != k:
-                    raise AssertionError("old-subspace intersection has wrong rank")
-                cols = _completion_matrix(wbasis, p, amb - 1)
-                for facet in _shell_labels(variant, p, amb - 1, k, memo):
-                    moved = tuple(
-                        _embed_label(variant, _transport_label(variant, cols, lab, p))
-                        for lab in facet
-                    )
-                    out.append(tuple(sorted(moved + combo)))
-            else:
-                out.append(tuple(sorted(combo)))
+    for i, level in enumerate(levels[:-1], 1):
+        k = d + i - 1
+        inner = _shell_ids(variant, p, amb - 1, k, memo)
+        for combo in level:
+            wbasis = _hyperplane_intersection_basis(
+                std + [gens[j] for j in combo], p)
+            if len(wbasis) != k:
+                raise AssertionError("old-subspace intersection has wrong rank")
+            table = _transport_table(variant, p, amb, tuple(wbasis), memo)
+            new = tuple(v1[j] for j in combo)
+            for facet in inner:
+                out.append(tuple(sorted((*map(table.__getitem__, facet), *new))))
+    out.extend(tuple(v1[j] for j in combo) for combo in levels[-1])
     memo[key] = tuple(out)
     return memo[key]
 
@@ -201,14 +254,11 @@ def construct_shelling_fp(kind, built=None):
     """The inductive shelling order for X/K(F_p^n).  The output is verified,
     and the h-vector of the same pass must equal the one of the closed-form
     f-vector, with h_n the sphere count; a failure is a hard error carrying
-    the counterexample index or the two vectors."""
+    the counterexample index or the two vectors.  `built` is the complex of
+    `build_universal(kind)`, whose vertex ids are the enumeration order."""
     if built is None:
         built = build_universal(kind)
-    label_facets = _shell_labels(kind.variant, kind.p, kind.n, 0, {})
-    vid = {lab: v for v, lab in built.labels.items()}
-    order = ShellingOrder(
-        tuple(tuple(sorted(vid[lab] for lab in f)) for f in label_facets)
-    )
+    order = ShellingOrder(_shell_ids(kind.variant, kind.p, kind.n, 0, {}))
     idx, h = shelling_h_vector(built, order)
     if idx is not None:
         raise AssertionError(

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -302,6 +303,29 @@ def test_shelling_rejects_bad_user_order(tmp_path):
     good.write_text("a b\nb c\nc d\n")
     code, _ = run("shelling", "--facets", str(facets), "--order", str(good))
     assert code == 0
+
+
+# sha256 prefixes and line counts of the `shelling --out` files, frozen from
+# the label-based construction that the id-based one replaced
+SHELLING_OUT_DIGESTS = {
+    ("K", 3, 3): ("97146a675e309a11", 234),
+    ("K", 5, 3): ("1304d9330ade533c", 3875),
+    ("X", 3, 3): ("6083dd5e3d7498e9", 1872),
+    ("X", 2, 3): ("a91f7a6475955784", 28),
+}
+
+
+@pytest.mark.parametrize("kind", list(SHELLING_OUT_DIGESTS),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_shelling_out_is_byte_identical(tmp_path, kind):
+    variant, p, n = kind
+    out = tmp_path / "order.txt"
+    code, _ = run("shelling", "--variant", variant, "--p", str(p), "--n", str(n),
+                  "--out", str(out))
+    assert code == 0
+    data = out.read_bytes()
+    digest, lines = SHELLING_OUT_DIGESTS[kind]
+    assert (hashlib.sha256(data).hexdigest()[:16], data.count(b"\n")) == (digest, lines)
 
 
 def test_shelling_construct_command():

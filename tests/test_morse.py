@@ -6,7 +6,7 @@ from unicomplex.errors import InputError
 from unicomplex.homology import reduced_homology
 from unicomplex.morse import (
     check_acyclic,
-    critical_cells,
+    critical_census,
     greedy_matching,
     hasse_edges,
     matching_from_pairs,
@@ -27,6 +27,14 @@ from oracles import hasse_band_cycle, rescan_greedy_matching
 
 def labeled(n):
     return {i: str(i) for i in range(n)}
+
+
+def critical_cells(matching):
+    """Unmatched simplices partitioned by dimension."""
+    by_dim = {}
+    for s in matching.critical:
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    return {d: sorted(cells) for d, cells in sorted(by_dim.items())}
 
 
 def triangle_boundary():
@@ -58,15 +66,13 @@ def test_matching_k32_hand_trace():
 def test_matching_x32_census():
     K = build_universal(UniversalKind("X", 3, 2))
     M = greedy_matching(K, standard_pivot_ids(K))
-    cells = critical_cells(M)
-    assert len(cells[0]) == 1 and len(cells[1]) == 17
+    assert critical_census(M) == {0: 1, 1: 17}
 
 
 def test_matching_k23_census():
     K = build_universal(UniversalKind("K", 2, 3))
     M = greedy_matching(K, standard_pivot_ids(K))
-    cells = critical_cells(M)
-    assert {d: len(c) for d, c in cells.items()} == {0: 1, 2: 13}
+    assert critical_census(M) == {0: 1, 2: 13}
 
 
 def test_matching_validity_and_determinism():
@@ -136,7 +142,7 @@ def test_link_matching_in_x23():
     M = greedy_matching(L, pivots[1:])
     ok, _ = check_acyclic(L, M)
     assert ok
-    census = {d: len(c) for d, c in critical_cells(M).items()}
+    census = critical_census(M)
     assert census == {0: 1, 1: sphere_count(kind, link_dim=0).count}
 
 
@@ -148,7 +154,7 @@ def test_link_matching_in_k33():
     M = greedy_matching(L, pivots[1:])
     ok, _ = check_acyclic(L, M)
     assert ok
-    census = {d: len(c) for d, c in critical_cells(M).items()}
+    census = critical_census(M)
     want = sphere_count(kind, link_dim=0).count
     assert census == {0: 1, 1: want}
     assert reduced_homology(L).betti == (0, want)
@@ -182,7 +188,7 @@ def test_prose_census_recorded_not_asserted():
     K = build_universal(UniversalKind("K", 3, 2))
     piv = standard_pivot_ids(K)
     M = greedy_matching(K, piv)
-    assert len(critical_cells(M)[1]) == 3
+    assert critical_census(M)[1] == 3
     assert pivot_free_facet_count(K, piv) == 1
 
 

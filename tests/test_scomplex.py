@@ -1,8 +1,10 @@
+import random
 from itertools import combinations
 from math import gcd
 
 import pytest
 
+from unicomplex import universal_fp, zlattice
 from unicomplex.errors import InputError, ResourceLimitError
 from unicomplex.scomplex import (
     SimplicialComplex,
@@ -11,6 +13,7 @@ from unicomplex.scomplex import (
     grow_by_extension,
     parse_facet_list,
 )
+from unicomplex.universal_fp import UniversalKind, build_universal
 
 
 def labeled(n):
@@ -166,7 +169,71 @@ def test_grow_by_extension_pairwise_coprime(depth):
     want = [{s for s in combinations(range(len(gens)), k + 1)
              if all(gcd(gens[a], gens[b]) == 1 for a, b in combinations(s, 2))}
             for k in range(depth)]
-    assert by_dim == want
+    # each level is handed over as a list, already in lexicographic order
+    assert by_dim == [sorted(level) for level in want]
     total = sum(map(len, want))
     with pytest.raises(ResourceLimitError, match="toy exceeds simplex budget"):
         grow_by_extension(gens, depth, 1, extend, finish, total - 1, "toy")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_universal(UniversalKind("X", 3, 3)),
+    lambda: build_universal(UniversalKind("K", 3, 3)),
+    lambda: build_universal(UniversalKind("K", 2, 4)),
+    lambda: zlattice.build_truncated_universal_z("K", 3, 4),
+    lambda: zlattice.build_truncated_universal_z("X", 2, 3),
+], ids=["X-3-3", "K-3-3", "K-2-4", "KZ-3-4", "XZ-2-3"])
+def test_builders_hand_over_sorted_levels(monkeypatch, build):
+    handed = []
+
+    def recording(by_dim, labels, meta=None):
+        handed.append([list(level) for level in by_dim])
+        return SimplicialComplex(by_dim, labels, meta)
+
+    monkeypatch.setattr(universal_fp, "SimplicialComplex", recording)
+    monkeypatch.setattr(zlattice, "SimplicialComplex", recording)
+    K = build()
+    (levels,) = handed
+    assert [len(level) for level in levels] == list(K.f_vector().entries[1:])
+    for level in levels:
+        assert level == sorted(level)
+
+
+def _derived_complexes():
+    rng = random.Random(7)
+    K = build_universal(UniversalKind("K", 3, 3))
+    X = build_universal(UniversalKind("X", 2, 3))
+    new = list(range(K.n_vertices))
+    rng.shuffle(new)
+    relabelled = parse_facet_list(
+        "".join(" ".join(str(new[v]) for v in f) + "\n" for f in K.facets()))
+    mixed = parse_facet_list(
+        "".join(" ".join(map(str, rng.sample(range(12), rng.randint(1, 4)))) + "\n"
+                for _ in range(25)))
+    half = rng.sample(range(X.n_vertices), X.n_vertices // 2)
+    return {
+        "built K": K,
+        "built X": X,
+        "facet file": relabelled,
+        "non-pure facet file": mixed,
+        "link of a vertex": K.link(K.sorted_simplices(0)[3]),
+        "link of an edge": X.link(X.sorted_simplices(1)[-1]),
+        "link in a facet file": relabelled.link(relabelled.sorted_simplices(0)[5]),
+        "link of the empty simplex": mixed.link(()),
+        "skeleton": K.skeleton(1),
+        "full subcomplex": X.full_subcomplex(half),
+        "full subcomplex of a facet file": mixed.full_subcomplex(range(0, 12, 2)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_derived_complexes()))
+def test_stored_order_is_the_sorted_order(name):
+    K = _derived_complexes()[name]
+    for d in range(-1, K.dim + 2):
+        assert list(K.sorted_simplices(d)) == sorted(K.simplices_of_dim(d))
+    assert list(K.all_simplices()) == [
+        s for d in range(K.dim + 1) for s in sorted(K.simplices_of_dim(d))]
+    everything = set(K.all_simplices())
+    maximal = [s for s in everything
+               if not any(set(s) < set(t) for t in everything if len(t) == len(s) + 1)]
+    assert K.facets() == sorted(maximal)
