@@ -148,28 +148,6 @@ def nu_k(S, p, k, budget=None, start_index=0):
     return p_ordering(S, p, k, budget, start_index).valuations[k]
 
 
-def is_p_ordering(S, p, sequence, budget=None):
-    """Check that a given prefix sequence is a valid p-ordering of S: each
-    element attains the minimal valuation among the enumerated candidates."""
-    K = len(sequence) - 1
-    if budget is None:
-        budget = default_budget(S, K)
-    candidates = S.enumerate(budget)
-    prefix = []
-    for a in sequence:
-        if prefix:
-            mine = sum(_vp(a - b, p) for b in prefix)
-            best = min(
-                sum(_vp(c - b, p) for b in prefix)
-                for c in candidates
-                if c not in prefix
-            )
-            if mine != best:
-                return False
-        prefix.append(a)
-    return True
-
-
 def generalized_factorial(S, k):
     """k!_S = prod over primes of nu_k(S, p).
 
@@ -253,12 +231,12 @@ class IdentityReport:
     factorial_integers: int  # k!_Z = k!
     face_count: int  # f_{k-1}(X(F_p^k))
     product_identity: bool  # k!_{powers of p} == k! * f_{k-1}(X(F_p^k))
-    divisibility: bool  # k!_Z divides k!_{powers of p} with that quotient
 
 
 def check_identities(p, k):
-    """The face-count identity k!_{1,p,p^2,...} = k! * f_{k-1}(X(F_p^k)) and
-    the matching divisibility statement."""
+    """The face-count identity k!_{1,p,p^2,...} = k! * f_{k-1}(X(F_p^k)).
+    Since k! >= 1 it is also the divisibility statement: k!_Z divides
+    k!_{1,p,p^2,...} with quotient f_{k-1}(X(F_p^k))."""
     if not is_prime(p):
         raise InputError(f"not a prime: {p}")
     if k < 1:
@@ -266,6 +244,4 @@ def check_identities(p, k):
     lhs = generalized_factorial(geometric(1, p), k)
     kz = factorial(k)
     face = formula_f_vector(UniversalKind("X", p, k)).entries[k]
-    product_ok = lhs == kz * face
-    divisible = lhs % kz == 0 and lhs // kz == face
-    return IdentityReport(p, k, lhs, kz, face, product_ok, divisible)
+    return IdentityReport(p, k, lhs, kz, face, lhs == kz * face)

@@ -36,7 +36,7 @@ def ceil_log(base, x):
 
 def _adjacency(K):
     adj = {v: set() for v in K.vertices()}
-    for a, b in K.simplices_of_dim(1):
+    for a, b in K.sorted_simplices(1):
         adj[a].add(b)
         adj[b].add(a)
     return adj
@@ -116,14 +116,6 @@ def s_fp_graph(K, p):
 # -- direct search for nondegenerate maps ------------------------------------
 
 
-@dataclass(frozen=True)
-class NondegenerateMap:
-    assignment: dict  # source vertex id -> target line index
-
-    def __getitem__(self, v):
-        return self.assignment[v]
-
-
 def is_nondegenerate_map(source, vmap, line_labels, field):
     """Check that every facet of the source maps to pairwise distinct lines
     forming a unimodular set."""
@@ -138,10 +130,11 @@ def is_nondegenerate_map(source, vmap, line_labels, field):
 
 def min_rank_search(K, p, r_max=SEARCH_RANK_CAP):
     """Least r <= r_max admitting a nondegenerate map K -> K(F_p^r), by
-    backtracking over vertex assignments to lines; returns (r, map) or
-    (None, None).  The first vertex is pinned to the first line (the target
-    symmetry group is transitive on lines), later candidates are tried in
-    canonical order, so the witness is deterministic.  Each set of placed
+    backtracking over vertex assignments to lines; returns (r, map), the map
+    a dict from source vertex id to target line index, or (None, None).  The
+    first vertex is pinned to the first line (the target symmetry group is
+    transitive on lines), later candidates are tried in canonical order, so
+    the witness is deterministic.  Each set of placed
     lines has its unimodularity decided once per rank."""
     PrimeField(p)
     verts = K.vertices()
@@ -193,7 +186,7 @@ def min_rank_search(K, p, r_max=SEARCH_RANK_CAP):
             vmap = dict(assign)
             if not is_nondegenerate_map(K, vmap, lines, field):
                 raise AssertionError("search produced a degenerate map")
-            return r, NondegenerateMap(vmap)
+            return r, vmap
     return None, None
 
 

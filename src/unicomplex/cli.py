@@ -7,8 +7,8 @@ timing is only included on request (`--timing` adds `timing_seconds`, and
 `seconds` per criterion of `verify-all`; these are the only
 nondeterministic fields).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 resource budget exceeded.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error
+(an unreadable or non-UTF-8 file included), 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ from .homology import reduced_homology, reisner_check
 from .morse import critical_census, greedy_matching, check_acyclic, \
     morse_summary, pivot_free_facet_count
 from .scomplex import SIMPLEX_BUDGET, format_facet_list, parse_facet_list
-from .shelling import ShellingOrder, construct_shelling_fp, is_shifted, \
-    verify_shelling
+from .shelling import construct_shelling_fp, is_shifted, shelling_h_vector
 from .universal_fp import (
     UniversalKind,
     build_universal,
-    eq_an_basis_count,
     formula_f_vector,
     sphere_count,
     standard_pivot_ids,
@@ -168,7 +166,7 @@ def _add_universal_args(sub, required=True):
 
 def _get_complex(args):
     if getattr(args, "facets", None):
-        with open(args.facets) as fh:
+        with open(args.facets, encoding="utf-8") as fh:
             return parse_facet_list(fh.read(), budget=args.budget), None
     if args.variant is None or args.p is None or args.n is None:
         raise UsageError("give either --facets FILE or --variant/--p/--n")
@@ -259,9 +257,9 @@ def cmd_morse(args):
     summary = morse_summary(K, pivots)
     pivot_free = pivot_free_facet_count(K, pivots)
     results = {
-        "pivots": list(summary.pivot_schedule),
+        "pivots": pivots,
         "pairs": summary.n_pairs,
-        "acyclic": summary.acyclic,
+        "acyclic": True,  # morse_summary raises on a cycle
         "critical": {str(d): c for d, c in summary.critical_by_dim.items()},
         "euler": summary.euler,
         "euler_consistent": summary.euler_consistent,
@@ -269,19 +267,25 @@ def cmd_morse(args):
         "pivot_free_facets": pivot_free,
     }
     if kind is not None and kind.variant == "K":
-        # the same count when the schedule is the standard one
+        # the pivot-free count of the standard schedule
         results["axis_avoiding_basis_count"] = (
-            pivot_free if not args.pivots else eq_an_basis_count(K)
+            pivot_free if not args.pivots
+            else pivot_free_facet_count(K, standard_pivot_ids(K))
         )
     return 0, results
 
 
 def cmd_shelling(args):
+    if args.facets and not args.order:
+        raise UsageError(
+            "constructing a shelling needs --variant/--p/--n; "
+            "--facets needs --order"
+        )
     if args.order:
         K, _ = _get_complex(args)
         label_to_id = {str(lab): v for v, lab in K.labels.items()}
         facets = []
-        with open(args.order) as fh:
+        with open(args.order, encoding="utf-8") as fh:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -292,18 +296,18 @@ def cmd_shelling(args):
                     )
                 except KeyError as exc:
                     raise InputError(f"unknown vertex label {exc} in order file")
-        ok, idx = verify_shelling(K, ShellingOrder(tuple(facets)))
-        results = {"verified": ok, "n_facets": len(facets)}
-        if not ok:
+        idx, _ = shelling_h_vector(K, facets)
+        results = {"verified": idx is None, "n_facets": len(facets)}
+        if idx is not None:
             results["first_failing_index"] = idx
-        return (0 if ok else 1), results
+        return (0 if idx is None else 1), results
     kind = UniversalKind(args.variant, args.p, args.n)
     K = build_universal(kind, budget=args.budget)
     order = construct_shelling_fp(kind, K)
-    results = {"constructed": True, "n_facets": len(order.facets), "verified": True}
+    results = {"constructed": True, "n_facets": len(order), "verified": True}
     if args.out:
         with open(args.out, "w") as fh:
-            for f in order.facets:
+            for f in order:
                 fh.write(" ".join(str(K.labels[v]) for v in f) + "\n")
         results["written"] = args.out
     return 0, results
@@ -340,7 +344,7 @@ def cmd_buchstaber(args):
 
 def cmd_zcheck(args):
     if args.pair:
-        with open(args.pair) as fh:
+        with open(args.pair, encoding="utf-8") as fh:
             pair = parse_quasitoric_pair(fh.read(), budget=args.budget)
         ok, witness = validate_quasitoric_pair(pair)
         results = {"pair_valid": ok, "n": pair.n, "m": pair.m}
@@ -352,7 +356,7 @@ def cmd_zcheck(args):
     K = build_truncated_universal_z("K", args.n, args.max_norm, budget=args.budget)
     pivots = list(range(K.n_vertices))
     matching = greedy_matching(K, pivots)
-    ok, _ = check_acyclic(K, matching)
+    ok, _ = check_acyclic(K, matching.pairs)
     census = {str(d): c for d, c in critical_census(matching).items()}
     critical = set(matching.critical)
     sigmas = {f"sigma_{k}": simp in critical for k, simp in sigma_family(K)}
@@ -511,7 +515,7 @@ def dispatch(argv):
         return code, emit_report(report, args.format)
     except UsageError as exc:
         return 2, f"usage error: {exc}\n"
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         return 2, f"input error: {exc}\n"
     except ResourceLimitError as exc:
         return 3, f"resource error: {exc}\n"

@@ -10,7 +10,7 @@ twin of `zlattice._quotient_step`: the state of an independent set sigma of
 k vectors in F_p^n is the rows of a surjection Q: F_p^n -> F_p^(n-k) whose
 kernel is span(sigma), the identity for the empty set.  sigma + {w} is
 independent iff Q w != 0, and one pivot elimination on Q w followed by
-dropping the pivot row gives the surjection for sigma + {w}.  `rank_fp`,
+dropping the pivot row gives the surjection for sigma + {w}.
 `is_unimodular_fp` and the shelling construction fold it from the identity
 rows.  The F_p builder runs it below the top level of its frontier; at the
 top the state is one row q, and the vertices completing a facet are those
@@ -101,11 +101,6 @@ class FpLine:
         return "[" + ",".join(map(str, self.generator.coords)) + "]"
 
 
-def fp_vector(coords, field):
-    """Build an FpVector, reducing each coordinate mod p."""
-    return FpVector(tuple(int(c) % field.p for c in coords))
-
-
 def _common_dimension(vectors):
     dims = {v.n for v in vectors}
     if len(dims) > 1:
@@ -167,13 +162,6 @@ def echelon_basis(rows, p):
             basis.append((col, tuple((a * inv) % p for a in row)))
             basis.sort()
     return tuple(basis)
-
-
-def rank_fp(vectors, field):
-    """Rank of the span of the given vectors."""
-    vectors = list(vectors)
-    n = _common_dimension(vectors)
-    return n - len(_span_quotient_fp((v.coords for v in vectors), n, field.p))
 
 
 def is_unimodular_fp(vectors, field):

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import gcd
 
-from .morse import Matching
-
 
 @dataclass(frozen=True)
 class SNFResult:
@@ -228,15 +226,6 @@ def coreduce(K):
             break
         remove(first_live)
     return cells, faces, partner, stamp
-
-
-def coreduction_matching(K):
-    """The pairs and critical cells of `coreduce` as a Matching."""
-    cells, _, partner, _ = coreduce(K)
-    # ids grow with dimension, so the smaller id of a pair is its lower cell
-    pairs = tuple(sorted((cells[a], cells[b]) for a, b in enumerate(partner) if b > a))
-    critical = tuple(cells[c] for c, b in enumerate(partner) if b < 0)
-    return Matching(pairs, (), critical)
 
 
 def _morse_boundary(faces, partner, stamp, lower, upper):

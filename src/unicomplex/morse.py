@@ -1,4 +1,4 @@
-"""Hasse diagrams, greedy pivot matchings, acyclicity, critical cells.
+"""Greedy pivot matchings, acyclicity, critical cells.
 
 A matching is built inductively over an ordered pivot schedule: in step k,
 every still-unmatched simplex sigma that does not contain pivot_k is paired
@@ -7,7 +7,9 @@ complex and is itself still unmatched.  Within a step the pairing is
 conflict-free: lower partners never contain the pivot, upper partners always
 do, and the upper partner determines the lower one, so the result does not
 depend on the order in which a step visits the simplices.  The empty simplex
-participates in no pair.
+participates in no pair.  `greedy_matching` returns the sorted pairs and the
+critical cells; `check_acyclic` reads a list of pairs alone, wherever it
+comes from.
 
 Discrete Morse theory asks only that the pairs be covering pairs forming an
 acyclic matching.  No test that the pivot's label lies outside span(sigma) is
@@ -39,34 +41,18 @@ from .errors import AcyclicityError, InputError
 @dataclass(frozen=True)
 class Matching:
     pairs: tuple  # ((lower, upper), ...) sorted
-    pivot_schedule: tuple
     critical: tuple  # unmatched simplices, by dimension, each sorted
-
-    def partner_map(self):
-        out = {}
-        for lo, hi in self.pairs:
-            out[lo] = hi
-            out[hi] = lo
-        return out
 
 
 @dataclass(frozen=True)
 class MorseSummary:
-    pivot_schedule: tuple
+    """The census of a matching that `morse_summary` has checked acyclic."""
+
     n_pairs: int
-    acyclic: bool
     critical_by_dim: dict
     euler: int
     euler_consistent: bool  # only meaningful when middle_critical is False
     middle_critical: bool
-
-
-def hasse_edges(K):
-    """Directed covering edges sigma -> tau with tau a codimension-1 face."""
-    for d in range(1, K.dim + 1):
-        for s in K.sorted_simplices(d):
-            for i in range(len(s)):
-                yield s, s[:i] + s[i + 1:]
 
 
 def greedy_matching(K, pivots):
@@ -104,30 +90,21 @@ def greedy_matching(K, pivots):
         s for d in range(K.dim + 1)
         for s in K.sorted_simplices(d) if s not in matched
     )
-    return Matching(tuple(sorted(pairs)), tuple(pivots), critical)
+    return Matching(tuple(sorted(pairs)), critical)
 
 
 def _check_pairs(K, pairs):
     """Raise InputError unless every pair is a covering pair of K and no
-    simplex occurs twice; returns the set of matched simplices."""
-    level_of = {d + 1: K.simplices_of_dim(d) for d in range(K.dim + 1)}  # by size
+    simplex occurs twice."""
     seen = set()
     for lo, hi in pairs:
-        if lo not in level_of.get(len(lo), ()) or hi not in level_of.get(len(hi), ()):
+        if lo not in K or hi not in K:
             raise InputError(f"pair ({lo}, {hi}) uses simplices outside the complex")
         if len(hi) != len(lo) + 1 or not set(lo).issubset(hi):
             raise InputError(f"pair ({lo}, {hi}) is not a covering pair")
         if lo in seen or hi in seen:
             raise InputError("a simplex occurs in two pairs")
         seen.update((lo, hi))
-    return seen
-
-
-def matching_from_pairs(K, pairs):
-    """Package explicit (lower, upper) pairs as a Matching (for checks)."""
-    seen = _check_pairs(K, pairs)
-    critical = tuple(s for s in K.all_simplices() if s not in seen)
-    return Matching(tuple(sorted(pairs)), (), critical)
 
 
 def _next_lower_cells(lo, up_of):
@@ -140,10 +117,11 @@ def _next_lower_cells(lo, up_of):
             yield f
 
 
-def check_acyclic(K, matching):
-    """Search for a closed V-path (Forman's criterion; see the module
-    docstring for why that is every directed cycle of the modified Hasse
-    diagram).
+def check_acyclic(K, pairs):
+    """Search the (lower, upper) pairs for a closed V-path (Forman's
+    criterion; see the module docstring for why that is every directed cycle
+    of the modified Hasse diagram).  The pairs must be covering pairs of K,
+    each simplex in one pair at most, or InputError is raised.
 
     The nodes are the lower cells of the pairs, with an edge lo -> f for
     each codimension-1 face f != lo of partner(lo) that is itself a lower
@@ -152,8 +130,8 @@ def check_acyclic(K, matching):
     closed V-path [lo, up, lo', up', ...] (its last upper cell has the first
     lower cell as a face).
     """
-    _check_pairs(K, matching.pairs)
-    up_of = dict(matching.pairs)
+    _check_pairs(K, pairs)
+    up_of = dict(pairs)
     color = {}  # 1 on the current path, 2 finished
     for start in up_of:
         if start in color:
@@ -201,7 +179,7 @@ def morse_summary(K, pivots):
     cells, chi(K) must equal 1 + (-1)^top * (top critical count); any
     critical cell in another dimension is flagged instead."""
     matching = greedy_matching(K, pivots)
-    ok, cycle = check_acyclic(K, matching)
+    ok, cycle = check_acyclic(K, matching.pairs)
     if not ok:
         raise AcyclicityError(cycle)
     census = critical_census(matching)
@@ -216,9 +194,7 @@ def morse_summary(K, pivots):
             f"Euler count mismatch: chi={euler}, census={census}"
         )
     return MorseSummary(
-        pivot_schedule=tuple(pivots),
         n_pairs=len(matching.pairs),
-        acyclic=True,
         critical_by_dim=census,
         euler=euler,
         euler_consistent=consistent,

@@ -5,17 +5,18 @@ empty simplex is implicit (f_{-1} = 1) and never stored.  A complex stores
 all simplices grouped by dimension together with a label table mapping each
 vertex id to an opaque label (an FpVector, FpLine, ZLine, or plain string).
 
-Each level is stored twice over the same tuples: once lexicographically
-sorted, and once as a frozenset for membership.  The sort runs once per
-level, when the complex is made, and nothing sorts a level again: the
-sorted queries, the facet list, and the layers above (matching,
-coreduction, Reisner links) read the stored order.  The frontier builder
-hands its levels over already in that order, so their sort is one linear
-pass (timsort finds a single run); facet files and links pay for it once.
+Each level is stored once, as a lexicographically sorted tuple.  The sort
+runs once per level, when the complex is made, and nothing sorts a level
+again: the sorted queries, the facet list, and the layers above (matching,
+coreduction, Reisner links) read the stored order, and membership is a
+binary search in it.  The frontier builder hands its levels over already in
+that order, so their sort is one linear pass (timsort finds a single run);
+facet files and links pay for it once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from heapq import merge
@@ -59,14 +60,13 @@ class FVector:
 class SimplicialComplex:
     """Immutable finite simplicial complex, closed under taking subsets."""
 
-    __slots__ = ("_by_dim", "_sorted", "_facets", "labels", "meta")
+    __slots__ = ("_levels", "_facets", "labels", "meta")
 
     def __init__(self, by_dim, labels, meta=None):
-        ordered = [tuple(sorted(level)) for level in by_dim]
-        while ordered and not ordered[-1]:
-            ordered.pop()
-        self._sorted = tuple(ordered)
-        self._by_dim = tuple(frozenset(level) for level in ordered)
+        levels = [tuple(sorted(level)) for level in by_dim]
+        while levels and not levels[-1]:
+            levels.pop()
+        self._levels = tuple(levels)
         self._facets = None  # sorted tuple, computed on first use
         self.labels = dict(labels)
         self.meta = dict(meta) if meta else {}
@@ -118,7 +118,7 @@ class SimplicialComplex:
 
     @property
     def dim(self):
-        return len(self._by_dim) - 1
+        return len(self._levels) - 1
 
     def vertices(self):
         return sorted(self.labels)
@@ -127,34 +127,36 @@ class SimplicialComplex:
     def n_vertices(self):
         return len(self.labels)
 
-    def simplices_of_dim(self, d):
-        if d < 0 or d > self.dim:
-            return frozenset()
-        return self._by_dim[d]
-
     def sorted_simplices(self, d):
         """The d-simplices in lexicographic order, as the stored tuple."""
         if d < 0 or d > self.dim:
             return ()
-        return self._sorted[d]
+        return self._levels[d]
 
     def all_simplices(self):
-        for level in self._sorted:
+        for level in self._levels:
             yield from level
 
     @property
     def n_simplices(self):
-        return sum(len(level) for level in self._by_dim)
+        return sum(len(level) for level in self._levels)
 
     def __contains__(self, simplex):
+        """A binary search in the level of the simplex's size."""
         s = tuple(simplex)
-        d = len(s) - 1
-        return 0 <= d <= self.dim and s in self._by_dim[d]
+        if not 0 < len(s) <= len(self._levels):
+            return False
+        level = self._levels[len(s) - 1]
+        try:
+            i = bisect_left(level, s)
+        except TypeError:  # an entry that does not compare with vertex ids
+            return False
+        return i < len(level) and level[i] == s
 
     def is_pure(self):
         """All facets have dimension dim: every top simplex is a facet, so
         that holds iff there are no other facets."""
-        return not self._by_dim or len(self.facets()) == len(self._by_dim[-1])
+        return not self._levels or len(self.facets()) == len(self._levels[-1])
 
     def facets(self):
         """Maximal simplices, sorted, as a fresh list.  They are computed
@@ -162,8 +164,8 @@ class SimplicialComplex:
         from the level below, stopping once nothing is left there, and the
         sorted levels that remain are merged."""
         if self._facets is None:
-            runs = [self._sorted[-1]] if self._sorted else []
-            for level, upper in zip(self._sorted, self._by_dim[1:]):
+            runs = [self._levels[-1]] if self._levels else []
+            for level, upper in zip(self._levels, self._levels[1:]):
                 left = set(level)
                 strike = left.discard
                 for tau in upper:
@@ -177,7 +179,7 @@ class SimplicialComplex:
         return list(self._facets)
 
     def f_vector(self):
-        return FVector((1,) + tuple(len(level) for level in self._by_dim))
+        return FVector((1,) + tuple(len(level) for level in self._levels))
 
     # -- derived complexes --------------------------------------------------
 
@@ -191,34 +193,11 @@ class SimplicialComplex:
         # the simplices through it, so each level comes out sorted
         by_dim = [
             [tuple(v for v in rho if v not in sset)
-             for rho in self._sorted[d] if sset.issubset(rho)]
+             for rho in self._levels[d] if sset.issubset(rho)]
             for d in range(len(s), self.dim + 1)
         ]
         labels = {v: self.labels[v] for (v,) in by_dim[0]} if by_dim else {}
         return SimplicialComplex(by_dim, labels, self.meta)
-
-    def full_subcomplex(self, vertex_set):
-        """Restriction K_I to the vertices in I (ids preserved)."""
-        I = set(vertex_set)
-        unknown = I - set(self.labels)
-        if unknown:
-            raise InputError(f"unknown vertices: {sorted(unknown)}")
-        by_dim = [
-            [s for s in level if I.issuperset(s)] for level in self._sorted
-        ]
-        labels = {v: self.labels[v] for v in I}
-        return SimplicialComplex(by_dim, labels, self.meta)
-
-    def skeleton(self, r):
-        """All simplices of dimension <= r."""
-        if r < -1 or r > self.dim:
-            raise InputError(f"skeleton dimension {r} out of range [-1, {self.dim}]")
-        labels = self.labels if r >= 0 else {}
-        return SimplicialComplex(self._sorted[: r + 1], labels, self.meta)
-
-
-def empty_complex():
-    return SimplicialComplex([], {})
 
 
 def _bit_ids(bits):

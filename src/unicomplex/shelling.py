@@ -1,12 +1,17 @@
 """Shelling verification, the inductive shelling of the universal complexes
 over F_p, and shiftedness testing.
 
+A shelling order is a sequence of facets, each a sorted tuple of vertex ids.
+`shelling_h_vector` checks one in a single pass and counts its restriction
+faces.
+
 The constructed shelling groups facets of the n-dimensional complex by
 their set of vertices outside the (n-1)-dimensional subcomplex (the "new"
 vertices), orders groups by size of that set and then lexicographically,
 and orders each group by a recursively constructed shelling of the link of
 the subspace the new vertices cut out of the old coordinate hyperplane.
-The verifier, not the construction, is the ground truth.
+The verifier, not the construction, is the ground truth: the constructed
+order goes through `shelling_h_vector` before it is returned.
 
 The construction works on vertex ids, each space's own enumeration order.
 The groups come from the frontier builder over the vertices off the old
@@ -27,7 +32,6 @@ list and one binary search per codimension-1 face of each facet.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from math import comb
@@ -54,14 +58,9 @@ from .universal_fp import (
 )
 
 
-@dataclass(frozen=True)
-class ShellingOrder:
-    facets: tuple  # ordered simplices (vertex-id tuples), each facet once
-
-
 def shelling_h_vector(K, order):
-    """Check the shelling condition in one pass by restriction faces and
-    count their sizes.
+    """Check that the facet sequence `order` is a shelling of K, in one pass
+    by restriction faces, and count their sizes.
 
     R(F_k) is the set of vertices v of facet k with F_k - v a face of an
     earlier facet.  The faces of F_k in the earlier complex always include
@@ -77,9 +76,9 @@ def shelling_h_vector(K, order):
     if not K.is_pure():
         raise InputError("shellings are defined for pure complexes")
     width = K.dim + 1
-    top = K.simplices_of_dim(K.dim)  # the facets, K being pure
-    forder = [tuple(f) for f in order.facets]
-    if len(forder) != len(top) or set(forder) != top:
+    top = K.sorted_simplices(K.dim)  # the facets, K being pure
+    forder = [tuple(f) for f in order]
+    if len(forder) != len(top) or set(forder) != set(top):
         raise InputError("order must cover every facet exactly once")
     h = [0] * (width + 1)
     seen = set()  # every face of the facets placed; empty, so F_1 passes
@@ -93,15 +92,6 @@ def shelling_h_vector(K, order):
         for size in range(width + 1):
             seen.update(combinations(F, size))
     return None, tuple(h)
-
-
-def verify_shelling(K, order):
-    """Check the shelling condition: for each k >= 2 the maximal faces of
-    the intersection of facet k with the union of the earlier ones all have
-    cardinality |F_k| - 1.  Returns (True, None) or (False, k) with the
-    first failing 1-based index."""
-    idx, _ = shelling_h_vector(K, order)
-    return idx is None, idx
 
 
 # -- inductive construction over F_p ----------------------------------------
@@ -251,14 +241,15 @@ def _shell_ids(variant, p, amb, d, memo):
 
 
 def construct_shelling_fp(kind, built=None):
-    """The inductive shelling order for X/K(F_p^n).  The output is verified,
-    and the h-vector of the same pass must equal the one of the closed-form
-    f-vector, with h_n the sphere count; a failure is a hard error carrying
-    the counterexample index or the two vectors.  `built` is the complex of
-    `build_universal(kind)`, whose vertex ids are the enumeration order."""
+    """The inductive shelling order for X/K(F_p^n), as a tuple of facets.
+    The output is verified, and the h-vector of the same pass must equal the
+    one of the closed-form f-vector, with h_n the sphere count; a failure is
+    a hard error carrying the counterexample index or the two vectors.
+    `built` is the complex of `build_universal(kind)`, whose vertex ids are
+    the enumeration order."""
     if built is None:
         built = build_universal(kind)
-    order = ShellingOrder(_shell_ids(kind.variant, kind.p, kind.n, 0, {}))
+    order = _shell_ids(kind.variant, kind.p, kind.n, 0, {})
     idx, h = shelling_h_vector(built, order)
     if idx is not None:
         raise AssertionError(
@@ -309,16 +300,15 @@ def is_shifted(K):
     K.  With cof(r) = {u | r + u in K} sorted by label, that is one count:
     the labels of cof(r) below label(v) number label(v) minus those of r."""
     faces = dict.fromkeys(K.vertices(), 0)
-    for d in range(K.dim + 1):
-        for s in K.simplices_of_dim(d):
-            for v in s:
-                faces[v] += 1
+    for s in K.all_simplices():
+        for v in s:
+            faces[v] += 1
     order = sorted(faces, key=lambda v: (-faces[v], v))
     label = {v: i for i, v in enumerate(order)}
     facets = K.facets()
     cof = {}
     for size in {len(f) for f in facets}:
-        for s in K.simplices_of_dim(size - 1):
+        for s in K.sorted_simplices(size - 1):
             for i in range(size):
                 cof.setdefault(s[:i] + s[i + 1:], []).append(label[s[i]])
     for labels in cof.values():

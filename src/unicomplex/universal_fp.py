@@ -32,11 +32,9 @@ from .fplin import (
     PrimeField,
     enumerate_lines_fp,
     enumerate_vectors_fp,
-    line_canonical_fp,
     _identity_rows,
     _quotient_step_fp,
 )
-from .morse import pivot_free_facet_count
 from .scomplex import SIMPLEX_BUDGET, FVector, SimplicialComplex, grow_by_extension
 
 
@@ -186,67 +184,3 @@ def standard_pivot_ids(K):
             want.append(FpLine(FpVector(coords)))
     by_label = {lab: v for v, lab in K.labels.items()}
     return tuple(by_label[w] for w in want)
-
-
-# -- the projection phi and its sections psi --------------------------------
-
-
-def phi_vertex_map(x_complex, k_complex):
-    """Vertex map of phi: each nonzero vector to the line it generates."""
-    kind = x_complex.meta.get("universal")
-    if kind is None or kind.variant != "X":
-        raise InputError("phi projects from an X(F_p^n) complex")
-    field = kind.field
-    line_id = {lab: v for v, lab in k_complex.labels.items()}
-    return {
-        v: line_id[line_canonical_fp(lab, field)]
-        for v, lab in x_complex.labels.items()
-    }
-
-
-def project_phi(x_complex, k_complex, simplex):
-    """Image of an X-simplex under phi, as a simplex of K (equal dimension)."""
-    vmap = phi_vertex_map(x_complex, k_complex)
-    s = tuple(simplex)
-    if s not in x_complex:
-        raise InputError(f"simplex {s} not in the source complex")
-    image = tuple(sorted(vmap[v] for v in s))
-    if len(set(image)) != len(s) or image not in k_complex:
-        raise AssertionError(f"phi degenerated on {s}")
-    return image
-
-
-def section_psi(k_complex, x_complex, choice=None):
-    """Vertex map of a section psi of phi: each line to a generator on it.
-
-    `choice` maps FpLine labels to FpVector generators; by default the
-    canonical (first-nonzero = 1) generator is used.  A generator off its
-    line is an input error."""
-    kind = k_complex.meta.get("universal")
-    if kind is None or kind.variant != "K":
-        raise InputError("psi is a section over a K(F_p^n) complex")
-    field = kind.field
-    vec_id = {lab: v for v, lab in x_complex.labels.items()}
-    out = {}
-    for v, line in k_complex.labels.items():
-        gen = line.generator if choice is None else choice[line]
-        if line_canonical_fp(gen, field) != line:
-            raise InputError(f"generator {gen} does not lie on line {line}")
-        out[v] = vec_id[gen]
-    return out
-
-
-def map_simplex(vmap, simplex):
-    return tuple(sorted(vmap[v] for v in simplex))
-
-
-def eq_an_basis_count(k_complex):
-    """The count of top simplices of K(F_p^n) containing none of the standard
-    lines L(e_1), ..., L(e_n).  Equivalently, the number of vector-set bases
-    avoiding all scalar multiples of the e_i, divided by (p-1)^n.  Reported
-    alongside sphere_count, which is the homologically correct value; the two
-    are not asserted equal."""
-    kind = k_complex.meta.get("universal")
-    if kind is None or kind.variant != "K":
-        raise InputError("Eq-(A_n)-style count is defined for K complexes")
-    return pivot_free_facet_count(k_complex, standard_pivot_ids(k_complex))

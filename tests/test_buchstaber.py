@@ -44,13 +44,14 @@ def test_chromatic_complete_and_cycle():
     five_cycle = graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 5)
     gamma, coloring = chromatic_number(five_cycle)
     assert gamma == 3
-    for a, b in five_cycle.simplices_of_dim(1):
+    for a, b in five_cycle.sorted_simplices(1):
         assert coloring[a] != coloring[b]
 
 
 def test_chromatic_k23_skeleton_complete():
     K = build_universal(UniversalKind("K", 2, 3))
-    assert chromatic_number(K.skeleton(1))[0] == 7
+    edges = SimplicialComplex.from_simplices(K.sorted_simplices(1), K.labels)
+    assert chromatic_number(edges)[0] == 7
 
 
 def test_chromatic_cap():
@@ -127,7 +128,7 @@ def test_search_witness_nondegenerate_and_injective():
     assert r == 2
     field = PrimeField(3)
     lines = enumerate_lines_fp(r, field)
-    assert is_nondegenerate_map(src, witness.assignment, lines, field)
+    assert is_nondegenerate_map(src, witness, lines, field)
     images = [witness[v] for v in src.vertices()]
     assert len(set(images)) == len(images)
 

@@ -174,12 +174,41 @@ def test_usage_errors_exit_2():
     ["build", "--ring", "z", "--variant", "X", "--n", "-1", "--max-norm", "3"],
     ["build", "--ring", "z", "--variant", "X", "--n", "0", "--max-norm", "3"],
     ["build", "--ring", "z", "--variant", "X", "--n", "2", "--max-norm", "0"],
+    ["shelling", "--facets", "{F}"],
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, argv):
     facets = tmp_path / "tri.facets"
     facets.write_text("a b\nb c\nc a\n")
     code, text = run(*(a.replace("{F}", str(facets)) for a in argv))
     assert code == 2
+    assert text.count("\n") == 1 and text.endswith("\n")
+
+
+def test_shelling_facets_without_order_is_a_usage_error(tmp_path):
+    facets = tmp_path / "tri.facets"
+    facets.write_text("a b\nb c\nc a\n")
+    code, text = run("shelling", "--facets", str(facets))
+    assert (code, text) == (2, "usage error: constructing a shelling needs "
+                               "--variant/--p/--n; --facets needs --order\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--facets", "{DIR}"],
+    ["shelling", "--facets", "{F}", "--order", "{DIR}"],
+    ["build", "--variant", "K", "--p", "2", "--n", "2", "--out", "{DIR}"],
+    ["homology", "--facets", "{LATIN1}"],
+    ["morse", "--facets", "{LATIN1}", "--pivots", "0"],
+    ["zcheck", "--pair", "{LATIN1}"],
+])
+def test_unreadable_files_exit_2_with_one_line(tmp_path, argv):
+    facets = tmp_path / "tri.facets"
+    facets.write_text("a b\nb c\nc a\n")
+    latin1 = tmp_path / "latin1.facets"
+    latin1.write_bytes("a b\nb \u00e9\n".encode("latin-1"))
+    subs = {"{F}": str(facets), "{DIR}": str(tmp_path), "{LATIN1}": str(latin1)}
+    code, text = run(*(subs.get(a, a) for a in argv))
+    assert code == 2
+    assert text.startswith("input error: ")
     assert text.count("\n") == 1 and text.endswith("\n")
 
 

@@ -10,12 +10,12 @@ from unicomplex.fplin import (
     PrimeField,
     enumerate_lines_fp,
     enumerate_vectors_fp,
-    fp_vector,
     is_prime,
     is_unimodular_fp,
     line_canonical_fp,
-    rank_fp,
+    _common_dimension,
     _quotient_step_fp,
+    _span_quotient_fp,
 )
 
 from oracles import scalar_class, span_size_rank, trial_division_is_prime
@@ -26,6 +26,18 @@ F3 = PrimeField(3)
 
 def V(*coords):
     return FpVector(tuple(coords))
+
+
+def fp_vector(coords, field):
+    """Build an FpVector, reducing each coordinate mod p."""
+    return FpVector(tuple(int(c) % field.p for c in coords))
+
+
+def rank_fp(vectors, field):
+    """Rank of the span of the given vectors."""
+    vectors = list(vectors)
+    n = _common_dimension(vectors)
+    return n - len(_span_quotient_fp((v.coords for v in vectors), n, field.p))
 
 
 def test_prime_field_rejects_composites():

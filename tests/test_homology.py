@@ -13,12 +13,11 @@ from oracles import (
 from unicomplex import homology
 from unicomplex.cli import dispatch
 from unicomplex.homology import (
-    coreduction_matching,
     reduced_homology,
     reisner_check,
     smith_normal_form,
 )
-from unicomplex.morse import check_acyclic, critical_census
+from unicomplex.morse import Matching, check_acyclic, critical_census
 from unicomplex.scomplex import SimplicialComplex, parse_facet_list
 from unicomplex.universal_fp import UniversalKind, build_universal, sphere_count
 
@@ -343,6 +342,15 @@ def test_morse_path_matches_full_boundaries_on_random_complexes():
     assert {d for d, _, lower in seen if lower} == {1, 2, 3}
 
 
+def coreduction_matching(K):
+    """The pairs and critical cells of `coreduce` as a Matching."""
+    cells, _, partner, _ = homology.coreduce(K)
+    # ids grow with dimension, so the smaller id of a pair is its lower cell
+    pairs = tuple(sorted((cells[a], cells[b]) for a, b in enumerate(partner) if b > a))
+    critical = tuple(cells[c] for c, b in enumerate(partner) if b < 0)
+    return Matching(pairs, critical)
+
+
 @pytest.mark.parametrize("name", ["X-3-3", "K-2-4", "K-5-3", "moore"])
 def test_coreduction_matching_is_acyclic(name):
     if name == "moore":
@@ -353,7 +361,7 @@ def test_coreduction_matching_is_acyclic(name):
         kind = UniversalKind(variant, int(p), int(n))
         K = build_universal(kind)
     matching = coreduction_matching(K)
-    assert check_acyclic(K, matching) == (True, None)
+    assert check_acyclic(K, matching.pairs) == (True, None)
     census = critical_census(matching)
     assert sum((-1) ** d * c for d, c in census.items()) == K.f_vector().euler
     if kind is not None:

@@ -1,4 +1,6 @@
-"""The lint step: every name a library module imports is used in it."""
+"""The lint steps: every name a library module imports is used in it, and
+every public function, class and method of the library is read somewhere
+in the library."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,20 @@ import pytest
 import unicomplex
 
 MODULES = sorted(Path(unicomplex.__file__).parent.glob("*.py"))
+
+# The library surface that perfbench/ calls from outside src/: kept public
+# even where nothing in src/ reads it.
+EXTERNAL = {
+    "cli.dispatch",
+    "universal_fp.build_universal",
+    "universal_fp.UniversalKind",
+    "scomplex.SimplicialComplex.link",
+    "scomplex.SimplicialComplex.facets",
+    "scomplex.SimplicialComplex.from_simplices",
+    "scomplex.SimplicialComplex.n_simplices",
+    "scomplex.SimplicialComplex.n_vertices",
+    "morse.greedy_matching",
+}
 
 
 def unused_imports(source):
@@ -42,3 +58,52 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_public_names(sources):
+    """Public module-level functions and classes, and public methods of the
+    public classes, whose name no Name or Attribute node of any of the
+    sources {module: text} reads; as "module.name" or
+    "module.Class.method", sorted."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.append((f"{module}.{node.name}", node.name))
+                if isinstance(node, ast.ClassDef):
+                    defined.extend(
+                        (f"{module}.{node.name}.{item.name}", item.name)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(qual for qual, name in defined if name not in read)
+
+
+def test_unread_public_name_detector():
+    sources = {
+        "a": (
+            "def used():\n    pass\n"
+            "def unused():\n    pass\n"
+            "def _private():\n    pass\n"
+            "class C:\n"
+            "    def m(self):\n        pass\n"
+            "    def n(self):\n        pass\n"
+            "    def _p(self):\n        pass\n"
+            "class _Hidden:\n"
+            "    def hook(self):\n        pass\n"
+        ),
+        "b": "from a import C, unused, used\nused()\nf = C().m\n",
+    }
+    assert unread_public_names(sources) == ["a.C.n", "a.unused"]
+
+
+def test_public_names_are_read_in_the_library():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert [q for q in unread_public_names(sources) if q not in EXTERNAL] == []

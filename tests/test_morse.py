@@ -8,8 +8,6 @@ from unicomplex.morse import (
     check_acyclic,
     critical_census,
     greedy_matching,
-    hasse_edges,
-    matching_from_pairs,
     morse_summary,
     pivot_free_facet_count,
 )
@@ -27,6 +25,14 @@ from oracles import hasse_band_cycle, rescan_greedy_matching
 
 def labeled(n):
     return {i: str(i) for i in range(n)}
+
+
+def hasse_edges(K):
+    """Directed covering edges sigma -> tau with tau a codimension-1 face."""
+    for d in range(1, K.dim + 1):
+        for s in K.sorted_simplices(d):
+            for i in range(len(s)):
+                yield s, s[:i] + s[i + 1:]
 
 
 def critical_cells(matching):
@@ -101,27 +107,37 @@ def test_greedy_matchings_acyclic():
         kind = UniversalKind(variant, p, n)
         K = build_universal(kind)
         M = greedy_matching(K, standard_pivot_ids(K))
-        ok, cycle = check_acyclic(K, M)
+        ok, cycle = check_acyclic(K, M.pairs)
         assert ok and cycle is None
 
 
 def test_classic_cyclic_matching_detected():
     K = triangle_boundary()
-    M = matching_from_pairs(
-        K, [((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))]
-    )
-    ok, cycle = check_acyclic(K, M)
+    pairs = [((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))]
+    ok, cycle = check_acyclic(K, pairs)
     assert not ok
     assert len(cycle) == 6
-    _assert_closed_v_path(cycle, M.pairs)
+    _assert_closed_v_path(cycle, pairs)
 
 
 def test_empty_matching_acyclic():
     K = triangle_boundary()
-    M = matching_from_pairs(K, [])
-    ok, cycle = check_acyclic(K, M)
+    M = greedy_matching(K, [])
+    ok, cycle = check_acyclic(K, M.pairs)
     assert ok
     assert set(M.critical) == set(K.all_simplices())
+
+
+@pytest.mark.parametrize("pairs,message", [
+    ([((2, 0), (0, 1, 2))], "outside the complex"),
+    ([((0, 3), (0, 1, 3))], "outside the complex"),
+    ([((0,), (1, 2))], "not a covering pair"),
+    ([((0,), (0, 1)), ((1,), (0, 1))], "two pairs"),
+])
+def test_check_acyclic_rejects_bad_pairs(pairs, message):
+    K = SimplicialComplex.from_simplices([(0, 1, 2)], labeled(3))
+    with pytest.raises(InputError, match=message):
+        check_acyclic(K, pairs)
 
 
 def test_cone_fully_collapsible():
@@ -140,7 +156,7 @@ def test_link_matching_in_x23():
     pivots = standard_pivot_ids(X)
     L = X.link((pivots[0],))
     M = greedy_matching(L, pivots[1:])
-    ok, _ = check_acyclic(L, M)
+    ok, _ = check_acyclic(L, M.pairs)
     assert ok
     census = critical_census(M)
     assert census == {0: 1, 1: sphere_count(kind, link_dim=0).count}
@@ -152,7 +168,7 @@ def test_link_matching_in_k33():
     pivots = standard_pivot_ids(K)
     L = K.link((pivots[0],))
     M = greedy_matching(L, pivots[1:])
-    ok, _ = check_acyclic(L, M)
+    ok, _ = check_acyclic(L, M.pairs)
     assert ok
     census = critical_census(M)
     want = sphere_count(kind, link_dim=0).count
@@ -282,7 +298,7 @@ def _acyclicity_cases():
 def test_check_acyclic_against_hasse_band_oracle():
     verdicts = []
     for name, K, pairs in _acyclicity_cases():
-        ok, cycle = check_acyclic(K, matching_from_pairs(K, pairs))
+        ok, cycle = check_acyclic(K, pairs)
         assert ok == (hasse_band_cycle(K, pairs) is None), name
         if ok:
             assert cycle is None, name

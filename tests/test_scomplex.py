@@ -8,7 +8,6 @@ from unicomplex import universal_fp, zlattice
 from unicomplex.errors import InputError, ResourceLimitError
 from unicomplex.scomplex import (
     SimplicialComplex,
-    empty_complex,
     format_facet_list,
     grow_by_extension,
     parse_facet_list,
@@ -18,6 +17,26 @@ from unicomplex.universal_fp import UniversalKind, build_universal
 
 def labeled(n):
     return {i: str(i) for i in range(n)}
+
+
+def full_subcomplex(K, vertex_set):
+    """Restriction K_I to the vertices in I (ids preserved)."""
+    I = set(vertex_set)
+    unknown = I - set(K.labels)
+    if unknown:
+        raise InputError(f"unknown vertices: {sorted(unknown)}")
+    by_dim = [[s for s in K.sorted_simplices(d) if I.issuperset(s)]
+              for d in range(K.dim + 1)]
+    return SimplicialComplex(by_dim, {v: K.labels[v] for v in I}, K.meta)
+
+
+def skeleton(K, r):
+    """All simplices of dimension <= r."""
+    if r < -1 or r > K.dim:
+        raise InputError(f"skeleton dimension {r} out of range [-1, {K.dim}]")
+    labels = K.labels if r >= 0 else {}
+    return SimplicialComplex([K.sorted_simplices(d) for d in range(r + 1)],
+                             labels, K.meta)
 
 
 def test_from_facets_two_edges():
@@ -31,7 +50,7 @@ def test_from_single_triangle():
 
 
 def test_empty_complex():
-    K = empty_complex()
+    K = SimplicialComplex([], {})
     assert K.f_vector().entries == (1,)
     assert K.dim == -1
 
@@ -46,7 +65,7 @@ def test_rejects_unsorted_and_duplicates():
 def test_downward_closure_invariant():
     K = SimplicialComplex.from_simplices([(0, 1, 2), (1, 2, 3)], labeled(4))
     for d in range(1, K.dim + 1):
-        for s in K.simplices_of_dim(d):
+        for s in K.sorted_simplices(d):
             for i in range(len(s)):
                 assert s[:i] + s[i + 1:] in K
 
@@ -86,20 +105,20 @@ def test_link_recount_from_facets():
 
 def test_full_subcomplex():
     K = SimplicialComplex.from_simplices([(0, 1, 2)], labeled(3))
-    assert K.full_subcomplex([0, 1, 2]).f_vector().entries == K.f_vector().entries
-    assert K.full_subcomplex([]).f_vector().entries == (1,)
-    assert K.full_subcomplex([0, 1]).f_vector().entries == (1, 2, 1)
+    assert full_subcomplex(K, [0, 1, 2]).f_vector().entries == K.f_vector().entries
+    assert full_subcomplex(K, []).f_vector().entries == (1,)
+    assert full_subcomplex(K, [0, 1]).f_vector().entries == (1, 2, 1)
     with pytest.raises(InputError):
-        K.full_subcomplex([0, 9])
+        full_subcomplex(K, [0, 9])
 
 
 def test_skeleton():
     K = SimplicialComplex.from_simplices([(0, 1, 2)], labeled(3))
-    assert K.skeleton(K.dim).f_vector().entries == K.f_vector().entries
-    assert K.skeleton(0).f_vector().entries == (1, 3)
-    assert K.skeleton(1).f_vector().entries == (1, 3, 3)
+    assert skeleton(K, K.dim).f_vector().entries == K.f_vector().entries
+    assert skeleton(K, 0).f_vector().entries == (1, 3)
+    assert skeleton(K, 1).f_vector().entries == (1, 3, 3)
     with pytest.raises(InputError):
-        K.skeleton(5)
+        skeleton(K, 5)
 
 
 def test_facets_and_purity():
@@ -220,20 +239,53 @@ def _derived_complexes():
         "link of an edge": X.link(X.sorted_simplices(1)[-1]),
         "link in a facet file": relabelled.link(relabelled.sorted_simplices(0)[5]),
         "link of the empty simplex": mixed.link(()),
-        "skeleton": K.skeleton(1),
-        "full subcomplex": X.full_subcomplex(half),
-        "full subcomplex of a facet file": mixed.full_subcomplex(range(0, 12, 2)),
+        "skeleton": skeleton(K, 1),
+        "full subcomplex": full_subcomplex(X, half),
+        "full subcomplex of a facet file": full_subcomplex(mixed, range(0, 12, 2)),
     }
+
+
+def _closure(facets):
+    """Every nonempty subset of every facet, as one set per size."""
+    levels = []
+    for f in facets:
+        while len(levels) < len(f):
+            levels.append(set())
+        for k in range(1, len(f) + 1):
+            levels[k - 1].update(combinations(f, k))
+    return levels
 
 
 @pytest.mark.parametrize("name", list(_derived_complexes()))
 def test_stored_order_is_the_sorted_order(name):
     K = _derived_complexes()[name]
-    for d in range(-1, K.dim + 2):
-        assert list(K.sorted_simplices(d)) == sorted(K.simplices_of_dim(d))
+    want = _closure(K.facets())
+    assert K.dim == len(want) - 1
+    for d, level in enumerate(want):
+        got = K.sorted_simplices(d)
+        assert all(a < b for a, b in zip(got, got[1:]))
+        assert set(got) == level
+    assert K.sorted_simplices(-1) == K.sorted_simplices(K.dim + 1) == ()
     assert list(K.all_simplices()) == [
-        s for d in range(K.dim + 1) for s in sorted(K.simplices_of_dim(d))]
+        s for d in range(K.dim + 1) for s in K.sorted_simplices(d)]
     everything = set(K.all_simplices())
     maximal = [s for s in everything
                if not any(set(s) < set(t) for t in everything if len(t) == len(s) + 1)]
     assert K.facets() == sorted(maximal)
+
+
+@pytest.mark.parametrize("name", list(_derived_complexes()))
+def test_membership_is_the_stored_levels(name):
+    K = _derived_complexes()[name]
+    everything = set(K.all_simplices())
+    ids = sorted(K.labels) + [max(K.labels, default=0) + 1]
+    probes = [(), tuple(range(K.dim + 2)), tuple(ids), ("a",)]
+    for s in everything:
+        probes.append(s)
+        probes.append(s[::-1])
+        probes.append(s + ("a",))
+        probes.append((str(s[0]),) + s[1:])
+        for i in range(len(s)):
+            probes.extend(s[:i] + (v,) + s[i + 1:] for v in ids)
+    for s in probes:
+        assert (s in K) == (s in everything), s

@@ -10,12 +10,10 @@ from unicomplex.errors import InputError
 from unicomplex.homology import reisner_check
 from unicomplex.scomplex import FVector, SimplicialComplex
 from unicomplex.shelling import (
-    ShellingOrder,
     construct_shelling_fp,
     h_vector_from_f,
     is_shifted,
     shelling_h_vector,
-    verify_shelling,
 )
 from unicomplex.universal_fp import (
     SphereCount,
@@ -45,34 +43,34 @@ def test_triangle_boundary_any_order():
     from itertools import permutations
 
     for perm in permutations([(0, 1), (0, 2), (1, 2)]):
-        ok, idx = verify_shelling(K, ShellingOrder(perm))
-        assert ok and idx is None
+        idx, _ = shelling_h_vector(K, perm)
+        assert idx is None
 
 
 def test_disjoint_edges_fail_at_two():
     K = SimplicialComplex.from_simplices([(0, 1), (2, 3)], labeled(4))
-    ok, idx = verify_shelling(K, ShellingOrder(((0, 1), (2, 3))))
-    assert not ok and idx == 2
+    idx, _ = shelling_h_vector(K, ((0, 1), (2, 3)))
+    assert idx == 2
 
 
 def test_order_sensitivity():
     path = SimplicialComplex.from_simplices([(0, 1), (1, 2), (2, 3)], labeled(4))
-    good = ShellingOrder(((0, 1), (1, 2), (2, 3)))
-    bad = ShellingOrder(((0, 1), (2, 3), (1, 2)))
-    assert verify_shelling(path, good) == (True, None)
-    ok, idx = verify_shelling(path, bad)
-    assert not ok and idx == 2
+    good = ((0, 1), (1, 2), (2, 3))
+    bad = ((0, 1), (2, 3), (1, 2))
+    assert shelling_h_vector(path, good)[0] is None
+    idx, _ = shelling_h_vector(path, bad)
+    assert idx == 2
 
 
 def test_verify_requires_pure_and_complete():
     impure = SimplicialComplex.from_simplices([(0, 1, 2), (3, 4)], labeled(5))
     with pytest.raises(InputError):
-        verify_shelling(impure, ShellingOrder(((0, 1, 2), (3, 4))))
+        shelling_h_vector(impure, ((0, 1, 2), (3, 4)))
     K = triangle_boundary()
     with pytest.raises(InputError):
-        verify_shelling(K, ShellingOrder(((0, 1), (0, 2))))
+        shelling_h_vector(K, ((0, 1), (0, 2)))
     with pytest.raises(InputError):
-        verify_shelling(K, ShellingOrder(((0, 1), (0, 1), (0, 2))))
+        shelling_h_vector(K, ((0, 1), (0, 1), (0, 2)))
 
 
 @pytest.mark.parametrize("variant,p,n", UNIVERSAL_SHELLED + [("K", 5, 3)])
@@ -80,18 +78,16 @@ def test_constructed_shellings_verify(variant, p, n):
     kind = UniversalKind(variant, p, n)
     K = build_universal(kind)
     order = construct_shelling_fp(kind, K)
-    assert len(order.facets) == len(K.facets())
-    ok, idx = verify_shelling(K, order)
-    assert ok, f"failed at {idx}"
+    assert len(order) == len(K.facets())
+    idx, _ = shelling_h_vector(K, order)
+    assert idx is None, f"failed at {idx}"
 
 
 def test_h_vector_of_small_shellings():
     K = triangle_boundary()
-    assert shelling_h_vector(K, ShellingOrder(((0, 1), (0, 2), (1, 2)))) == (
-        None, (1, 1, 1)
-    )
+    assert shelling_h_vector(K, ((0, 1), (0, 2), (1, 2))) == (None, (1, 1, 1))
     path = SimplicialComplex.from_simplices([(0, 1), (1, 2), (2, 3)], labeled(4))
-    order = ShellingOrder(((0, 1), (1, 2), (2, 3)))
+    order = ((0, 1), (1, 2), (2, 3))
     assert shelling_h_vector(path, order) == (None, (1, 2, 0))
     assert h_vector_from_f((1, 3, 3)) == (1, 1, 1)
     assert h_vector_from_f((1, 4, 3)) == (1, 2, 0)
@@ -110,9 +106,9 @@ def test_construction_asserts_closed_form_h_vector(monkeypatch):
 
 
 def _agrees_with_oracle(K, facets):
-    ok, idx = verify_shelling(K, ShellingOrder(tuple(facets)))
+    idx, _ = shelling_h_vector(K, facets)
     want = pairwise_first_non_shelling_step(facets)
-    assert (ok, idx) == (want is None, want), facets
+    assert idx == want, facets
     return want
 
 
@@ -121,7 +117,7 @@ def test_verify_matches_pairwise_oracle_on_universal(variant, p, n):
     kind = UniversalKind(variant, p, n)
     K = build_universal(kind)
     rng = random.Random(f"{variant}{p}{n}")
-    constructed = list(construct_shelling_fp(kind, K).facets)
+    constructed = list(construct_shelling_fp(kind, K))
     assert _agrees_with_oracle(K, constructed) is None
     for _ in range(4):
         perm = list(constructed)
@@ -253,8 +249,7 @@ def test_shifted_follows_transitive_action(variant, p, n):
     K = build_universal(kind)
     f = formula_f_vector(kind).entries
     full_skeleton = f[-1] == comb(f[1], n)
-    faces = Counter(v for d in range(K.dim + 1)
-                    for s in K.simplices_of_dim(d) for v in s)
+    faces = Counter(v for s in K.all_simplices() for v in s)
     assert len(set(faces.values())) == 1 and len(faces) == K.n_vertices
     ok, labeling = is_shifted(K)
     assert ok == full_skeleton
@@ -275,5 +270,5 @@ def test_shifted_implies_lex_shelling():
         ok, labeling = is_shifted(K)
         assert ok
         facets = sorted(K.facets(), key=lambda f: sorted(labeling[v] for v in f))
-        verdict, idx = verify_shelling(K, ShellingOrder(tuple(facets)))
-        assert verdict, f"lex order failed at {idx}"
+        idx, _ = shelling_h_vector(K, facets)
+        assert idx is None, f"lex order failed at {idx}"

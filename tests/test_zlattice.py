@@ -166,7 +166,7 @@ def test_w_matching_acyclic_and_sigma_critical():
     for norm in (2, 3, 4):
         K = build_truncated_universal_z("K", 2, norm)
         M = greedy_matching(K, list(range(K.n_vertices)))
-        ok, cycle = check_acyclic(K, M)
+        ok, cycle = check_acyclic(K, M.pairs)
         assert ok, cycle
         lab_to_id = {lab: v for v, lab in K.labels.items()}
         crit = set(M.critical)
@@ -207,7 +207,7 @@ def test_w_matching_weight_decreases_on_descents():
     K = build_truncated_universal_z("K", 2, 4)
     pivots = list(range(K.n_vertices))
     M = greedy_matching(K, pivots)
-    partner = M.partner_map()
+    partner = dict(M.pairs)  # lower cell -> upper cell
 
     def weight(s):
         return sum(v + 1 for v in s)
@@ -220,7 +220,7 @@ def test_w_matching_weight_decreases_on_descents():
             assert weight(nxt) < weight(lo)
             # extend one more alternating step if possible
             nxt_up = partner.get(nxt)
-            if nxt_up is not None and len(nxt_up) == len(nxt) + 1:
+            if nxt_up is not None:
                 for j in range(len(nxt_up)):
                     far = nxt_up[:j] + nxt_up[j + 1:]
                     if far != nxt:
