@@ -73,7 +73,6 @@ def explicit(elements):
 
 @dataclass(frozen=True)
 class POrdering:
-    prime: int
     elements: tuple
     valuations: tuple  # nu_k as exact p-powers, index k
 
@@ -140,7 +139,7 @@ def p_ordering(S, p, K, budget=None, start_index=0):
                 f"p-ordering window unstable for {S.kind} at p={p}, K={K}; "
                 "increase the budget"
             )
-    return POrdering(p, tuple(elems), tuple(p**e for e in exps))
+    return POrdering(tuple(elems), tuple(p**e for e in exps))
 
 
 def nu_k(S, p, k, budget=None, start_index=0):
@@ -223,25 +222,13 @@ def _prime_factors(n):
     return out
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    p: int
-    k: int
-    factorial_geometric: int  # k!_{powers of p}
-    factorial_integers: int  # k!_Z = k!
-    face_count: int  # f_{k-1}(X(F_p^k))
-    product_identity: bool  # k!_{powers of p} == k! * f_{k-1}(X(F_p^k))
-
-
 def check_identities(p, k):
-    """The face-count identity k!_{1,p,p^2,...} = k! * f_{k-1}(X(F_p^k)).
-    Since k! >= 1 it is also the divisibility statement: k!_Z divides
-    k!_{1,p,p^2,...} with quotient f_{k-1}(X(F_p^k))."""
+    """Whether the face-count identity k!_{1,p,p^2,...} = k! * f_{k-1}(X(F_p^k))
+    holds.  Since k! >= 1 it is also the divisibility statement: k!_Z
+    divides k!_{1,p,p^2,...} with quotient f_{k-1}(X(F_p^k))."""
     if not is_prime(p):
         raise InputError(f"not a prime: {p}")
     if k < 1:
         raise InputError("k must be >= 1")
-    lhs = generalized_factorial(geometric(1, p), k)
-    kz = factorial(k)
     face = formula_f_vector(UniversalKind("X", p, k)).entries[k]
-    return IdentityReport(p, k, lhs, kz, face, lhs == kz * face)
+    return generalized_factorial(geometric(1, p), k) == factorial(k) * face

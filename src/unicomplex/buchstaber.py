@@ -245,7 +245,6 @@ class ZetaThetaBounds:
     zeta_upper: int
     theta_lower: int
     theta_upper: int
-    monotone_next: bool
 
 
 def _zeta_lower(p, q, n):
@@ -256,25 +255,11 @@ def _zeta_lower(p, q, n):
 def zeta_theta_bounds(p, q, n):
     """Exact bounds for the least rank of a universal-complex target over
     F_q (zeta) or Z (theta) receiving K(F_p^n) nondegenerately; the theta
-    lower bound takes q = 2, where it is sharpest.  The monotone flag
-    re-evaluates at n+1 and checks all four bounds are nondecreasing."""
+    lower bound takes q = 2, where it is sharpest."""
     PrimeField(p)
     PrimeField(q)
     if n < 1:
         raise InputError("n must be >= 1")
     f0 = (p**n - 1) // (p - 1)
-    bounds = (
-        _zeta_lower(p, q, n),
-        f0,
-        _zeta_lower(p, 2, n),
-        f0,
-    )
-    f0_next = (p ** (n + 1) - 1) // (p - 1)
-    nxt = (
-        _zeta_lower(p, q, n + 1),
-        f0_next,
-        _zeta_lower(p, 2, n + 1),
-        f0_next,
-    )
-    monotone = all(b <= c for b, c in zip(bounds, nxt))
-    return ZetaThetaBounds(p, q, n, *bounds, monotone)
+    return ZetaThetaBounds(p, q, n, _zeta_lower(p, q, n), f0,
+                           _zeta_lower(p, 2, n), f0)

@@ -24,8 +24,7 @@ from .bhargava import INTEGERS, explicit, generalized_factorials, geometric, \
 from .buchstaber import buchstaber_bounds
 from .errors import AcyclicityError, InputError, ResourceLimitError
 from .homology import reduced_homology, reisner_check
-from .morse import critical_census, greedy_matching, check_acyclic, \
-    morse_summary, pivot_free_facet_count
+from .morse import critical_census, greedy_matching, pivot_free_facet_count
 from .scomplex import SIMPLEX_BUDGET, format_facet_list, parse_facet_list
 from .shelling import construct_shelling_fp, is_shifted, shelling_h_vector
 from .universal_fp import (
@@ -164,10 +163,19 @@ def _add_universal_args(sub, required=True):
     _add_budget(sub)
 
 
+def _read_text(path):
+    """The text of an input file read as UTF-8; one that does not decode is
+    an InputError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _get_complex(args):
     if getattr(args, "facets", None):
-        with open(args.facets, encoding="utf-8") as fh:
-            return parse_facet_list(fh.read(), budget=args.budget), None
+        return parse_facet_list(_read_text(args.facets), budget=args.budget), None
     if args.variant is None or args.p is None or args.n is None:
         raise UsageError("give either --facets FILE or --variant/--p/--n")
     kind = UniversalKind(args.variant, args.p, args.n)
@@ -251,26 +259,33 @@ def cmd_morse(args):
     if args.pivots:
         pivots = list(args.pivots.values)
     elif kind is not None:
-        pivots = list(standard_pivot_ids(K))
+        pivots = list(standard_pivot_ids(kind))
     else:
         raise UsageError("--pivots is required for a facet-list complex")
-    summary = morse_summary(K, pivots)
+    matching = greedy_matching(K, pivots)
+    census = critical_census(matching)
+    euler = K.f_vector().euler
+    # the two cells of a pair cancel in the alternating sum, so for any
+    # matching the critical cells alone give chi
+    if sum((-1) ** d * c for d, c in census.items()) != euler:
+        raise AssertionError(f"Euler count mismatch: chi={euler}, census={census}")
+    clean = set(census) <= {0, K.dim} and census.get(0) == 1
     pivot_free = pivot_free_facet_count(K, pivots)
     results = {
         "pivots": pivots,
-        "pairs": summary.n_pairs,
-        "acyclic": True,  # morse_summary raises on a cycle
-        "critical": {str(d): c for d, c in summary.critical_by_dim.items()},
-        "euler": summary.euler,
-        "euler_consistent": summary.euler_consistent,
-        "middle_critical": summary.middle_critical,
+        "pairs": len(matching.pairs),
+        "acyclic": True,  # greedy_matching raises on a cycle
+        "critical": {str(d): c for d, c in census.items()},
+        "euler": euler,
+        "euler_consistent": clean,
+        "middle_critical": not clean,
         "pivot_free_facets": pivot_free,
     }
     if kind is not None and kind.variant == "K":
         # the pivot-free count of the standard schedule
         results["axis_avoiding_basis_count"] = (
             pivot_free if not args.pivots
-            else pivot_free_facet_count(K, standard_pivot_ids(K))
+            else pivot_free_facet_count(K, standard_pivot_ids(kind))
         )
     return 0, results
 
@@ -281,28 +296,25 @@ def cmd_shelling(args):
             "constructing a shelling needs --variant/--p/--n; "
             "--facets needs --order"
         )
+    K, kind = _get_complex(args)
     if args.order:
-        K, _ = _get_complex(args)
         label_to_id = {str(lab): v for v, lab in K.labels.items()}
         facets = []
-        with open(args.order, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    facets.append(
-                        tuple(sorted(label_to_id[t] for t in line.split()))
-                    )
-                except KeyError as exc:
-                    raise InputError(f"unknown vertex label {exc} in order file")
+        for line in _read_text(args.order).split("\n"):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                facets.append(
+                    tuple(sorted(label_to_id[t] for t in line.split()))
+                )
+            except KeyError as exc:
+                raise InputError(f"unknown vertex label {exc} in order file")
         idx, _ = shelling_h_vector(K, facets)
         results = {"verified": idx is None, "n_facets": len(facets)}
         if idx is not None:
             results["first_failing_index"] = idx
         return (0 if idx is None else 1), results
-    kind = UniversalKind(args.variant, args.p, args.n)
-    K = build_universal(kind, budget=args.budget)
     order = construct_shelling_fp(kind, K)
     results = {"constructed": True, "n_facets": len(order), "verified": True}
     if args.out:
@@ -344,8 +356,7 @@ def cmd_buchstaber(args):
 
 def cmd_zcheck(args):
     if args.pair:
-        with open(args.pair, encoding="utf-8") as fh:
-            pair = parse_quasitoric_pair(fh.read(), budget=args.budget)
+        pair = parse_quasitoric_pair(_read_text(args.pair), budget=args.budget)
         ok, witness = validate_quasitoric_pair(pair)
         results = {"pair_valid": ok, "n": pair.n, "m": pair.m}
         if not ok:
@@ -355,19 +366,18 @@ def cmd_zcheck(args):
         return (0 if ok else 1), results
     K = build_truncated_universal_z("K", args.n, args.max_norm, budget=args.budget)
     pivots = list(range(K.n_vertices))
-    matching = greedy_matching(K, pivots)
-    ok, _ = check_acyclic(K, matching.pairs)
+    matching = greedy_matching(K, pivots)  # raises on a cycle
     census = {str(d): c for d, c in critical_census(matching).items()}
     critical = set(matching.critical)
     sigmas = {f"sigma_{k}": simp in critical for k, simp in sigma_family(K)}
     results = {
         "lines": [str(l) for l in enumerate_z_lines(args.n, args.max_norm)],
         **_fv(K),
-        "w_matching_acyclic": ok,
+        "w_matching_acyclic": True,
         "critical": census,
         "sigma_family_critical": sigmas,
     }
-    return (0 if ok and all(sigmas.values()) else 1), results
+    return (0 if all(sigmas.values()) else 1), results
 
 
 def _parse_ground_set(spec):
@@ -515,7 +525,7 @@ def dispatch(argv):
         return code, emit_report(report, args.format)
     except UsageError as exc:
         return 2, f"usage error: {exc}\n"
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError) as exc:
         return 2, f"input error: {exc}\n"
     except ResourceLimitError as exc:
         return 3, f"resource error: {exc}\n"

@@ -8,8 +8,12 @@ conflict-free: lower partners never contain the pivot, upper partners always
 do, and the upper partner determines the lower one, so the result does not
 depend on the order in which a step visits the simplices.  The empty simplex
 participates in no pair.  `greedy_matching` returns the sorted pairs and the
-critical cells; `check_acyclic` reads a list of pairs alone, wherever it
-comes from.
+critical cells only after `check_acyclic` has found no cycle among the
+pairs, so every `Matching` it returns is a discrete gradient; on a cycle it
+raises AcyclicityError.  `check_acyclic` reads a list of pairs alone,
+wherever it comes from, and `critical_census` counts the critical cells by
+dimension: for any matching, their alternating sum is the Euler
+characteristic.
 
 Discrete Morse theory asks only that the pairs be covering pairs forming an
 acyclic matching.  No test that the pivot's label lies outside span(sigma) is
@@ -44,24 +48,15 @@ class Matching:
     critical: tuple  # unmatched simplices, by dimension, each sorted
 
 
-@dataclass(frozen=True)
-class MorseSummary:
-    """The census of a matching that `morse_summary` has checked acyclic."""
-
-    n_pairs: int
-    critical_by_dim: dict
-    euler: int
-    euler_consistent: bool  # only meaningful when middle_critical is False
-    middle_critical: bool
-
-
 def greedy_matching(K, pivots):
-    """Run the inductive pivot schedule and return the resulting matching.
+    """Run the inductive pivot schedule and return the resulting matching,
+    checked acyclic (AcyclicityError with the witness cycle otherwise).
 
     Every simplex of dimension >= 1 is indexed once under each of its
     vertices that is a scheduled pivot; the step for pivot v pairs
     (up - v, up) for every up in the star of v whose two members are both
-    still unmatched."""
+    still unmatched.  The star lists and the matched set are released
+    before the acyclicity check runs."""
     vertex_set = set(K.labels)
     for pv in pivots:
         if pv not in vertex_set:
@@ -90,17 +85,30 @@ def greedy_matching(K, pivots):
         s for d in range(K.dim + 1)
         for s in K.sorted_simplices(d) if s not in matched
     )
-    return Matching(tuple(sorted(pairs)), critical)
+    del star, matched
+    pairs = tuple(sorted(pairs))
+    ok, cycle = check_acyclic(K, pairs)
+    if not ok:
+        raise AcyclicityError(cycle)
+    return Matching(pairs, critical)
 
 
 def _check_pairs(K, pairs):
     """Raise InputError unless every pair is a covering pair of K and no
-    simplex occurs twice."""
+    simplex occurs twice.  Only the upper cell is looked up in K: a
+    nonempty lower cell that is a sorted codimension-1 face of it is in K
+    too, as K is closed under faces, so the lower cell is looked up only to
+    name the error when it is not."""
     seen = set()
     for lo, hi in pairs:
-        if lo not in K or hi not in K:
+        if hi not in K:
             raise InputError(f"pair ({lo}, {hi}) uses simplices outside the complex")
-        if len(hi) != len(lo) + 1 or not set(lo).issubset(hi):
+        vs = set(lo)
+        if not (lo and len(hi) == len(lo) + 1 and vs.issubset(hi)
+                and lo == tuple(sorted(vs))):
+            if lo not in K:
+                raise InputError(
+                    f"pair ({lo}, {hi}) uses simplices outside the complex")
             raise InputError(f"pair ({lo}, {hi}) is not a covering pair")
         if lo in seen or hi in seen:
             raise InputError("a simplex occurs in two pairs")
@@ -170,33 +178,3 @@ def pivot_free_facet_count(K, pivots):
     the two are not asserted equal)."""
     pv = set(pivots)
     return sum(1 for f in K.facets() if pv.isdisjoint(f))
-
-
-def morse_summary(K, pivots):
-    """Matching + acyclicity + critical census + Euler bookkeeping.
-
-    When the critical cells are exactly one vertex plus top-dimensional
-    cells, chi(K) must equal 1 + (-1)^top * (top critical count); any
-    critical cell in another dimension is flagged instead."""
-    matching = greedy_matching(K, pivots)
-    ok, cycle = check_acyclic(K, matching.pairs)
-    if not ok:
-        raise AcyclicityError(cycle)
-    census = critical_census(matching)
-    euler = K.f_vector().euler
-    top = K.dim
-    clean = set(census) <= {0, top} and census.get(0) == 1
-    middle = not clean
-    morse_euler = sum((-1) ** d * c for d, c in census.items())
-    consistent = clean and euler == morse_euler
-    if clean and not consistent:
-        raise AssertionError(
-            f"Euler count mismatch: chi={euler}, census={census}"
-        )
-    return MorseSummary(
-        n_pairs=len(matching.pairs),
-        critical_by_dim=census,
-        euler=euler,
-        euler_consistent=consistent,
-        middle_critical=middle,
-    )

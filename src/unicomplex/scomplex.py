@@ -3,7 +3,10 @@
 Simplices are tuples of strictly increasing vertex ids (dense ints).  The
 empty simplex is implicit (f_{-1} = 1) and never stored.  A complex stores
 all simplices grouped by dimension together with a label table mapping each
-vertex id to an opaque label (an FpVector, FpLine, ZLine, or plain string).
+vertex id to an opaque label (an FpVector, FpLine, ZLine, or plain string),
+and nothing else: it keeps no record of how it was made, so a caller that
+needs, say, the universal kind a complex was built from passes that kind
+along itself.
 
 Each level is stored once, as a lexicographically sorted tuple.  The sort
 runs once per level, when the complex is made, and nothing sorts a level
@@ -60,21 +63,20 @@ class FVector:
 class SimplicialComplex:
     """Immutable finite simplicial complex, closed under taking subsets."""
 
-    __slots__ = ("_levels", "_facets", "labels", "meta")
+    __slots__ = ("_levels", "_facets", "labels")
 
-    def __init__(self, by_dim, labels, meta=None):
+    def __init__(self, by_dim, labels):
         levels = [tuple(sorted(level)) for level in by_dim]
         while levels and not levels[-1]:
             levels.pop()
         self._levels = tuple(levels)
         self._facets = None  # sorted tuple, computed on first use
         self.labels = dict(labels)
-        self.meta = dict(meta) if meta else {}
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_simplices(cls, simplices, labels, meta=None, budget=SIMPLEX_BUDGET):
+    def from_simplices(cls, simplices, labels, budget=SIMPLEX_BUDGET):
         """Downward closure of the given simplices.  Every key of `labels`
         becomes a vertex (so isolated vertices are allowed); every simplex
         must use labeled vertices only.
@@ -112,7 +114,7 @@ class SimplicialComplex:
                         f"closure exceeds simplex budget {budget}"
                     )
                 level.update(new)
-        return cls(by_dim, labels, meta)
+        return cls(by_dim, labels)
 
     # -- basic queries -----------------------------------------------------
 
@@ -197,7 +199,7 @@ class SimplicialComplex:
             for d in range(len(s), self.dim + 1)
         ]
         labels = {v: self.labels[v] for (v,) in by_dim[0]} if by_dim else {}
-        return SimplicialComplex(by_dim, labels, self.meta)
+        return SimplicialComplex(by_dim, labels)
 
 
 def _bit_ids(bits):

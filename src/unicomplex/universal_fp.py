@@ -27,8 +27,6 @@ from operator import mul
 
 from .errors import InputError, ResourceLimitError
 from .fplin import (
-    FpLine,
-    FpVector,
     PrimeField,
     enumerate_lines_fp,
     enumerate_vectors_fp,
@@ -154,8 +152,7 @@ def build_universal(kind, budget=SIMPLEX_BUDGET):
                                partial(_quotient_step_fp, p=p),
                                _finish_fp(gens, p), budget, str(kind))
     labels = {i: lab for i, lab in enumerate(labels_seq)}
-    meta = {"universal": kind, "ring": "fp", "p": p, "n": n, "variant": kind.variant}
-    K = SimplicialComplex(by_dim, labels, meta)
+    K = SimplicialComplex(by_dim, labels)
     if K.dim != n - 1 or not K.is_pure():
         raise AssertionError(f"built {kind} is not pure of dimension {n - 1}")
     built, formula = K.f_vector().entries, formula_f_vector(kind).entries
@@ -166,21 +163,15 @@ def build_universal(kind, budget=SIMPLEX_BUDGET):
     return K
 
 
-def standard_pivot_ids(K):
-    """Vertex ids of e_1, ..., e_n (X) or L(e_1), ..., L(e_n) (K), in order.
+def standard_pivot_ids(kind):
+    """Vertex ids of e_1, ..., e_n (X) or L(e_1), ..., L(e_n) (K) in
+    `build_universal(kind)`, in order.
 
     These are the pivot schedules used by the greedy matchings and the
-    counts of pivot-free facets."""
-    kind = K.meta.get("universal")
-    if kind is None:
-        raise InputError("complex does not carry universal metadata")
-    n = kind.n
-    want = []
-    for i in range(n):
-        coords = tuple(1 if j == i else 0 for j in range(n))
-        if kind.variant == "X":
-            want.append(FpVector(coords))
-        else:
-            want.append(FpLine(FpVector(coords)))
-    by_label = {lab: v for v, lab in K.labels.items()}
-    return tuple(by_label[w] for w in want)
+    counts of pivot-free facets.  A vertex id is the label's position in
+    the lexicographic enumeration.  The vectors before e_i are the nonzero
+    ones with zeros in coordinates 1..i, p^(n-i) - 1 of them, and the lines
+    before L(e_i) are the lines among those, (p^(n-i) - 1) / (p - 1)."""
+    p, n = kind.p, kind.n
+    per_id = 1 if kind.variant == "X" else p - 1
+    return tuple((p ** (n - i) - 1) // per_id for i in range(1, n + 1))

@@ -210,8 +210,7 @@ def build_truncated_universal_z(variant, n, max_norm, budget=SIMPLEX_BUDGET):
         f"truncated {variant}(Z^{n}), max_norm={max_norm}",
     )
     labels = {i: lab for i, lab in enumerate(labels_seq)}
-    meta = {"ring": "z", "variant": variant, "n": n, "max_norm": max_norm}
-    return SimplicialComplex(by_dim, labels, meta)
+    return SimplicialComplex(by_dim, labels)
 
 
 def critical_family_sigma(n, k):
@@ -235,8 +234,9 @@ def critical_family_sigma(n, k):
 def sigma_family(K):
     """(k, simplex) for k = 1, 2, ... while every line of sigma_k is a vertex
     of the truncation K of K(Z^n), with the simplex as sorted vertex ids;
-    nothing for n < 2, where the family is not defined."""
-    n = K.meta["n"]
+    nothing for n < 2, where the family is not defined.  n is read off the
+    vertex labels, lines in Z^n."""
+    n = K.labels[0].n
     if n < 2:
         return
     lab_to_id = {lab: v for v, lab in K.labels.items()}

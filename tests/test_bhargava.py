@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -15,6 +16,7 @@ from unicomplex.bhargava import (
     nu_k,
     p_ordering,
 )
+from unicomplex.universal_fp import UniversalKind, formula_f_vector
 
 from oracles import (
     min_valuation_over_window,
@@ -210,20 +212,21 @@ def test_divisibility_for_nested_sets():
 
 
 def test_identities_examples():
-    rep = check_identities(2, 3)
-    assert rep.factorial_geometric == 168
-    assert rep.factorial_integers == 6
-    assert rep.face_count == 28
-    assert rep.product_identity
-    rep = check_identities(3, 2)
-    assert rep.factorial_geometric == 48 and rep.face_count == 24
-    rep = check_identities(5, 1)
-    assert rep.factorial_geometric == 4  # p - 1
-    assert rep.face_count == 4
+    # the three values the identity relates: k!_{powers of p}, k! and
+    # f_{k-1}(X(F_p^k))
+    def values(p, k):
+        return (generalized_factorial(geometric(1, p), k), factorial(k),
+                formula_f_vector(UniversalKind("X", p, k)).entries[k])
+
+    assert values(2, 3) == (168, 6, 28)
+    assert check_identities(2, 3)
+    assert values(3, 2) == (48, 2, 24)
+    assert check_identities(3, 2)
+    assert values(5, 1) == (4, 1, 4)  # k!_{powers of p} = p - 1
+    assert check_identities(5, 1)
 
 
 def test_identities_sweep():
     for p in (2, 3, 5):
         for k in range(1, 6):
-            rep = check_identities(p, k)
-            assert rep.product_identity
+            assert check_identities(p, k) is True

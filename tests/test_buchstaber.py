@@ -174,9 +174,13 @@ def test_zeta_theta_examples():
 
 
 def test_zeta_theta_sanity_and_monotonicity():
+    def bounds(b):
+        return (b.zeta_lower, b.zeta_upper, b.theta_lower, b.theta_upper)
+
     for p, q in ((2, 2), (3, 3), (2, 5)):
         for n in (1, 2, 3):
             b = zeta_theta_bounds(p, q, n)
             assert b.zeta_lower <= b.zeta_upper
             assert b.theta_lower <= b.theta_upper
-            assert b.monotone_next
+            nxt = zeta_theta_bounds(p, q, n + 1)
+            assert all(x <= y for x, y in zip(bounds(b), bounds(nxt)))

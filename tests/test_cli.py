@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import unicomplex
-from unicomplex import cli
+from unicomplex import cli, morse
 from unicomplex.cli import dispatch, emit_report
 from unicomplex.errors import AcyclicityError
 from unicomplex.scomplex import SIMPLEX_BUDGET
@@ -78,6 +78,46 @@ def test_morse_report():
     rep = json.loads(text)
     assert rep["results"]["acyclic"] is True
     assert rep["results"]["critical"] == {"0": "1", "2": "13"}
+
+
+@pytest.mark.parametrize("variant,p,n,euler,critical", [
+    ("K", "2", "3", "14", {"0": "1", "2": "13"}),
+    ("X", "3", "2", "-16", {"0": "1", "1": "17"}),
+    ("K", "5", "1", "1", {"0": "1"}),
+])
+def test_morse_report_euler_bookkeeping(variant, p, n, euler, critical):
+    code, text = run("morse", "--variant", variant, "--p", p, "--n", n)
+    assert code == 0
+    res = json.loads(text)["results"]
+    assert (res["euler"], res["critical"]) == (euler, critical)
+    assert res["euler_consistent"] is True
+    assert res["middle_critical"] is False
+
+
+def test_morse_report_flags_a_middle_critical_cell(tmp_path):
+    # a filled triangle a b c with the loop b c d; pivot c leaves the
+    # vertex c and the edge b d critical
+    facets = tmp_path / "loop.facets"
+    facets.write_text("a b c\nc d\nb d\n")
+    code, text = run("morse", "--facets", str(facets), "--pivots", "2")
+    assert code == 0
+    res = json.loads(text)["results"]
+    assert (res["euler"], res["critical"]) == ("0", {"0": "1", "1": "1"})
+    assert res["euler_consistent"] is False
+    assert res["middle_critical"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["morse", "--variant", "K", "--p", "2", "--n", "3"],
+    ["zcheck", "--n", "2", "--max-norm", "3"],
+])
+def test_cyclic_matching_exits_1_with_one_line(monkeypatch, argv):
+    cycle = [(0,), (0, 1), (1,), (1, 2)]
+    monkeypatch.setattr(morse, "check_acyclic", lambda K, pairs: (False, cycle))
+    code, text = run(*argv)
+    assert code == 1
+    assert text.startswith("self-check failed: ")
+    assert text.count("\n") == 1 and text.endswith("\n")
 
 
 def test_homology_report():
@@ -158,6 +198,9 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _ = run("morse", "--facets", "/nonexistent/file")
     assert code == 2
+    code, text = run("shelling", "--p", "3", "--n", "3")
+    assert (code, text) == (
+        2, "usage error: give either --facets FILE or --variant/--p/--n\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -199,6 +242,7 @@ def test_shelling_facets_without_order_is_a_usage_error(tmp_path):
     ["homology", "--facets", "{LATIN1}"],
     ["morse", "--facets", "{LATIN1}", "--pivots", "0"],
     ["zcheck", "--pair", "{LATIN1}"],
+    ["shelling", "--facets", "{F}", "--order", "{LATIN1}"],
 ])
 def test_unreadable_files_exit_2_with_one_line(tmp_path, argv):
     facets = tmp_path / "tri.facets"
@@ -209,6 +253,8 @@ def test_unreadable_files_exit_2_with_one_line(tmp_path, argv):
     code, text = run(*(subs.get(a, a) for a in argv))
     assert code == 2
     assert text.startswith("input error: ")
+    if "{LATIN1}" in argv:
+        assert text.startswith(f"input error: {latin1}: ")
     assert text.count("\n") == 1 and text.endswith("\n")
 
 

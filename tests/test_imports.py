@@ -1,6 +1,6 @@
 """The lint steps: every name a library module imports is used in it, and
-every public function, class and method of the library is read somewhere
-in the library."""
+every public function, class, method, property and annotated field of the
+library is read somewhere in the library."""
 
 import ast
 from pathlib import Path
@@ -60,11 +60,21 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _members(cls):
+    """The names of the methods (properties included) and annotated fields
+    defined in a class body."""
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            yield item.name
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item.target.id
+
+
 def unread_public_names(sources):
-    """Public module-level functions and classes, and public methods of the
-    public classes, whose name no Name or Attribute node of any of the
-    sources {module: text} reads; as "module.name" or
-    "module.Class.method", sorted."""
+    """Public module-level functions and classes, and the public methods,
+    properties and annotated fields of the public classes, whose name no
+    Name or Attribute node of any of the sources {module: text} reads; as
+    "module.name" or "module.Class.member", sorted."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -74,10 +84,8 @@ def unread_public_names(sources):
                 defined.append((f"{module}.{node.name}", node.name))
                 if isinstance(node, ast.ClassDef):
                     defined.extend(
-                        (f"{module}.{node.name}.{item.name}", item.name)
-                        for item in node.body
-                        if isinstance(item, ast.FunctionDef)
-                        and not item.name.startswith("_"))
+                        (f"{module}.{node.name}.{name}", name)
+                        for name in _members(node) if not name.startswith("_"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -93,15 +101,24 @@ def test_unread_public_name_detector():
             "def unused():\n    pass\n"
             "def _private():\n    pass\n"
             "class C:\n"
+            "    x: int\n"
+            "    y: int = 0\n"
+            "    _z: int\n"
+            "    w = 0\n"
             "    def m(self):\n        pass\n"
             "    def n(self):\n        pass\n"
             "    def _p(self):\n        pass\n"
+            "    @property\n"
+            "    def q(self):\n        pass\n"
+            "    @property\n"
+            "    def r(self):\n        pass\n"
             "class _Hidden:\n"
             "    def hook(self):\n        pass\n"
+            "    v: int\n"
         ),
-        "b": "from a import C, unused, used\nused()\nf = C().m\n",
+        "b": "from a import C, unused, used\nused()\nf = C().m\nc = C()\nc.x, c.q\n",
     }
-    assert unread_public_names(sources) == ["a.C.n", "a.unused"]
+    assert unread_public_names(sources) == ["a.C.n", "a.C.r", "a.C.y", "a.unused"]
 
 
 def test_public_names_are_read_in_the_library():

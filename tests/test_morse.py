@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from unicomplex.errors import InputError
+from unicomplex import morse
+from unicomplex.errors import AcyclicityError, InputError
 from unicomplex.homology import reduced_homology
 from unicomplex.morse import (
     check_acyclic,
     critical_census,
     greedy_matching,
-    morse_summary,
     pivot_free_facet_count,
 )
 from unicomplex.scomplex import SimplicialComplex, parse_facet_list
@@ -60,30 +60,32 @@ def test_hasse_edge_counts():
 def test_matching_k32_hand_trace():
     # pivots L(e_1), L(e_2); the critical cells are the vertex L(e_1) and
     # the three edges among the non-pivot lines and L(e_2)
-    K = build_universal(UniversalKind("K", 3, 2))
-    M = greedy_matching(K, standard_pivot_ids(K))
+    kind = UniversalKind("K", 3, 2)
+    K = build_universal(kind)
+    M = greedy_matching(K, standard_pivot_ids(kind))
     cells = critical_cells(M)
-    e1 = standard_pivot_ids(K)[0]
+    e1 = standard_pivot_ids(kind)[0]
     assert cells[0] == [(e1,)]
     assert len(cells[1]) == 3
-    assert sphere_count(UniversalKind("K", 3, 2)).count == 3
+    assert sphere_count(kind).count == 3
 
 
 def test_matching_x32_census():
-    K = build_universal(UniversalKind("X", 3, 2))
-    M = greedy_matching(K, standard_pivot_ids(K))
+    kind = UniversalKind("X", 3, 2)
+    M = greedy_matching(build_universal(kind), standard_pivot_ids(kind))
     assert critical_census(M) == {0: 1, 1: 17}
 
 
 def test_matching_k23_census():
-    K = build_universal(UniversalKind("K", 2, 3))
-    M = greedy_matching(K, standard_pivot_ids(K))
+    kind = UniversalKind("K", 2, 3)
+    M = greedy_matching(build_universal(kind), standard_pivot_ids(kind))
     assert critical_census(M) == {0: 1, 2: 13}
 
 
 def test_matching_validity_and_determinism():
-    K = build_universal(UniversalKind("K", 3, 2))
-    piv = standard_pivot_ids(K)
+    kind = UniversalKind("K", 3, 2)
+    K = build_universal(kind)
+    piv = standard_pivot_ids(kind)
     a = greedy_matching(K, piv)
     b = greedy_matching(K, piv)
     assert a == b
@@ -106,9 +108,17 @@ def test_greedy_matchings_acyclic():
     for variant, p, n in (("K", 2, 2), ("K", 2, 3), ("K", 3, 2), ("K", 3, 3)):
         kind = UniversalKind(variant, p, n)
         K = build_universal(kind)
-        M = greedy_matching(K, standard_pivot_ids(K))
+        M = greedy_matching(K, standard_pivot_ids(kind))
         ok, cycle = check_acyclic(K, M.pairs)
         assert ok and cycle is None
+
+
+def test_greedy_matching_raises_on_a_cycle(monkeypatch):
+    cycle = [(0,), (0, 1), (1,), (1, 2)]
+    monkeypatch.setattr(morse, "check_acyclic", lambda K, pairs: (False, cycle))
+    with pytest.raises(AcyclicityError) as err:
+        greedy_matching(triangle_boundary(), [0])
+    assert err.value.cycle == cycle
 
 
 def test_classic_cyclic_matching_detected():
@@ -153,7 +163,7 @@ def test_link_matching_in_x23():
     # pivots e_2, e_3 on the link of the vertex e_1
     kind = UniversalKind("X", 2, 3)
     X = build_universal(kind)
-    pivots = standard_pivot_ids(X)
+    pivots = standard_pivot_ids(kind)
     L = X.link((pivots[0],))
     M = greedy_matching(L, pivots[1:])
     ok, _ = check_acyclic(L, M.pairs)
@@ -165,7 +175,7 @@ def test_link_matching_in_x23():
 def test_link_matching_in_k33():
     kind = UniversalKind("K", 3, 3)
     K = build_universal(kind)
-    pivots = standard_pivot_ids(K)
+    pivots = standard_pivot_ids(kind)
     L = K.link((pivots[0],))
     M = greedy_matching(L, pivots[1:])
     ok, _ = check_acyclic(L, M.pairs)
@@ -176,33 +186,12 @@ def test_link_matching_in_k33():
     assert reduced_homology(L).betti == (0, want)
 
 
-def test_morse_summary_k23():
-    K = build_universal(UniversalKind("K", 2, 3))
-    s = morse_summary(K, standard_pivot_ids(K))
-    assert s.euler == 14
-    assert s.critical_by_dim == {0: 1, 2: 13}
-    assert s.euler_consistent and not s.middle_critical
-
-
-def test_morse_summary_x32():
-    K = build_universal(UniversalKind("X", 3, 2))
-    s = morse_summary(K, standard_pivot_ids(K))
-    assert s.euler == -16
-    assert s.critical_by_dim == {0: 1, 1: 17}
-
-
-def test_morse_summary_point():
-    K = build_universal(UniversalKind("K", 5, 1))
-    s = morse_summary(K, standard_pivot_ids(K))
-    assert s.critical_by_dim == {0: 1}
-    assert s.euler_consistent
-
-
 def test_prose_census_recorded_not_asserted():
     # operational critical count (3) differs from the pivot-free facet
     # census (1) on K(F_3^2); both are exposed
-    K = build_universal(UniversalKind("K", 3, 2))
-    piv = standard_pivot_ids(K)
+    kind = UniversalKind("K", 3, 2)
+    K = build_universal(kind)
+    piv = standard_pivot_ids(kind)
     M = greedy_matching(K, piv)
     assert critical_census(M)[1] == 3
     assert pivot_free_facet_count(K, piv) == 1
@@ -213,15 +202,16 @@ def _oracle_cases():
     rng = random.Random(2017)
     for variant in ("X", "K"):
         for p, n in ((2, 3), (3, 2), (3, 3), (2, 4), (5, 2)):
-            K = build_universal(UniversalKind(variant, p, n))
-            yield f"{variant}({p},{n}) standard", K, standard_pivot_ids(K)
+            kind = UniversalKind(variant, p, n)
+            K = build_universal(kind)
+            yield f"{variant}({p},{n}) standard", K, standard_pivot_ids(kind)
             for i in range(2):
                 perm = list(K.labels)
                 rng.shuffle(perm)
                 yield f"{variant}({p},{n}) permutation {i}", K, perm
     for kind in (UniversalKind("X", 2, 3), UniversalKind("K", 3, 3)):
         K = build_universal(kind)
-        pivots = standard_pivot_ids(K)
+        pivots = standard_pivot_ids(kind)
         yield f"link in {kind}", K.link((pivots[0],)), pivots[1:]
     for n, norm in ((2, 6), (3, 3)):
         K = build_truncated_universal_z("K", n, norm)
@@ -231,8 +221,9 @@ def _oracle_cases():
         yield f"K(Z^{n}) norm {norm} permutation", K, perm
     S = parse_facet_list("a b c\nb c d\nc d e\na e\nf\n")
     yield "string labels", S, [1, 3, 0, 4]
-    K = build_universal(UniversalKind("K", 2, 3))
-    piv = standard_pivot_ids(K)
+    kind = UniversalKind("K", 2, 3)
+    K = build_universal(kind)
+    piv = standard_pivot_ids(kind)
     yield "repeated pivot", K, [piv[1], piv[0], piv[1], piv[2], piv[0]]
 
 
@@ -289,7 +280,7 @@ def _acyclicity_cases():
     for kind in (UniversalKind("K", 2, 3), UniversalKind("K", 3, 3),
                  UniversalKind("X", 3, 2), UniversalKind("X", 2, 3)):
         K = build_universal(kind)
-        yield f"{kind} standard", K, greedy_matching(K, standard_pivot_ids(K)).pairs
+        yield f"{kind} standard", K, greedy_matching(K, standard_pivot_ids(kind)).pairs
         yield f"{kind} random", K, _random_covering_matching(K, rng, 1.0)
     K = build_truncated_universal_z("K", 3, 4)
     yield "K(Z^3) norm 4 all vertices", K, greedy_matching(K, list(range(K.n_vertices))).pairs

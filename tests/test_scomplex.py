@@ -27,7 +27,7 @@ def full_subcomplex(K, vertex_set):
         raise InputError(f"unknown vertices: {sorted(unknown)}")
     by_dim = [[s for s in K.sorted_simplices(d) if I.issuperset(s)]
               for d in range(K.dim + 1)]
-    return SimplicialComplex(by_dim, {v: K.labels[v] for v in I}, K.meta)
+    return SimplicialComplex(by_dim, {v: K.labels[v] for v in I})
 
 
 def skeleton(K, r):
@@ -36,7 +36,7 @@ def skeleton(K, r):
         raise InputError(f"skeleton dimension {r} out of range [-1, {K.dim}]")
     labels = K.labels if r >= 0 else {}
     return SimplicialComplex([K.sorted_simplices(d) for d in range(r + 1)],
-                             labels, K.meta)
+                             labels)
 
 
 def test_from_facets_two_edges():
@@ -205,9 +205,9 @@ def test_grow_by_extension_pairwise_coprime(depth):
 def test_builders_hand_over_sorted_levels(monkeypatch, build):
     handed = []
 
-    def recording(by_dim, labels, meta=None):
+    def recording(by_dim, labels):
         handed.append([list(level) for level in by_dim])
-        return SimplicialComplex(by_dim, labels, meta)
+        return SimplicialComplex(by_dim, labels)
 
     monkeypatch.setattr(universal_fp, "SimplicialComplex", recording)
     monkeypatch.setattr(zlattice, "SimplicialComplex", recording)

@@ -28,12 +28,9 @@ X32 = UniversalKind("X", 3, 2)
 # -- the projection phi and its sections psi --------------------------------
 
 
-def phi_vertex_map(x_complex, k_complex):
+def phi_vertex_map(x_complex, k_complex, p):
     """Vertex map of phi: each nonzero vector to the line it generates."""
-    kind = x_complex.meta.get("universal")
-    if kind is None or kind.variant != "X":
-        raise InputError("phi projects from an X(F_p^n) complex")
-    field = kind.field
+    field = PrimeField(p)
     line_id = {lab: v for v, lab in k_complex.labels.items()}
     return {
         v: line_id[line_canonical_fp(lab, field)]
@@ -41,9 +38,9 @@ def phi_vertex_map(x_complex, k_complex):
     }
 
 
-def project_phi(x_complex, k_complex, simplex):
+def project_phi(x_complex, k_complex, p, simplex):
     """Image of an X-simplex under phi, as a simplex of K (equal dimension)."""
-    vmap = phi_vertex_map(x_complex, k_complex)
+    vmap = phi_vertex_map(x_complex, k_complex, p)
     s = tuple(simplex)
     if s not in x_complex:
         raise InputError(f"simplex {s} not in the source complex")
@@ -53,16 +50,13 @@ def project_phi(x_complex, k_complex, simplex):
     return image
 
 
-def section_psi(k_complex, x_complex, choice=None):
+def section_psi(k_complex, x_complex, p, choice=None):
     """Vertex map of a section psi of phi: each line to a generator on it.
 
     `choice` maps FpLine labels to FpVector generators; by default the
     canonical (first-nonzero = 1) generator is used.  A generator off its
     line is an input error."""
-    kind = k_complex.meta.get("universal")
-    if kind is None or kind.variant != "K":
-        raise InputError("psi is a section over a K(F_p^n) complex")
-    field = kind.field
+    field = PrimeField(p)
     vec_id = {lab: v for v, lab in x_complex.labels.items()}
     out = {}
     for v, line in k_complex.labels.items():
@@ -165,7 +159,7 @@ def test_phi_trivial_vertex():
     X = build_universal(UniversalKind("X", 2, 3))
     K = build_universal(K23)
     e1 = next(v for v, lab in X.labels.items() if lab == FpVector((1, 0, 0)))
-    img = project_phi(X, K, (e1,))
+    img = project_phi(X, K, 2, (e1,))
     assert K.labels[img[0]] == FpLine(FpVector((1, 0, 0)))
 
 
@@ -173,7 +167,7 @@ def test_phi_fiber_size():
     # (p-1)^k to 1 on (k-1)-simplices
     X = build_universal(X32)
     K = build_universal(K32)
-    vmap = phi_vertex_map(X, K)
+    vmap = phi_vertex_map(X, K, 3)
     target = K.sorted_simplices(1)[0]
     fibers = [
         s for s in X.sorted_simplices(1) if map_simplex(vmap, s) == target
@@ -184,7 +178,7 @@ def test_phi_fiber_size():
 def test_phi_bijection_for_p2():
     X = build_universal(UniversalKind("X", 2, 3))
     K = build_universal(K23)
-    vmap = phi_vertex_map(X, K)
+    vmap = phi_vertex_map(X, K, 2)
     for d in range(3):
         images = {map_simplex(vmap, s) for s in X.sorted_simplices(d)}
         assert images == set(K.sorted_simplices(d))
@@ -196,8 +190,8 @@ def test_psi_is_section_and_full_subcomplex():
         xkind = UniversalKind("X", kind.p, kind.n)
         X = build_universal(xkind)
         K = build_universal(kind)
-        psi = section_psi(K, X)
-        phi = phi_vertex_map(X, K)
+        psi = section_psi(K, X, kind.p)
+        phi = phi_vertex_map(X, K, kind.p)
         for v in K.vertices():
             assert phi[psi[v]] == v
         image_vertices = set(psi.values())
@@ -216,25 +210,33 @@ def test_psi_rejects_bad_generator():
     lines = list(K.labels.values())
     bad_choice = {l: FpVector((1, 0)) for l in lines}
     with pytest.raises(InputError):
-        section_psi(K, X, choice=bad_choice)
+        section_psi(K, X, 3, choice=bad_choice)
 
 
 def test_standard_pivots_are_basis_labels():
     K = build_universal(K23)
-    labs = [K.labels[v] for v in standard_pivot_ids(K)]
+    labs = [K.labels[v] for v in standard_pivot_ids(K23)]
     assert labs == [
         FpLine(FpVector((1, 0, 0))),
         FpLine(FpVector((0, 1, 0))),
         FpLine(FpVector((0, 0, 1))),
     ]
+    for kind in (X22, X32, K32, UniversalKind("X", 2, 4), UniversalKind("K", 3, 3),
+                 UniversalKind("K", 5, 1), UniversalKind("X", 5, 1)):
+        basis = [FpVector(tuple(int(j == i) for j in range(kind.n)))
+                 for i in range(kind.n)]
+        if kind.variant == "K":
+            basis = [FpLine(e) for e in basis]
+        K = build_universal(kind)
+        assert [K.labels[v] for v in standard_pivot_ids(kind)] == basis, kind
 
 
 def test_eq_an_count_reported_separately():
     # the alternating-sum value and the axis-avoiding facet count differ;
     # both are reported, neither is asserted equal to the other
     K = build_universal(K32)
-    assert pivot_free_facet_count(K, standard_pivot_ids(K)) == 1
+    assert pivot_free_facet_count(K, standard_pivot_ids(K32)) == 1
     assert sphere_count(K32).count == 3
     K2 = build_universal(K23)
-    assert pivot_free_facet_count(K2, standard_pivot_ids(K2)) == 3
+    assert pivot_free_facet_count(K2, standard_pivot_ids(K23)) == 3
     assert sphere_count(K23).count == 13
