@@ -115,18 +115,15 @@ def default_budget(S, K):
     return len(S.elements)
 
 
-def p_ordering(S, p, K, budget=None, start_index=0):
-    """Greedy p-ordering of the first `budget` elements of S, with nu_k
-    attached.  For the integer and geometric kinds the valuations are
-    certified stable against doubling the window."""
+def p_ordering(S, p, K, start_index=0):
+    """Greedy p-ordering of the first `default_budget(S, K)` elements of S,
+    with nu_k attached.  For the integer and geometric kinds the valuations
+    are certified stable against doubling the window."""
     if not is_prime(p):
         raise InputError(f"not a prime: {p}")
     if K < 0:
         raise InputError("K must be >= 0")
-    if budget is None:
-        budget = default_budget(S, K)
-    if budget < K + 1:
-        raise InputError(f"budget {budget} < K+1 = {K + 1}")
+    budget = default_budget(S, K)
     candidates = S.enumerate(budget)
     if len(candidates) < K + 1:
         raise InputError(f"ground set yields only {len(candidates)} elements")
@@ -136,15 +133,15 @@ def p_ordering(S, p, K, budget=None, start_index=0):
         _, exps2 = _greedy_p_ordering(wide, p, K, start_index)
         if exps != exps2:
             raise AssertionError(
-                f"p-ordering window unstable for {S.kind} at p={p}, K={K}; "
-                "increase the budget"
+                f"p-ordering window unstable for {S.kind} at p={p}, K={K}: "
+                f"doubling the window of {budget} elements changed the valuations"
             )
     return POrdering(tuple(elems), tuple(p**e for e in exps))
 
 
-def nu_k(S, p, k, budget=None, start_index=0):
+def nu_k(S, p, k, start_index=0):
     """The invariant p-power nu_k(S, p)."""
-    return p_ordering(S, p, k, budget, start_index).valuations[k]
+    return p_ordering(S, p, k, start_index).valuations[k]
 
 
 def generalized_factorial(S, k):

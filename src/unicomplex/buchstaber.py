@@ -200,15 +200,15 @@ class BuchstaberReport:
     lower: int  # m - gamma
     upper_dim: int  # m - dim K - 1
     upper_log: int  # m - ceil(log_p((p-1) gamma + 1))
-    p: int
     s_fp: int | None
     method: str  # "formula" | "search" | "bounds-only"
 
 
 def buchstaber_bounds(K, p):
     """All bounds, plus the exact s_{F_p} when the complex is a graph (the
-    closed formula) or small enough to search.  The chain
-    lower <= s_fp <= upper bounds is asserted whenever s_fp is computed."""
+    closed formula, which is the log bound itself) or small enough to
+    search.  The chain lower <= s_fp <= upper bounds is asserted whenever
+    s_fp is computed."""
     PrimeField(p)
     if K.n_vertices == 0:
         raise InputError("bounds need at least one vertex")
@@ -220,7 +220,7 @@ def buchstaber_bounds(K, p):
     s_fp = None
     method = "bounds-only"
     if K.dim <= 1:
-        s_fp = s_fp_graph(K, p)
+        s_fp = upper_log
         method = "formula"
     elif m <= SEARCH_VERTEX_CAP and gamma <= SEARCH_RANK_CAP:
         r, _ = min_rank_search(K, p, r_max=min(gamma, SEARCH_RANK_CAP))
@@ -233,14 +233,11 @@ def buchstaber_bounds(K, p):
                 f"bound chain violated: {lower} <= {s_fp} <= "
                 f"{upper_dim}, log bound {upper_log}"
             )
-    return BuchstaberReport(m, gamma, lower, upper_dim, upper_log, p, s_fp, method)
+    return BuchstaberReport(m, gamma, lower, upper_dim, upper_log, s_fp, method)
 
 
 @dataclass(frozen=True)
 class ZetaThetaBounds:
-    p: int
-    q: int
-    n: int
     zeta_lower: int
     zeta_upper: int
     theta_lower: int
@@ -261,5 +258,4 @@ def zeta_theta_bounds(p, q, n):
     if n < 1:
         raise InputError("n must be >= 1")
     f0 = (p**n - 1) // (p - 1)
-    return ZetaThetaBounds(p, q, n, _zeta_lower(p, q, n), f0,
-                           _zeta_lower(p, 2, n), f0)
+    return ZetaThetaBounds(_zeta_lower(p, q, n), f0, _zeta_lower(p, 2, n), f0)

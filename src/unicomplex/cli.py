@@ -37,7 +37,6 @@ from .universal_fp import (
 from .verify import FP_PAIRS, run_all
 from .zlattice import (
     build_truncated_universal_z,
-    enumerate_z_lines,
     parse_quasitoric_pair,
     sigma_family,
     validate_quasitoric_pair,
@@ -371,7 +370,7 @@ def cmd_zcheck(args):
     critical = set(matching.critical)
     sigmas = {f"sigma_{k}": simp in critical for k, simp in sigma_family(K)}
     results = {
-        "lines": [str(l) for l in enumerate_z_lines(args.n, args.max_norm)],
+        "lines": [str(K.labels[v]) for v in K.vertices()],
         **_fv(K),
         "w_matching_acyclic": True,
         "critical": census,

@@ -13,13 +13,17 @@ the subspace the new vertices cut out of the old coordinate hyperplane.
 The verifier, not the construction, is the ground truth: the constructed
 order goes through `shelling_h_vector` before it is returned.
 
-The construction works on vertex ids, each space's own enumeration order.
-The groups come from the frontier builder over the vertices off the old
-hyperplane, started at the quotient of the span being linked.  A recursive
-order lives in the space one dimension down; it is carried up by a
-transport table, the id of the image of each vertex of the smaller space
-under a completion matrix of the subspace, made once per subspace.  So a
-transported facet is a tuple of table lookups, sorted as ints.
+The construction works on vertex ids and coordinate tuples, both taken
+from the one enumeration in `universal_fp` (a line is read by its
+generator).  The groups come from the frontier builder over the vertices
+off the old hyperplane, started at the quotient of the span being linked.
+A recursive order lives in the space one dimension down; it is carried up
+by a transport table, made once per subspace: for each vertex of the
+smaller space, the completion matrix of the subspace applied to its
+coordinates, with a zero last coordinate appended and a line's image
+normalised to its generator, looked up by coordinates among the ids of
+the larger space.  So a transported facet is a tuple of table lookups,
+sorted as ints.
 
 Shiftedness checks one labeling.  In a shifted complex domination of vertices
 (u dominates v when replacing v by u never leaves the complex) is a total
@@ -33,12 +37,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import partial
-from itertools import combinations
+from itertools import compress
 from math import comb
 
 from .errors import InputError
 from .fplin import (
-    FpLine,
     FpVector,
     PrimeField,
     echelon_basis,
@@ -50,11 +53,11 @@ from .fplin import (
 from .scomplex import grow_by_extension
 from .universal_fp import (
     UniversalKind,
-    build_universal,
     formula_f_vector,
     sphere_count,
     total_simplex_count,
     _finish_fp,
+    _vertex_enumeration,
 )
 
 
@@ -68,7 +71,9 @@ def shelling_h_vector(K, order):
     codimension 1 exactly when nothing more is there, that is, when R(F_k)
     itself is not a face of the earlier complex (faces are closed under
     subsets).  The empty face belongs to every nonempty complex, so a facet
-    meeting no codimension-1 face of the earlier ones fails.
+    meeting no codimension-1 face of the earlier ones fails.  A facet that
+    passes adds to the earlier complex exactly its faces containing R(F_k),
+    so each face is added once.
 
     Returns (None, h) for a shelling, whose h-vector h_i counts the facets
     with |R(F_k)| = i, or (k, h) with the first failing 1-based index k and
@@ -83,31 +88,22 @@ def shelling_h_vector(K, order):
     h = [0] * (width + 1)
     seen = set()  # every face of the facets placed; empty, so F_1 passes
     for k, F in enumerate(forder):
-        restriction = tuple(
-            v for i, v in enumerate(F) if F[:i] + F[i + 1:] in seen
-        )
+        in_r = [F[:i] + F[i + 1:] in seen for i in range(len(F))]
+        restriction = tuple(compress(F, in_r))
         if restriction in seen:
             return k + 1, tuple(h)
         h[len(restriction)] += 1
-        for size in range(width + 1):
-            seen.update(combinations(F, size))
+        # the faces of F missing a vertex of R(F) are seen already, so the
+        # new ones are the supersets of R(F) in F
+        new = [restriction]
+        for v, r in zip(F, in_r):
+            if not r:
+                new += [tuple(sorted(s + (v,))) for s in new]
+        seen.update(new)
     return None, tuple(h)
 
 
 # -- inductive construction over F_p ----------------------------------------
-
-
-def _coords(label):
-    return label.generator.coords if isinstance(label, FpLine) else label.coords
-
-
-def _vertex_labels(variant, p, n):
-    from .fplin import enumerate_lines_fp, enumerate_vectors_fp
-
-    field = PrimeField(p)
-    if variant == "K":
-        return enumerate_lines_fp(n, field)
-    return enumerate_vectors_fp(n, field)
 
 
 def _hyperplane_intersection_basis(rows, p):
@@ -151,43 +147,35 @@ def _apply_columns(cols, vec, p):
     return tuple(out)
 
 
-def _transport_label(variant, cols, label, p):
-    image = _apply_columns(cols, _coords(label), p)
-    if variant == "K":
-        return line_canonical_fp(FpVector(image), PrimeField(p))
-    return FpVector(image)
-
-
-def _embed_label(variant, label):
-    coords = _coords(label) + (0,)
-    return FpLine(FpVector(coords)) if variant == "K" else FpVector(coords)
-
-
 def _space(variant, p, amb, memo):
-    """The vertex labels of the complex on F_p^amb in enumeration order, and
-    the map from each label to its id."""
+    """The vertex coordinates of the complex on F_p^amb in id order, and the
+    map from each coordinate tuple to its id."""
     key = ("space", amb)
     if key not in memo:
-        labels = _vertex_labels(variant, p, amb)
-        memo[key] = labels, {lab: u for u, lab in enumerate(labels)}
+        _, coords = _vertex_enumeration(variant, p, amb)
+        memo[key] = coords, {c: u for u, c in enumerate(coords)}
     return memo[key]
 
 
 def _transport_table(variant, p, amb, wbasis, memo):
     """The vertex ids of F_p^amb that the completion of `wbasis` followed by
     the embedding into the first amb - 1 coordinates sends the vertices of
-    F_p^(amb-1) to, indexed by their ids.  The completion depends on
-    `wbasis` only, so one table serves every combination cutting out the
-    same subspace."""
+    F_p^(amb-1) to, indexed by their ids.  A line's image is normalised to
+    its generator.  The completion depends on `wbasis` only, so one table
+    serves every combination cutting out the same subspace."""
     key = ("table", amb, wbasis)
     if key not in memo:
         cols = _completion_matrix(wbasis, p, amb - 1)
         small, _ = _space(variant, p, amb - 1, memo)
         _, id_of = _space(variant, p, amb, memo)
-        memo[key] = [
-            id_of[_embed_label(variant, _transport_label(variant, cols, lab, p))]
-            for lab in small
-        ]
+        field = PrimeField(p)
+        table = []
+        for c in small:
+            image = _apply_columns(cols, c, p) + (0,)
+            if variant == "K":
+                image = line_canonical_fp(FpVector(image), field).generator.coords
+            table.append(id_of[image])
+        memo[key] = table
     return memo[key]
 
 
@@ -205,15 +193,15 @@ def _shell_ids(variant, p, amb, d, memo):
     key = ("order", amb, d)
     if key in memo:
         return memo[key]
-    labels, _ = _space(variant, p, amb, memo)
+    coords, _ = _space(variant, p, amb, memo)
     if d == amb - 1:
-        out = tuple((u,) for u, lab in enumerate(labels) if any(_coords(lab)[d:]))
+        out = tuple((u,) for u, c in enumerate(coords) if any(c[d:]))
         memo[key] = out
         return out
 
     std = list(_identity_rows(amb)[:d])
-    v1 = [u for u, lab in enumerate(labels) if _coords(lab)[-1]]
-    gens = [_coords(labels[u]) for u in v1]
+    v1 = [u for u, c in enumerate(coords) if c[-1]]
+    gens = [coords[u] for u in v1]
     # the combinations are simplices of the complex on F_p^amb, so its
     # closed-form count bounds them
     bound = total_simplex_count(UniversalKind(variant, p, amb))
@@ -240,15 +228,13 @@ def _shell_ids(variant, p, amb, d, memo):
     return memo[key]
 
 
-def construct_shelling_fp(kind, built=None):
+def construct_shelling_fp(kind, built):
     """The inductive shelling order for X/K(F_p^n), as a tuple of facets.
     The output is verified, and the h-vector of the same pass must equal the
     one of the closed-form f-vector, with h_n the sphere count; a failure is
     a hard error carrying the counterexample index or the two vectors.
     `built` is the complex of `build_universal(kind)`, whose vertex ids are
     the enumeration order."""
-    if built is None:
-        built = build_universal(kind)
     order = _shell_ids(kind.variant, kind.p, kind.n, 0, {})
     idx, h = shelling_h_vector(built, order)
     if idx is not None:

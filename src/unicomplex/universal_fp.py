@@ -5,6 +5,8 @@ linearly independent subsets.  K(F_p^n) has the lines through the origin as
 vertices, with simplices the sets of lines spanning a subspace of dimension
 equal to their number.  Both are pure of dimension n-1 and carry a transitive
 GL(n, F_p) action, which is what makes the closed-form face counts below work.
+The vertex ids and coordinates are decided here once, by
+`_vertex_enumeration`, for the builder and the shelling construction alike.
 
 The builder grows simplices in the shared frontier loop
 `scomplex.grow_by_extension` with the quotient step
@@ -48,10 +50,6 @@ class UniversalKind:
         PrimeField(self.p)  # primality check
         if self.n < 1:
             raise InputError(f"ambient dimension must be >= 1, got {self.n}")
-
-    @property
-    def field(self):
-        return PrimeField(self.p)
 
     def __str__(self):
         return f"{self.variant}(F_{self.p}^{self.n})"
@@ -130,6 +128,17 @@ def _finish_fp(gens, p):
     return finish
 
 
+def _vertex_enumeration(variant, p, n):
+    """The vertex labels of X/K(F_p^n) in id order, and their coordinate
+    tuples: a vector's own coordinates for X, a line's generator for K."""
+    field = PrimeField(p)
+    if variant == "X":
+        labels = enumerate_vectors_fp(n, field)
+        return labels, [v.coords for v in labels]
+    labels = enumerate_lines_fp(n, field)
+    return labels, [l.generator.coords for l in labels]
+
+
 def build_universal(kind, budget=SIMPLEX_BUDGET):
     """Construct the complex explicitly by incremental extension: a simplex
     is grown only by vertices (in enumeration order, past its last one) that
@@ -141,13 +150,7 @@ def build_universal(kind, budget=SIMPLEX_BUDGET):
     if total > budget:
         raise ResourceLimitError(f"{kind} has {total} simplices, over budget {budget}")
     p, n = kind.p, kind.n
-    field = kind.field
-    if kind.variant == "X":
-        labels_seq = enumerate_vectors_fp(n, field)
-        gens = [v.coords for v in labels_seq]
-    else:
-        labels_seq = enumerate_lines_fp(n, field)
-        gens = [l.generator.coords for l in labels_seq]
+    labels_seq, gens = _vertex_enumeration(kind.variant, p, n)
     by_dim = grow_by_extension(gens, n, _identity_rows(n),
                                partial(_quotient_step_fp, p=p),
                                _finish_fp(gens, p), budget, str(kind))

@@ -69,8 +69,9 @@ def test_p_ordering_z_example():
 
 
 def test_p_ordering_budget_too_small():
-    with pytest.raises(InputError):
-        p_ordering(INTEGERS, 2, 3, budget=2)
+    # an explicit set's window is the set itself: too few elements for K
+    with pytest.raises(InputError, match="ground set yields only 2 elements"):
+        p_ordering(explicit([0, 1]), 2, 3)
 
 
 def test_p_ordering_powers_sequence_is_valid():

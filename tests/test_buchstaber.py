@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from unicomplex import buchstaber
 from unicomplex.errors import InputError, ResourceLimitError
 from unicomplex.buchstaber import (
     buchstaber_bounds,
@@ -141,6 +142,22 @@ def test_bounds_report_examples():
     assert (rep.lower, rep.upper_log, rep.upper_dim) == (0, 1, 1)
     point = buchstaber_bounds(graph([], 1), 2)
     assert (point.lower, point.s_fp, point.upper_dim) == (0, 0, 0)
+
+
+def test_bounds_on_a_graph_color_it_once(monkeypatch):
+    # the graph formula is the log bound, so the one chromatic number of
+    # the bounds serves it too
+    calls = []
+
+    def counting(K):
+        calls.append(K)
+        return chromatic_number(K)
+
+    monkeypatch.setattr(buchstaber, "chromatic_number", counting)
+    G = graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 5)
+    rep = buchstaber_bounds(G, 2)
+    assert len(calls) == 1
+    assert (rep.method, rep.s_fp) == ("formula", s_fp_graph(G, 2))
 
 
 def test_bounds_chain_across_primes():

@@ -173,6 +173,16 @@ def test_json_round_trips():
     assert json.loads(json.dumps(rep)) == rep
 
 
+@pytest.mark.parametrize("n,max_norm,lines", [
+    (2, 3, "[1,0] [0,1] [1,-1] [1,1] [1,-2] [2,-1] [2,1] [1,2]"),
+    (3, 2, "[1,0,0] [0,1,0] [0,0,1] [1,0,-1] [0,1,-1] [1,-1,0] [1,1,0] "
+           "[1,0,1] [0,1,1]"),
+], ids=["n2-norm3", "n3-norm2"])
+def test_zcheck_lists_the_lines_in_vertex_order(n, max_norm, lines):
+    _, text = run("zcheck", "--n", str(n), "--max-norm", str(max_norm))
+    assert json.loads(text)["results"]["lines"] == lines.split()
+
+
 def test_csv_rows_equal_leaf_count():
     _, jtext = run("fvector", "--variant", "K", "--p", "3", "--n", "2")
     _, ctext = run("fvector", "--variant", "K", "--p", "3", "--n", "2",
@@ -387,6 +397,10 @@ SHELLING_OUT_DIGESTS = {
     ("K", 5, 3): ("1304d9330ade533c", 3875),
     ("X", 3, 3): ("6083dd5e3d7498e9", 1872),
     ("X", 2, 3): ("a91f7a6475955784", 28),
+    # the transport tables of the n = 4 recursion, and a prime past 5
+    ("K", 2, 4): ("f55750f02189611b", 840),
+    ("X", 2, 4): ("faffb9d6fe7398ee", 840),
+    ("X", 7, 2): ("ba06f5d763765640", 1008),
 }
 
 

@@ -1,6 +1,11 @@
 """The lint steps: every name a library module imports is used in it, and
 every public function, class, method, property and annotated field of the
-library is read somewhere in the library."""
+library is read somewhere in the library.
+
+The second check matches names only, not the object they are read on, so a
+member counts as read when any object anywhere has an attribute read under
+the same name.  Echoed fields such as a report's `p`, `q` or `n` slip through
+it, since `kind.p`, `pair.n` and the like are read all over the library."""
 
 import ast
 from pathlib import Path
