@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from heapq import merge
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from operator import and_
 
 from .errors import InputError, ResourceLimitError
@@ -32,6 +32,10 @@ from .errors import InputError, ResourceLimitError
 # or reads.  Builders check it against a count known before allocation where
 # there is one, and otherwise count simplices as they are produced.
 SIMPLEX_BUDGET = 10**7
+
+# upper simplices whose faces `facets` strikes in one C-level pass between
+# its checks for an exhausted level
+_STRIKE_CHUNK = 4096
 
 
 def check_simplex(vertices):
@@ -163,16 +167,17 @@ class SimplicialComplex:
     def facets(self):
         """Maximal simplices, sorted, as a fresh list.  They are computed
         once per complex: the codimension-1 faces of each level are struck
-        from the level below, stopping once nothing is left there, and the
-        sorted levels that remain are merged."""
+        from the level below, a chunk of simplices at a time so that the
+        striking runs in C and still stops once nothing is left there, and
+        the sorted levels that remain are merged."""
         if self._facets is None:
             runs = [self._levels[-1]] if self._levels else []
-            for level, upper in zip(self._levels, self._levels[1:]):
+            for k, (level, upper) in enumerate(
+                    zip(self._levels, self._levels[1:]), 1):
                 left = set(level)
-                strike = left.discard
-                for tau in upper:
-                    for i in range(len(tau)):
-                        strike(tau[:i] + tau[i + 1:])
+                for i in range(0, len(upper), _STRIKE_CHUNK):
+                    left.difference_update(chain.from_iterable(map(
+                        combinations, upper[i:i + _STRIKE_CHUNK], repeat(k))))
                     if not left:
                         break
                 if left:
@@ -221,10 +226,12 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
 
     `extend(state, w)` returns the state of sigma + {w} from the state of
     sigma, or None when sigma + {w} is not a simplex; `start` is the state of
-    the empty simplex.  The top level is never extended: `finish(state,
-    bits)` takes the state of a simplex one below it and a bitset of
-    candidate ids (bit j for generator j) and returns the bitset of those
-    that complete it, in one step per simplex.
+    the empty simplex.  The top level is never extended: `finish(state)`
+    takes the state of a simplex one below it and returns the bitset (bit j
+    for generator j) of every generator that completes some simplex with
+    that state.  The loop calls it once per distinct state, keeps the
+    results until it returns, and ANDs each simplex's candidates with the
+    result for its state; simplices with one span often share a state.
 
     Candidates are bitsets (Python ints): those of a simplex are the AND of
     one bitset per vertex, all ids for the empty simplex.  A vertex's bitset
@@ -272,8 +279,12 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
         frontier = nxt
     if depth > 0:
         level = []
+        tops = {}  # finish(state) for each distinct top state
         for simp, state in frontier:
-            acc = finish(state, candidates(simp))
+            done = tops.get(state)
+            if done is None:
+                done = tops[state] = finish(state)
+            acc = candidates(simp) & done
             charge(acc.bit_count())
             level.extend(simp + (j,) for j in _bit_ids(acc))
         by_dim.append(level)

@@ -15,9 +15,10 @@ F_p^n -> F_p^(n-k) with kernel span(sigma), and a candidate vertex w
 extends it iff its image under that surjection is nonzero.  Candidates are
 bitsets of vertex ids.  At the top level the surjection is one row q, and
 the vertices completing a facet are the candidates off the hyperplane
-q w = 0: that bitset is computed once per row, so each facet costs one AND
-and no arithmetic.  The built level sizes are checked against the
-closed-form f-vector, a second derivation.
+q w = 0: `_finish_fp` computes that bitset, the frontier loop keeps it for
+each distinct row, and so each facet costs one AND and no arithmetic.  The
+built level sizes are checked against the closed-form f-vector, a second
+derivation.
 """
 
 from __future__ import annotations
@@ -111,19 +112,14 @@ def total_simplex_count(kind):
 def _finish_fp(gens, p):
     """The top-level step of the frontier over F_p: the state is one row q,
     and w completes the simplex iff q w != 0, i.e. w lies off the
-    hyperplane ker q.  The bitset of generators off it is computed once per
-    row and then each simplex takes `bits & off` with no arithmetic per
-    candidate.  Rows are keyed as the quotient step leaves them, so a
-    hyperplane is scanned at most once for each of its p - 1 rows."""
-    off = {}
-
-    def finish(rows, bits):
-        h = off.get(rows)
-        if h is None:
-            (q,) = rows
-            h = off[rows] = sum(1 << j for j, w in enumerate(gens)
-                                if sum(map(mul, q, w)) % p)
-        return bits & h
+    hyperplane ker q.  Returns `finish(rows)`, the bitset of the generators
+    off it.  The frontier loop calls it once per distinct row and then each
+    simplex takes one AND with no arithmetic per candidate; the loop keys
+    rows as the quotient step leaves them, so a hyperplane is scanned at
+    most once for each of its p - 1 rows."""
+    def finish(rows):
+        (q,) = rows
+        return sum(1 << j for j, w in enumerate(gens) if sum(map(mul, q, w)) % p)
 
     return finish
 

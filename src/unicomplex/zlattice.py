@@ -15,13 +15,18 @@ identity.  Because Z^n / span(sigma) is free and Q identifies it with
 Z^(n-k), sigma + {w} is unimodular iff Q w is primitive, i.e. gcd(Q w) = 1.
 In that case integer row operations on Q (Euclid on the entries of Q w)
 reduce Q w to a single entry +-1, and dropping that row leaves a surjection
-whose kernel is span(sigma + {w}).  Each test costs O(n^2) integer
+whose kernel is span(sigma + {w}).  From two rows q_1, q_2 with
+Q w = (a, b) that surjection is the one row b q_1 - a q_2, signed so that
+its first nonzero entry is positive.  Each test costs O(n^2) integer
 operations; `is_unimodular_z` folds the step over a list.  The truncation
 builder runs it inside the shared frontier loop `scomplex.grow_by_extension`
 below the top level, on bitset candidates (the AND of the later-neighbour
 bitsets of the simplex's vertices).  At the top the state is one primitive
-row q, and a candidate w completes a facet iff q w = +-1: one dot product,
-with no row update.
+row q, and a candidate w completes a facet iff q w = +-1.  `_finish_z`
+computes q w for every generator at once, as slots of one packed big
+integer, and reads the slots equal to +-1 with carry-free bit operations;
+the frontier loop does that once per distinct row and ANDs the result with
+each simplex's candidates.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from operator import mul
 
 from .errors import InputError
 from .fplin import _identity_rows
-from .scomplex import SIMPLEX_BUDGET, SimplicialComplex, _bit_ids, grow_by_extension
+from .scomplex import SIMPLEX_BUDGET, SimplicialComplex, grow_by_extension
 
 
 @dataclass(frozen=True, order=True)
@@ -94,6 +99,15 @@ def _quotient_step(rows, w):
     c = [sum(map(mul, row, w)) for row in rows]
     if gcd(*c) != 1:
         return None
+    if len(rows) == 2:
+        # the kernel of (a, b) on Z^2 is spanned by (b, -a), primitive since
+        # gcd(a, b) = 1; that combination of the two rows is the new row, up
+        # to a sign, fixed so that rows q and -q make one state
+        (a, b), (q1, q2) = c, rows
+        r = [b * x - a * y for x, y in zip(q1, q2)]
+        if next(filter(None, r)) < 0:
+            r = [-x for x in r]
+        return (tuple(r),)
     rows = list(rows)
     while True:
         live = [k for k, x in enumerate(c) if x]
@@ -111,14 +125,43 @@ def _quotient_step(rows, w):
 
 def _finish_z(gens):
     """The top-level step of the frontier over Z: the state is one row q,
-    and w completes the simplex iff q w = +-1, one dot product each."""
-    def finish(rows, bits):
+    and w completes the simplex iff q w = +-1.  Returns `finish(rows)`, the
+    bitset of all generators with q w = +-1, in a few big-integer
+    operations for all of them together.
+
+    Generator j owns slot j, bits [jW, (j+1)W), of a packed integer:
+    P_i = sum_j w_j[i] 2^(jW) per coordinate i, so S = sum_i q_i P_i + H has
+    q w_j + 2^(W-1) in slot j, where H holds 2^(W-1) in every slot.  The
+    width W = (|q|_1 max|w_i|).bit_length() + 2 keeps every slot inside
+    [0, 2^W), so nothing carries between slots.  Slot j is a hit iff it
+    equals a target H +- 1, i.e. is zero in Y = S ^ T; with M the low W - 1
+    bits of every slot, `H & ~(((Y & M) + M) | Y)` keeps the top bit of
+    exactly the zero slots, again without a carry.  Reading every W-th
+    character of the binary string, from the top bit of the last slot,
+    packs those bits into the bitset.  The packed integers are made once
+    per width."""
+    m = len(gens)
+    wmax = max(abs(c) for w in gens for c in w)
+    packs = {}
+
+    def pack(width):
+        ones = ((1 << m * width) - 1) // ((1 << width) - 1)
+        high = ones << (width - 1)
+        coords = [sum(c << j * width for j, c in enumerate(col))
+                  for col in zip(*gens)]
+        # high - ones is both the mask M and the target H - 1
+        packs[width] = (coords, high, high - ones, high + ones)
+        return packs[width]
+
+    def finish(rows):
         (q,) = rows
-        acc = 0
-        for j in _bit_ids(bits):
-            if abs(sum(map(mul, q, gens[j]))) == 1:
-                acc |= 1 << j
-        return acc
+        width = (sum(map(abs, q)) * wmax).bit_length() + 2
+        coords, high, low, up = packs.get(width) or pack(width)
+        s = sum(map(mul, q, coords), high)
+        hits = 0
+        for y in (s ^ up, s ^ low):
+            hits |= high & ~(((y & low) + low) | y)
+        return int(format(hits, f"0{m * width}b")[::width], 2)
 
     return finish
 

@@ -417,6 +417,29 @@ def test_shelling_out_is_byte_identical(tmp_path, kind):
     assert (hashlib.sha256(data).hexdigest()[:16], data.count(b"\n")) == (digest, lines)
 
 
+# sha256 prefixes and line counts of the `build --ring z --out` files, frozen
+# from the builder that took one dot product per top-level candidate
+Z_BUILD_OUT_DIGESTS = {
+    ("K", 3, 6): ("2ab08e59cb900fef", 26750),
+    ("X", 3, 4): ("69db2a4d2070b890", 21993),
+    ("K", 4, 3): ("2eeb0baf45cb4b62", 66258),
+    ("X", 2, 9): ("172f324af1a820f3", 437),
+}
+
+
+@pytest.mark.parametrize("kind", list(Z_BUILD_OUT_DIGESTS),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_z_build_out_is_byte_identical(tmp_path, kind):
+    variant, n, max_norm = kind
+    out = tmp_path / "facets.txt"
+    code, _ = run("build", "--ring", "z", "--variant", variant, "--n", str(n),
+                  "--max-norm", str(max_norm), "--out", str(out))
+    assert code == 0
+    data = out.read_bytes()
+    digest, lines = Z_BUILD_OUT_DIGESTS[kind]
+    assert (hashlib.sha256(data).hexdigest()[:16], data.count(b"\n")) == (digest, lines)
+
+
 def test_shelling_construct_command():
     code, text = run("shelling", "--variant", "K", "--p", "3", "--n", "2")
     assert code == 0

@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -180,9 +180,11 @@ def test_grow_by_extension_pairwise_coprime(depth):
     def extend(state, w):
         return state * w if gcd(state, w) == 1 else None
 
-    def finish(state, bits):
-        return sum(1 << j for j, w in enumerate(gens)
-                   if bits >> j & 1 and gcd(state, w) == 1)
+    finished = []
+
+    def finish(state):
+        finished.append(state)
+        return sum(1 << j for j, w in enumerate(gens) if gcd(state, w) == 1)
 
     by_dim = grow_by_extension(gens, depth, 1, extend, finish, 10**6, "toy")
     want = [{s for s in combinations(range(len(gens)), k + 1)
@@ -190,6 +192,11 @@ def test_grow_by_extension_pairwise_coprime(depth):
             for k in range(depth)]
     # each level is handed over as a list, already in lexicographic order
     assert by_dim == [sorted(level) for level in want]
+    # finish runs once per distinct state one level below the top; from
+    # depth 3 on some states repeat ({2, 15} and {3, 10} both give 30)
+    tops = [prod(gens[j] for j in s) for s in want[-2]] if depth > 1 else [1]
+    assert sorted(finished) == sorted(set(tops))
+    assert depth < 3 or len(finished) < len(tops)
     total = sum(map(len, want))
     with pytest.raises(ResourceLimitError, match="toy exceeds simplex budget"):
         grow_by_extension(gens, depth, 1, extend, finish, total - 1, "toy")

@@ -1,5 +1,7 @@
 import random
 from itertools import combinations
+from math import gcd
+from operator import mul
 
 import pytest
 
@@ -20,6 +22,8 @@ from unicomplex.zlattice import (
     sigma_family,
     validate_quasitoric_pair,
     z_line,
+    _finish_z,
+    _quotient_step,
 )
 
 from oracles import det_cofactor, minor_gcd_unimodular
@@ -132,6 +136,55 @@ def test_truncation_is_every_unimodular_subset(variant, n, max_norm):
         if minor_gcd_unimodular([list(gens[v]) for v in s])
     }
     assert set(K.all_simplices()) == want
+
+
+def test_quotient_step_down_to_one_row():
+    # from two rows the step is closed-form; its row must vanish on the set,
+    # be primitive (so the map onto Z is surjective) and carry the sign rule
+    rng = random.Random("one row")
+    seen = 0
+    for _ in range(300):
+        sigma = [tuple(rng.randint(-6, 6) for _ in range(4)) for _ in range(3)]
+        rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        for v in sigma:
+            rows = _quotient_step(rows, v) if rows is not None else None
+        unimodular = minor_gcd_unimodular([list(v) for v in sigma])
+        assert (rows is not None) == unimodular
+        if rows is None:
+            continue
+        seen += 1
+        (r,) = rows
+        assert all(sum(map(mul, r, v)) == 0 for v in sigma)
+        assert gcd(*r) == 1 and next(x for x in r if x) > 0
+    assert seen > 30
+
+
+@pytest.mark.parametrize("m", [1, 2, 13, 100])
+def test_packed_finish_is_the_plain_rule(m):
+    # _finish_z reads q w = +-1 off packed slots; compare it with one dot
+    # product per generator.  The generators are signed, as on the X side;
+    # the first and last are +-e_1, so rows with q_1 = +-1 hit the first and
+    # the last slot.  Rows range from |q|_1 = 1 to entries of 10^5, so one
+    # finish sees several slot widths, some far past 8 bits.
+    rng = random.Random(f"packed finish:{m}")
+    gens = [(1, 0, 0)]
+    gens += [tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(m - 2)]
+    gens += [(-1, 0, 0)][:m - 1]
+    finish = _finish_z(gens)
+    wmax = max(abs(c) for w in gens for c in w)
+    widths, edge_hits = set(), 0
+    for trial in range(300):
+        big = rng.choice([1, 2, 30, 10**5])
+        x, y = rng.randint(-big, big), rng.randint(-big, big)
+        q = (rng.choice([1, -1]) if trial % 2 else rng.randint(-big, big), x, y)
+        got = finish((q,))
+        want = {j for j, w in enumerate(gens) if abs(sum(map(mul, q, w))) == 1}
+        assert {j for j in range(m) if got >> j & 1} == want, q
+        assert got >> m == 0
+        widths.add((sum(map(abs, q)) * wmax).bit_length() + 2)
+        edge_hits += {0, m - 1} <= want
+    assert len(widths) >= 3 and max(widths) > 8
+    assert edge_hits
 
 
 def test_truncation_budget():
