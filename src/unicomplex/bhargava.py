@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 from .errors import InputError
-from .fplin import is_prime
+from .fplin import check_prime, is_prime
 from .universal_fp import UniversalKind, formula_f_vector
 
 
@@ -119,8 +119,7 @@ def p_ordering(S, p, K, start_index=0):
     """Greedy p-ordering of the first `default_budget(S, K)` elements of S,
     with nu_k attached.  For the integer and geometric kinds the valuations
     are certified stable against doubling the window."""
-    if not is_prime(p):
-        raise InputError(f"not a prime: {p}")
+    check_prime(p)
     if K < 0:
         raise InputError("K must be >= 0")
     budget = default_budget(S, K)
@@ -223,8 +222,7 @@ def check_identities(p, k):
     """Whether the face-count identity k!_{1,p,p^2,...} = k! * f_{k-1}(X(F_p^k))
     holds.  Since k! >= 1 it is also the divisibility statement: k!_Z
     divides k!_{1,p,p^2,...} with quotient f_{k-1}(X(F_p^k))."""
-    if not is_prime(p):
-        raise InputError(f"not a prime: {p}")
+    check_prime(p)
     if k < 1:
         raise InputError("k must be >= 1")
     face = formula_f_vector(UniversalKind("X", p, k)).entries[k]

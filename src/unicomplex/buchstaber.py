@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
-from .fplin import PrimeField, enumerate_lines_fp, is_unimodular_fp
+from .fplin import check_prime, enumerate_lines_fp, is_unimodular_fp
 
 SEARCH_VERTEX_CAP = 12
 SEARCH_RANK_CAP = 4
@@ -107,7 +107,7 @@ def s_fp_graph(K, p):
     """The closed formula for simple graphs: m - ceil(log_p((p-1)*gamma + 1))."""
     if K.dim > 1:
         raise InputError("the graph formula applies to complexes of dimension <= 1")
-    PrimeField(p)
+    check_prime(p)
     gamma, _ = chromatic_number(K)
     m = K.n_vertices
     return m - ceil_log(p, (p - 1) * gamma + 1)
@@ -116,16 +116,12 @@ def s_fp_graph(K, p):
 # -- direct search for nondegenerate maps ------------------------------------
 
 
-def is_nondegenerate_map(source, vmap, line_labels, field):
+def is_nondegenerate_map(source, vmap, lines, p):
     """Check that every facet of the source maps to pairwise distinct lines
-    forming a unimodular set."""
-    for f in source.facets():
-        imgs = [line_labels[vmap[v]] for v in f]
-        if len({i.generator for i in imgs}) != len(imgs):
-            return False
-        if not is_unimodular_fp([i.generator for i in imgs], field):
-            return False
-    return True
+    (canonical generators over F_p) forming a unimodular set; a repeated
+    line makes the set dependent, so the one test decides both."""
+    return all(is_unimodular_fp([lines[vmap[v]] for v in f], p)
+               for f in source.facets())
 
 
 def min_rank_search(K, p, r_max=SEARCH_RANK_CAP):
@@ -136,7 +132,7 @@ def min_rank_search(K, p, r_max=SEARCH_RANK_CAP):
     transitive on lines), later candidates are tried in canonical order, so
     the witness is deterministic.  Each set of placed
     lines has its unimodularity decided once per rank."""
-    PrimeField(p)
+    check_prime(p)
     verts = K.vertices()
     if len(verts) > SEARCH_VERTEX_CAP:
         raise ResourceLimitError(
@@ -146,13 +142,11 @@ def min_rank_search(K, p, r_max=SEARCH_RANK_CAP):
         raise ResourceLimitError(f"r_max {r_max} exceeds the cap {SEARCH_RANK_CAP}")
     if not verts:
         return None, None
-    field = PrimeField(p)
     facets = [tuple(f) for f in K.facets()]
     facets_with = {v: [f for f in facets if v in f] for v in verts}
 
     for r in range(1, r_max + 1):
-        lines = enumerate_lines_fp(r, field)
-        gens = [l.generator for l in lines]
+        lines = enumerate_lines_fp(r, p)
         assign = {}
         unimodular = {}  # sorted tuple of placed line indices -> verdict
 
@@ -165,7 +159,7 @@ def min_rank_search(K, p, r_max=SEARCH_RANK_CAP):
                 ok = unimodular.get(key)
                 if ok is None:
                     ok = unimodular[key] = is_unimodular_fp(
-                        [gens[i] for i in key], field)
+                        [lines[i] for i in key], p)
                 if not ok:
                     return False
             return True
@@ -184,7 +178,7 @@ def min_rank_search(K, p, r_max=SEARCH_RANK_CAP):
 
         if place(0):
             vmap = dict(assign)
-            if not is_nondegenerate_map(K, vmap, lines, field):
+            if not is_nondegenerate_map(K, vmap, lines, p):
                 raise AssertionError("search produced a degenerate map")
             return r, vmap
     return None, None
@@ -209,7 +203,7 @@ def buchstaber_bounds(K, p):
     closed formula, which is the log bound itself) or small enough to
     search.  The chain lower <= s_fp <= upper bounds is asserted whenever
     s_fp is computed."""
-    PrimeField(p)
+    check_prime(p)
     if K.n_vertices == 0:
         raise InputError("bounds need at least one vertex")
     m = K.n_vertices
@@ -253,8 +247,8 @@ def zeta_theta_bounds(p, q, n):
     """Exact bounds for the least rank of a universal-complex target over
     F_q (zeta) or Z (theta) receiving K(F_p^n) nondegenerately; the theta
     lower bound takes q = 2, where it is sharpest."""
-    PrimeField(p)
-    PrimeField(q)
+    check_prime(p)
+    check_prime(q)
     if n < 1:
         raise InputError("n must be >= 1")
     f0 = (p**n - 1) // (p - 1)

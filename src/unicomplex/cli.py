@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from . import __version__
 from .bhargava import INTEGERS, explicit, generalized_factorials, geometric, \
@@ -24,8 +25,8 @@ from .bhargava import INTEGERS, explicit, generalized_factorials, geometric, \
 from .buchstaber import buchstaber_bounds
 from .errors import AcyclicityError, InputError, ResourceLimitError
 from .homology import reduced_homology, reisner_check
-from .morse import critical_census, greedy_matching, pivot_free_facet_count
-from .scomplex import SIMPLEX_BUDGET, format_facet_list, parse_facet_list
+from .morse import critical_census, greedy_matching
+from .scomplex import SIMPLEX_BUDGET, facet_lines, format_facet_list, parse_facet_list
 from .shelling import construct_shelling_fp, is_shifted, shelling_h_vector
 from .universal_fp import (
     UniversalKind,
@@ -268,24 +269,14 @@ def cmd_morse(args):
     # matching the critical cells alone give chi
     if sum((-1) ** d * c for d, c in census.items()) != euler:
         raise AssertionError(f"Euler count mismatch: chi={euler}, census={census}")
-    clean = set(census) <= {0, K.dim} and census.get(0) == 1
-    pivot_free = pivot_free_facet_count(K, pivots)
     results = {
         "pivots": pivots,
         "pairs": len(matching.pairs),
         "acyclic": True,  # greedy_matching raises on a cycle
         "critical": {str(d): c for d, c in census.items()},
         "euler": euler,
-        "euler_consistent": clean,
-        "middle_critical": not clean,
-        "pivot_free_facets": pivot_free,
+        "euler_consistent": set(census) <= {0, K.dim} and census.get(0) == 1,
     }
-    if kind is not None and kind.variant == "K":
-        # the pivot-free count of the standard schedule
-        results["axis_avoiding_basis_count"] = (
-            pivot_free if not args.pivots
-            else pivot_free_facet_count(K, standard_pivot_ids(kind))
-        )
     return 0, results
 
 
@@ -297,18 +288,12 @@ def cmd_shelling(args):
         )
     K, kind = _get_complex(args)
     if args.order:
-        label_to_id = {str(lab): v for v, lab in K.labels.items()}
-        facets = []
-        for line in _read_text(args.order).split("\n"):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                facets.append(
-                    tuple(sorted(label_to_id[t] for t in line.split()))
-                )
-            except KeyError as exc:
-                raise InputError(f"unknown vertex label {exc} in order file")
+        label_to_id = {lab: v for v, lab in K.labels.items()}
+        lines = facet_lines(_read_text(args.order))
+        try:
+            facets = [tuple(sorted(label_to_id[t] for t in toks)) for toks in lines]
+        except KeyError as exc:
+            raise InputError(f"unknown vertex label {exc} in order file")
         idx, _ = shelling_h_vector(K, facets)
         results = {"verified": idx is None, "n_facets": len(facets)}
         if idx is not None:
@@ -319,7 +304,7 @@ def cmd_shelling(args):
     if args.out:
         with open(args.out, "w") as fh:
             for f in order:
-                fh.write(" ".join(str(K.labels[v]) for v in f) + "\n")
+                fh.write(" ".join(K.labels[v] for v in f) + "\n")
         results["written"] = args.out
     return 0, results
 
@@ -329,7 +314,7 @@ def cmd_shifted(args):
     ok, witness = is_shifted(K)
     results = {"shifted": ok}
     if witness:
-        results["labeling"] = {str(K.labels[v]): lab for v, lab in witness.items()}
+        results["labeling"] = {K.labels[v]: lab for v, lab in witness.items()}
     return 0, results
 
 
@@ -359,18 +344,16 @@ def cmd_zcheck(args):
         ok, witness = validate_quasitoric_pair(pair)
         results = {"pair_valid": ok, "n": pair.n, "m": pair.m}
         if not ok:
-            results["failing_facet"] = [
-                str(pair.dual_complex.labels[v]) for v in witness
-            ]
+            results["failing_facet"] = [pair.dual_complex.labels[v] for v in witness]
         return (0 if ok else 1), results
     K = build_truncated_universal_z("K", args.n, args.max_norm, budget=args.budget)
     pivots = list(range(K.n_vertices))
     matching = greedy_matching(K, pivots)  # raises on a cycle
     census = {str(d): c for d, c in critical_census(matching).items()}
     critical = set(matching.critical)
-    sigmas = {f"sigma_{k}": simp in critical for k, simp in sigma_family(K)}
+    sigmas = {f"sigma_{k}": simp in critical for k, simp in sigma_family(K, args.n)}
     results = {
-        "lines": [str(K.labels[v]) for v in K.vertices()],
+        "lines": [K.labels[v] for v in K.vertices()],
         **_fv(K),
         "w_matching_acyclic": True,
         "critical": census,
@@ -433,7 +416,10 @@ def cmd_verify_all(args):
 # -- dispatch -----------------------------------------------------------------
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every call of `dispatch` shares it."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default=argparse.SUPPRESS)

@@ -21,7 +21,6 @@ an explicit basis of a span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import mul
 
@@ -61,48 +60,14 @@ def is_prime(p):
     return True
 
 
-@dataclass(frozen=True, order=True)
-class PrimeField:
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise InputError(f"not a prime: {self.p}")
-
-
-@dataclass(frozen=True, order=True)
-class FpVector:
-    """A vector in F_p^n; coords are ints in [0, p), reduced by the caller."""
-
-    coords: tuple
-
-    @property
-    def n(self):
-        return len(self.coords)
-
-    def is_zero(self):
-        return not any(self.coords)
-
-    def __str__(self):
-        return "(" + ",".join(map(str, self.coords)) + ")"
-
-
-@dataclass(frozen=True, order=True)
-class FpLine:
-    """A line through the origin; generator has first nonzero coordinate 1."""
-
-    generator: FpVector
-
-    @property
-    def n(self):
-        return self.generator.n
-
-    def __str__(self):
-        return "[" + ",".join(map(str, self.generator.coords)) + "]"
+def check_prime(p):
+    """Raise InputError unless p is a prime."""
+    if not is_prime(p):
+        raise InputError(f"not a prime: {p}")
 
 
 def _common_dimension(vectors):
-    dims = {v.n for v in vectors}
+    dims = {len(v) for v in vectors}
     if len(dims) > 1:
         raise InputError(f"ambient dimension mismatch: {sorted(dims)}")
     return dims.pop() if dims else 0
@@ -164,47 +129,43 @@ def echelon_basis(rows, p):
     return tuple(basis)
 
 
-def is_unimodular_fp(vectors, field):
+def is_unimodular_fp(vectors, p):
     """True iff the vectors are linearly independent (duplicates force False)."""
     vectors = list(vectors)
     rows = _identity_rows(_common_dimension(vectors))
     for v in vectors:
-        rows = _quotient_step_fp(rows, v.coords, field.p)
+        rows = _quotient_step_fp(rows, v, p)
         if rows is None:
             return False
     return True
 
 
-def line_canonical_fp(v, field):
-    """The line through v, represented by the scalar multiple of v whose
-    first nonzero coordinate is 1."""
-    if v.is_zero():
+def line_canonical_fp(v, p):
+    """The generator of the line through v whose first nonzero coordinate
+    is 1."""
+    first = next((c for c in v if c % p), None)
+    if first is None:
         raise InputError("zero vector spans no line")
-    p = field.p
-    first = next(c for c in v.coords if c % p)
-    inv = pow(first % p, -1, p)
-    return FpLine(FpVector(tuple((c * inv) % p for c in v.coords)))
+    inv = pow(first, -1, p)
+    return tuple(c * inv % p for c in v)
 
 
-def enumerate_vectors_fp(n, field):
+def enumerate_vectors_fp(n, p):
     """All nonzero vectors of F_p^n in lexicographic coordinate order."""
     if n < 1:
         raise InputError(f"ambient dimension must be >= 1, got {n}")
-    p = field.p
-    return tuple(
-        FpVector(c) for c in product(range(p), repeat=n) if any(c)
-    )
+    return tuple(c for c in product(range(p), repeat=n) if any(c))
 
 
-def enumerate_lines_fp(n, field):
-    """All lines of F_p^n exactly once, ordered lexicographically by
-    canonical generator; the count is (p^n - 1)/(p - 1)."""
+def enumerate_lines_fp(n, p):
+    """All lines of F_p^n exactly once, as canonical generators in
+    lexicographic order; the count is (p^n - 1)/(p - 1).  A generator with
+    more leading zeros comes first, and those with the same leading zeros
+    come out of `product` in order."""
     if n < 1:
         raise InputError(f"ambient dimension must be >= 1, got {n}")
-    p = field.p
-    lines = []
-    for first in range(n):
-        for rest in product(range(p), repeat=n - first - 1):
-            lines.append(FpLine(FpVector((0,) * first + (1,) + rest)))
-    lines.sort(key=lambda l: l.generator.coords)
-    return tuple(lines)
+    return tuple(
+        (0,) * first + (1,) + rest
+        for first in reversed(range(n))
+        for rest in product(range(p), repeat=n - first - 1)
+    )

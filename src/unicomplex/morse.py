@@ -171,10 +171,3 @@ def critical_census(matching):
     return {size - 1: sum(1 for _ in run)
             for size, run in groupby(matching.critical, len)}
 
-
-def pivot_free_facet_count(K, pivots):
-    """Facets containing none of the pivot vertices (the census the matching
-    step analysis predicts in prose; recorded next to the operational census,
-    the two are not asserted equal)."""
-    pv = set(pivots)
-    return sum(1 for f in K.facets() if pv.isdisjoint(f))

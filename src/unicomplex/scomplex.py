@@ -3,10 +3,9 @@
 Simplices are tuples of strictly increasing vertex ids (dense ints).  The
 empty simplex is implicit (f_{-1} = 1) and never stored.  A complex stores
 all simplices grouped by dimension together with a label table mapping each
-vertex id to an opaque label (an FpVector, FpLine, ZLine, or plain string),
-and nothing else: it keeps no record of how it was made, so a caller that
-needs, say, the universal kind a complex was built from passes that kind
-along itself.
+vertex id to its label, the string token it prints as, and nothing else: it
+keeps no record of how it was made, so a caller that needs, say, the
+universal kind a complex was built from passes that kind along itself.
 
 Each level is stored once, as a lexicographically sorted tuple.  The sort
 runs once per level, when the complex is made, and nothing sorts a level
@@ -15,6 +14,11 @@ coreduction, Reisner links) read the stored order, and membership is a
 binary search in it.  The frontier builder hands its levels over already in
 that order, so their sort is one linear pass (timsort finds a single run);
 facet files and links pay for it once.
+
+A facet file's labels are its tokens.  A universal complex over F_p or Z
+labels a vertex by its coordinates, made into a token once when it is
+built by `vertex_label`: "(a,b)" for a vector of X, "[a,b]" for the
+canonical generator of a line of K.
 """
 
 from __future__ import annotations
@@ -36,6 +40,13 @@ SIMPLEX_BUDGET = 10**7
 # upper simplices whose faces `facets` strikes in one C-level pass between
 # its checks for an exhausted level
 _STRIKE_CHUNK = 4096
+
+
+def vertex_label(variant, coords):
+    """The label of the vertex of X ("(a,b)") or K ("[a,b]") with the given
+    coordinates: a vector, or a line's canonical generator."""
+    text = ",".join(map(str, coords))
+    return f"({text})" if variant == "X" else f"[{text}]"
 
 
 def check_simplex(vertices):
@@ -295,7 +306,25 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
 #
 # One facet per line, whitespace-separated vertex labels; '#' starts a
 # comment.  Vertex ids are assigned by sorting the distinct label tokens
-# (numeric tokens sort numerically, before non-numeric ones).
+# (numeric tokens sort numerically, before non-numeric ones).  Every text
+# input (facet lists, shelling orders, quasitoric pair files) is read line
+# by line through `token_lines`, and every facet line through `facet_lines`.
+
+
+def token_lines(text):
+    """The whitespace-separated tokens of each line of `text`, with '#'
+    starting a comment; a blank or comment-only line gives []."""
+    return [line.split("#", 1)[0].split() for line in text.splitlines()]
+
+
+def facet_lines(text):
+    """The token lists of the facet lines of `text`, blank lines skipped;
+    a line naming a vertex twice is an InputError."""
+    facets = [toks for toks in token_lines(text) if toks]
+    for toks in facets:
+        if len(set(toks)) < len(toks):
+            raise InputError(f"repeated vertex in facet line: {' '.join(toks)!r}")
+    return facets
 
 
 def _token_key(tok):
@@ -308,22 +337,12 @@ def _token_key(tok):
 def parse_facet_list(text, budget=SIMPLEX_BUDGET):
     """The complex closed from a facet-list text, under the simplex budget
     of `SimplicialComplex.from_simplices`."""
-    facets_tokens = []
-    tokens = set()
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if len(set(toks)) < len(toks):
-            raise InputError(f"repeated vertex in facet line: {line!r}")
-        facets_tokens.append(toks)
-        tokens.update(toks)
-    order = sorted(tokens, key=_token_key)
+    facets_tokens = facet_lines(text)
+    order = sorted({tok for toks in facets_tokens for tok in toks}, key=_token_key)
     vid = {tok: i for i, tok in enumerate(order)}
-    labels = {i: tok for tok, i in vid.items()}
     facets = [tuple(sorted(vid[t] for t in toks)) for toks in facets_tokens]
-    return SimplicialComplex.from_simplices(facets, labels, budget=budget)
+    return SimplicialComplex.from_simplices(facets, dict(enumerate(order)),
+                                            budget=budget)
 
 
 def format_facet_list(K, header=None):
@@ -332,5 +351,5 @@ def format_facet_list(K, header=None):
         for h in header.splitlines():
             lines.append(f"# {h}")
     for f in K.facets():
-        lines.append(" ".join(str(K.labels[v]) for v in f))
+        lines.append(" ".join(K.labels[v] for v in f))
     return "\n".join(lines) + "\n"

@@ -14,12 +14,12 @@ The verifier, not the construction, is the ground truth: the constructed
 order goes through `shelling_h_vector` before it is returned.
 
 The construction works on vertex ids and coordinate tuples, both taken
-from the one enumeration in `universal_fp` (a line is read by its
-generator).  The groups come from the frontier builder over the vertices
-off the old hyperplane, started at the quotient of the span being linked.
-A recursive order lives in the space one dimension down; it is carried up
-by a transport table, made once per subspace: for each vertex of the
-smaller space, the completion matrix of the subspace applied to its
+from the one enumeration in `universal_fp` (a line's coordinates are its
+canonical generator).  The groups come from the frontier builder over the
+vertices off the old hyperplane, started at the quotient of the span being
+linked.  A recursive order lives in the space one dimension down; it is
+carried up by a transport table, made once per subspace: for each vertex
+of the smaller space, the completion matrix of the subspace applied to its
 coordinates, with a zero last coordinate appended and a line's image
 normalised to its generator, looked up by coordinates among the ids of
 the larger space.  So a transported facet is a tuple of table lookups,
@@ -42,8 +42,6 @@ from math import comb
 
 from .errors import InputError
 from .fplin import (
-    FpVector,
-    PrimeField,
     echelon_basis,
     line_canonical_fp,
     _identity_rows,
@@ -152,7 +150,7 @@ def _space(variant, p, amb, memo):
     map from each coordinate tuple to its id."""
     key = ("space", amb)
     if key not in memo:
-        _, coords = _vertex_enumeration(variant, p, amb)
+        coords = _vertex_enumeration(variant, p, amb)
         memo[key] = coords, {c: u for u, c in enumerate(coords)}
     return memo[key]
 
@@ -168,12 +166,11 @@ def _transport_table(variant, p, amb, wbasis, memo):
         cols = _completion_matrix(wbasis, p, amb - 1)
         small, _ = _space(variant, p, amb - 1, memo)
         _, id_of = _space(variant, p, amb, memo)
-        field = PrimeField(p)
         table = []
         for c in small:
             image = _apply_columns(cols, c, p) + (0,)
             if variant == "K":
-                image = line_canonical_fp(FpVector(image), field).generator.coords
+                image = line_canonical_fp(image, p)
             table.append(id_of[image])
         memo[key] = table
     return memo[key]

@@ -30,13 +30,19 @@ from operator import mul
 
 from .errors import InputError, ResourceLimitError
 from .fplin import (
-    PrimeField,
+    check_prime,
     enumerate_lines_fp,
     enumerate_vectors_fp,
     _identity_rows,
     _quotient_step_fp,
 )
-from .scomplex import SIMPLEX_BUDGET, FVector, SimplicialComplex, grow_by_extension
+from .scomplex import (
+    SIMPLEX_BUDGET,
+    FVector,
+    SimplicialComplex,
+    grow_by_extension,
+    vertex_label,
+)
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ class UniversalKind:
     def __post_init__(self):
         if self.variant not in ("X", "K"):
             raise InputError(f"variant must be 'X' or 'K', got {self.variant!r}")
-        PrimeField(self.p)  # primality check
+        check_prime(self.p)
         if self.n < 1:
             raise InputError(f"ambient dimension must be >= 1, got {self.n}")
 
@@ -125,14 +131,14 @@ def _finish_fp(gens, p):
 
 
 def _vertex_enumeration(variant, p, n):
-    """The vertex labels of X/K(F_p^n) in id order, and their coordinate
-    tuples: a vector's own coordinates for X, a line's generator for K."""
-    field = PrimeField(p)
-    if variant == "X":
-        labels = enumerate_vectors_fp(n, field)
-        return labels, [v.coords for v in labels]
-    labels = enumerate_lines_fp(n, field)
-    return labels, [l.generator.coords for l in labels]
+    """The vertex coordinates of X/K(F_p^n) in id order: the nonzero
+    vectors for X, the lines' canonical generators for K."""
+    return (enumerate_vectors_fp if variant == "X" else enumerate_lines_fp)(n, p)
+
+
+def _vertex_count(kind):
+    """f_0 of the universal complex: p^n - 1 vectors, (p^n - 1)/(p - 1) lines."""
+    return (kind.p**kind.n - 1) // (1 if kind.variant == "X" else kind.p - 1)
 
 
 def build_universal(kind, budget=SIMPLEX_BUDGET):
@@ -140,18 +146,21 @@ def build_universal(kind, budget=SIMPLEX_BUDGET):
     is grown only by vertices (in enumeration order, past its last one) that
     raise the rank, so each unimodular subset is produced exactly once.  The
     rank test is the quotient step, starting from the identity rows, and the
-    top level is finished by `_finish_fp`.  The closed-form simplex count is
-    checked against `budget` before anything is allocated."""
-    total = total_simplex_count(kind)
-    if total > budget:
-        raise ResourceLimitError(f"{kind} has {total} simplices, over budget {budget}")
+    top level is finished by `_finish_fp`.  Before anything is allocated the
+    vertex count, and then the closed-form simplex count, is checked against
+    `budget`.  The vertex count goes first, as it is cheap where the closed
+    form of a large n is not; the refusal prints neither, as a large count
+    can have more digits than the interpreter prints."""
+    if _vertex_count(kind) > budget or total_simplex_count(kind) > budget:
+        raise ResourceLimitError(
+            f"{kind} has more simplices than the simplex budget {budget}")
     p, n = kind.p, kind.n
-    labels_seq, gens = _vertex_enumeration(kind.variant, p, n)
+    gens = _vertex_enumeration(kind.variant, p, n)
     by_dim = grow_by_extension(gens, n, _identity_rows(n),
                                partial(_quotient_step_fp, p=p),
                                _finish_fp(gens, p), budget, str(kind))
-    labels = {i: lab for i, lab in enumerate(labels_seq)}
-    K = SimplicialComplex(by_dim, labels)
+    K = SimplicialComplex(by_dim, {i: vertex_label(kind.variant, c)
+                                   for i, c in enumerate(gens)})
     if K.dim != n - 1 or not K.is_pure():
         raise AssertionError(f"built {kind} is not pure of dimension {n - 1}")
     built, formula = K.f_vector().entries, formula_f_vector(kind).entries
@@ -166,11 +175,11 @@ def standard_pivot_ids(kind):
     """Vertex ids of e_1, ..., e_n (X) or L(e_1), ..., L(e_n) (K) in
     `build_universal(kind)`, in order.
 
-    These are the pivot schedules used by the greedy matchings and the
-    counts of pivot-free facets.  A vertex id is the label's position in
-    the lexicographic enumeration.  The vectors before e_i are the nonzero
-    ones with zeros in coordinates 1..i, p^(n-i) - 1 of them, and the lines
-    before L(e_i) are the lines among those, (p^(n-i) - 1) / (p - 1)."""
+    These are the pivot schedules used by the greedy matchings.  A vertex
+    id is the position of the vertex's coordinates in the lexicographic
+    enumeration.  The vectors before e_i are the nonzero ones with zeros in
+    coordinates 1..i, p^(n-i) - 1 of them, and the lines before L(e_i) are
+    the lines among those, (p^(n-i) - 1) / (p - 1)."""
     p, n = kind.p, kind.n
     per_id = 1 if kind.variant == "X" else p - 1
     return tuple((p ** (n - i) - 1) // per_id for i in range(1, n + 1))

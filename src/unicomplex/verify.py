@@ -163,7 +163,7 @@ def criterion_6(ws):
         if not ok:
             return False, f"{kind}: Reisner fails at {witness}"
     two_edges = SimplicialComplex.from_simplices(
-        [(0, 1), (2, 3)], {i: i for i in range(4)}
+        [(0, 1), (2, 3)], {i: str(i) for i in range(4)}
     )
     ok, witness = homology.reisner_check(two_edges)
     if ok or witness != ((), 0):
@@ -194,7 +194,7 @@ def criterion_7(ws):
 
 def _random_graph(rng, m):
     edges = [e for e in combinations(range(m), 2) if rng.random() < 0.5]
-    return SimplicialComplex.from_simplices(edges, {i: i for i in range(m)})
+    return SimplicialComplex.from_simplices(edges, {i: str(i) for i in range(m)})
 
 
 def criterion_8(ws):
@@ -269,7 +269,7 @@ def criterion_9(ws, samples=10**4):
         rows = [
             tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m)
         ]
-        got = zlattice.is_unimodular_z([zlattice.ZVector(r) for r in rows])
+        got = zlattice.is_unimodular_z(rows)
         want = _minor_gcd_unimodular([list(r) for r in rows])
         if got != want:
             return False, f"trial {trial}: {rows} snf={got} minors={want}"
@@ -302,7 +302,7 @@ def criterion_9(ws, samples=10**4):
         pivots = list(range(K.n_vertices))
         M = morse.greedy_matching(K, pivots)  # raises on a cycle
         crit = set(M.critical)
-        for k, simp in zlattice.sigma_family(K):
+        for k, simp in zlattice.sigma_family(K, 2):
             if simp not in crit:
                 return False, f"sigma_{k} not critical at norm {norm}"
         prof = homology.reduced_homology(K)

@@ -37,58 +37,27 @@ from math import gcd
 from operator import mul
 
 from .errors import InputError
-from .fplin import _identity_rows
-from .scomplex import SIMPLEX_BUDGET, SimplicialComplex, grow_by_extension
-
-
-@dataclass(frozen=True, order=True)
-class ZVector:
-    coords: tuple
-
-    @property
-    def n(self):
-        return len(self.coords)
-
-    def norm1(self):
-        return sum(abs(c) for c in self.coords)
-
-    def __str__(self):
-        return "(" + ",".join(map(str, self.coords)) + ")"
-
-
-@dataclass(frozen=True)
-class ZLine:
-    generator: ZVector  # primitive, first nonzero coordinate positive
-
-    @property
-    def n(self):
-        return self.generator.n
-
-    def __str__(self):
-        return "[" + ",".join(map(str, self.generator.coords)) + "]"
+from .fplin import _common_dimension, _identity_rows
+from .scomplex import (
+    SIMPLEX_BUDGET,
+    SimplicialComplex,
+    grow_by_extension,
+    parse_facet_list,
+    token_lines,
+    vertex_label,
+)
 
 
 def z_line(coords):
-    """The line through an integer vector: divide out the gcd and normalize
-    the sign of the first nonzero coordinate."""
+    """The line through an integer vector, as its primitive generator with
+    the first nonzero coordinate positive."""
     c = tuple(int(x) for x in coords)
     if not any(c):
         raise InputError("zero vector spans no line")
-    g = 0
-    for x in c:
-        g = gcd(g, x)
-    c = tuple(x // g for x in c)
-    first = next(x for x in c if x)
-    if first < 0:
-        c = tuple(-x for x in c)
-    return ZLine(ZVector(c))
-
-
-def is_primitive(v):
-    g = 0
-    for x in v.coords:
-        g = gcd(g, x)
-    return g == 1
+    g = gcd(*c)
+    if next(filter(None, c)) < 0:
+        g = -g
+    return tuple(x // g for x in c)
 
 
 def _quotient_step(rows, w):
@@ -170,14 +139,9 @@ def is_unimodular_z(vectors):
     """True iff the vectors span a direct summand of rank equal to their
     number."""
     vectors = list(vectors)
-    dims = {v.n for v in vectors}
-    if len(dims) > 1:
-        raise InputError(f"ambient dimension mismatch: {sorted(dims)}")
-    if not vectors:
-        return True
-    rows = _identity_rows(dims.pop())
+    rows = _identity_rows(_common_dimension(vectors))
     for v in vectors:
-        rows = _quotient_step(rows, v.coords)
+        rows = _quotient_step(rows, v)
         if rows is None:
             return False
     return True
@@ -188,50 +152,33 @@ def is_unimodular_z(vectors):
 
 def z_line_key(line):
     """Primary key 1-norm; ties compared from the last coordinate downward."""
-    g = line.generator.coords
-    return (sum(abs(c) for c in g), tuple(reversed(g)))
+    return (sum(map(abs, line)), line[::-1])
 
 
 def compare_z_lines(a, b):
     """-1, 0, or 1; a strict total order on lines of fixed ambient dimension."""
-    if a.n != b.n:
+    if len(a) != len(b):
         raise InputError("lines live in different ambient dimensions")
     ka, kb = z_line_key(a), z_line_key(b)
     return -1 if ka < kb else (0 if ka == kb else 1)
 
 
-def _primitive_vectors(n, max_norm, positive_first=True):
-    out = []
-    for c in product(range(-max_norm, max_norm + 1), repeat=n):
-        if not any(c) or sum(abs(x) for x in c) > max_norm:
-            continue
-        v = ZVector(c)
-        if not is_primitive(v):
-            continue
-        if positive_first and next(x for x in c if x) < 0:
-            continue
-        out.append(v)
-    return out
+def enumerate_z_vectors(n, max_norm):
+    """All primitive vectors (both signs) with 1-norm <= max_norm, sorted
+    by `z_line_key`."""
+    if n < 1 or max_norm < 1:
+        raise InputError("need n >= 1 and max_norm >= 1")
+    return tuple(sorted(
+        (c for c in product(range(-max_norm, max_norm + 1), repeat=n)
+         if sum(map(abs, c)) <= max_norm and gcd(*c) == 1),
+        key=z_line_key))
 
 
 def enumerate_z_lines(n, max_norm):
-    """All lines with generator 1-norm <= max_norm, in the well-order;
-    growing max_norm only appends."""
-    if n < 1 or max_norm < 1:
-        raise InputError("need n >= 1 and max_norm >= 1")
-    lines = [ZLine(v) for v in _primitive_vectors(n, max_norm)]
-    lines.sort(key=z_line_key)
-    return tuple(lines)
-
-
-def enumerate_z_vectors(n, max_norm):
-    """All primitive vectors (both signs) with 1-norm <= max_norm, ordered
-    by the same key as lines."""
-    if n < 1 or max_norm < 1:
-        raise InputError("need n >= 1 and max_norm >= 1")
-    vecs = _primitive_vectors(n, max_norm, positive_first=False)
-    vecs.sort(key=lambda v: (v.norm1(), tuple(reversed(v.coords))))
-    return tuple(vecs)
+    """All lines with generator 1-norm <= max_norm, as their generators in
+    the well-order; growing max_norm only appends."""
+    return tuple(c for c in enumerate_z_vectors(n, max_norm)
+                 if next(filter(None, c)) > 0)
 
 
 def build_truncated_universal_z(variant, n, max_norm, budget=SIMPLEX_BUDGET):
@@ -242,52 +189,42 @@ def build_truncated_universal_z(variant, n, max_norm, budget=SIMPLEX_BUDGET):
     against `budget` batch by batch, before each batch is added."""
     if variant not in ("X", "K"):
         raise InputError(f"variant must be 'X' or 'K', got {variant!r}")
-    if variant == "K":
-        labels_seq = enumerate_z_lines(n, max_norm)
-        gens = [l.generator.coords for l in labels_seq]
-    else:
-        labels_seq = enumerate_z_vectors(n, max_norm)
-        gens = [v.coords for v in labels_seq]
+    gens = (enumerate_z_lines if variant == "K" else enumerate_z_vectors)(n, max_norm)
     by_dim = grow_by_extension(
         gens, n, _identity_rows(n), _quotient_step, _finish_z(gens), budget,
         f"truncated {variant}(Z^{n}), max_norm={max_norm}",
     )
-    labels = {i: lab for i, lab in enumerate(labels_seq)}
-    return SimplicialComplex(by_dim, labels)
+    return SimplicialComplex(by_dim, {i: vertex_label(variant, c)
+                                      for i, c in enumerate(gens)})
 
 
 def critical_family_sigma(n, k):
-    """The explicit unimodular (n-1)-simplex family sigma_k, as lines:
+    """The explicit unimodular (n-1)-simplex family sigma_k, as the
+    generators of its lines:
     {L(e_1 + k e_2), L(2 e_1 + (2k-1) e_2), L(e_1 + e_3), ..., L(e_1 + e_n)}."""
     if n < 2 or k < 1:
         raise InputError("need n >= 2 and k >= 1")
-    gens = []
-    gens.append((1, k) + (0,) * (n - 2))
-    gens.append((2, 2 * k - 1) + (0,) * (n - 2))
+    gens = [(1, k) + (0,) * (n - 2), (2, 2 * k - 1) + (0,) * (n - 2)]
     for j in range(2, n):
         gens.append(tuple(1 if i == 0 or i == j else 0 for i in range(n)))
-    lines = tuple(z_line(g) for g in gens)
-    if not is_unimodular_z([l.generator for l in lines]):
+    lines = tuple(map(z_line, gens))
+    if not is_unimodular_z(lines):
         raise AssertionError(f"sigma_{k} in Z^{n} is not unimodular")
-    if len(lines) != n:
-        raise AssertionError("sigma_k has the wrong dimension")
     return lines
 
 
-def sigma_family(K):
+def sigma_family(K, n):
     """(k, simplex) for k = 1, 2, ... while every line of sigma_k is a vertex
     of the truncation K of K(Z^n), with the simplex as sorted vertex ids;
-    nothing for n < 2, where the family is not defined.  n is read off the
-    vertex labels, lines in Z^n."""
-    n = K.labels[0].n
+    nothing for n < 2, where the family is not defined."""
     if n < 2:
         return
-    lab_to_id = {lab: v for v, lab in K.labels.items()}
+    id_of = {lab: v for v, lab in K.labels.items()}
     for k in count(1):
-        sigma = critical_family_sigma(n, k)
-        if not all(l in lab_to_id for l in sigma):
+        labels = [vertex_label("K", l) for l in critical_family_sigma(n, k)]
+        if not all(lab in id_of for lab in labels):
             return
-        yield k, tuple(sorted(lab_to_id[l] for l in sigma))
+        yield k, tuple(sorted(id_of[lab] for lab in labels))
 
 
 # -- quasitoric pairs ---------------------------------------------------------
@@ -307,7 +244,7 @@ class QuasitoricPair:
         return len(self.lam[0]) if self.lam else 0
 
     def column(self, j):
-        return ZVector(tuple(row[j] for row in self.lam))
+        return tuple(row[j] for row in self.lam)
 
 
 def _pair_shape_check(pair):
@@ -351,30 +288,18 @@ def parse_quasitoric_pair(text, budget=SIMPLEX_BUDGET):
     """Pair file: a facet-list block for P*, a blank line, then n rows of m
     whitespace-separated integers (columns in sorted vertex-label order).
     The facet block is closed under the simplex budget."""
-    from .scomplex import parse_facet_list
-
-    lines = text.splitlines()
-    split = None
-    seen_content = False
-    for i, line in enumerate(lines):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            seen_content = True
-        elif seen_content:
-            split = i
-            break
+    tokens = token_lines(text)
+    start = next((i for i, toks in enumerate(tokens) if toks), len(tokens))
+    split = next((i for i in range(start, len(tokens)) if not tokens[i]), None)
     if split is None:
         raise InputError("pair file needs a blank line between facets and matrix")
-    K = parse_facet_list("\n".join(lines[:split]), budget=budget)
+    K = parse_facet_list("\n".join(text.splitlines()[:split]), budget=budget)
     rows = []
-    for line in lines[split:]:
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for toks in filter(None, tokens[split:]):
         try:
-            rows.append(tuple(int(t) for t in stripped.split()))
+            rows.append(tuple(map(int, toks)))
         except ValueError as exc:
-            raise InputError(f"bad matrix row: {line!r}") from exc
+            raise InputError(f"bad matrix row: {' '.join(toks)!r}") from exc
     if not rows or len({len(r) for r in rows}) != 1:
         raise InputError("matrix block missing or ragged")
     return QuasitoricPair(K, tuple(rows))

@@ -157,6 +157,12 @@ def reference_greedy_p_ordering(window, p, K, start_index):
     return chosen, exps
 
 
+def coords_of(label):
+    """The coordinate tuple that a vertex label "(a,b)" or "[a,b]" prints,
+    read back from the string."""
+    return tuple(map(int, label[1:-1].split(",")))
+
+
 def scalar_class(coords, p):
     """All nonzero scalar multiples of a vector mod p."""
     return {

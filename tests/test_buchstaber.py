@@ -13,7 +13,7 @@ from unicomplex.buchstaber import (
     s_fp_graph,
     zeta_theta_bounds,
 )
-from unicomplex.fplin import PrimeField, enumerate_lines_fp
+from unicomplex.fplin import enumerate_lines_fp
 from unicomplex.scomplex import SimplicialComplex
 from unicomplex.universal_fp import UniversalKind, build_universal
 
@@ -64,6 +64,18 @@ def test_s_fp_graph_examples():
     assert s_fp_graph(complete(3), 2) == 1
     assert s_fp_graph(complete(4), 3) == 2
     assert s_fp_graph(graph([], 5), 2) == 4
+
+
+@pytest.mark.parametrize("call", [
+    lambda G: s_fp_graph(G, 4),
+    lambda G: min_rank_search(G, 4),
+    lambda G: buchstaber_bounds(G, 4),
+    lambda G: zeta_theta_bounds(4, 2, 2),
+    lambda G: zeta_theta_bounds(2, 4, 2),
+], ids=["s_fp_graph", "min_rank_search", "bounds", "zeta_p", "zeta_q"])
+def test_entry_points_refuse_a_composite(call):
+    with pytest.raises(InputError, match="not a prime: 4"):
+        call(complete(3))
 
 
 def test_s_fp_graph_rejects_high_dimension():
@@ -127,11 +139,12 @@ def test_search_witness_nondegenerate_and_injective():
     src = build_universal(UniversalKind("K", 2, 2))
     r, witness = min_rank_search(src, 3, r_max=2)
     assert r == 2
-    field = PrimeField(3)
-    lines = enumerate_lines_fp(r, field)
-    assert is_nondegenerate_map(src, witness, lines, field)
+    lines = enumerate_lines_fp(r, 3)
+    assert is_nondegenerate_map(src, witness, lines, 3)
     images = [witness[v] for v in src.vertices()]
     assert len(set(images)) == len(images)
+    # a facet sent to one line twice is degenerate
+    assert not is_nondegenerate_map(src, dict.fromkeys(src.vertices(), 0), lines, 3)
 
 
 def test_bounds_report_examples():

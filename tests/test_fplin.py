@@ -5,9 +5,7 @@ import pytest
 from unicomplex.errors import InputError
 from unicomplex.fplin import (
     MILLER_RABIN_BOUND,
-    FpLine,
-    FpVector,
-    PrimeField,
+    check_prime,
     enumerate_lines_fp,
     enumerate_vectors_fp,
     is_prime,
@@ -20,32 +18,28 @@ from unicomplex.fplin import (
 
 from oracles import scalar_class, span_size_rank, trial_division_is_prime
 
-F2 = PrimeField(2)
-F3 = PrimeField(3)
-
-
 def V(*coords):
-    return FpVector(tuple(coords))
+    return tuple(coords)
 
 
-def fp_vector(coords, field):
-    """Build an FpVector, reducing each coordinate mod p."""
-    return FpVector(tuple(int(c) % field.p for c in coords))
+def fp_vector(coords, p):
+    """A vector of F_p^n, each coordinate reduced mod p."""
+    return tuple(int(c) % p for c in coords)
 
 
-def rank_fp(vectors, field):
+def rank_fp(vectors, p):
     """Rank of the span of the given vectors."""
     vectors = list(vectors)
     n = _common_dimension(vectors)
-    return n - len(_span_quotient_fp((v.coords for v in vectors), n, field.p))
+    return n - len(_span_quotient_fp(vectors, n, p))
 
 
-def test_prime_field_rejects_composites():
+def test_check_prime_rejects_composites():
     for bad in (0, 1, 4, 9, 15):
-        with pytest.raises(InputError):
-            PrimeField(bad)
+        with pytest.raises(InputError, match=f"not a prime: {bad}"):
+            check_prime(bad)
     for good in (2, 3, 5, 7, 11, 13):
-        PrimeField(good)
+        check_prime(good)
 
 
 def test_is_prime_matches_trial_division():
@@ -69,120 +63,111 @@ def test_is_prime_bound():
 
 
 def test_rank_standard_basis():
-    assert rank_fp([V(1, 0, 0), V(0, 1, 0)], F2) == 2
+    assert rank_fp([V(1, 0, 0), V(0, 1, 0)], 2) == 2
 
 
 def test_rank_empty():
-    assert rank_fp([], F3) == 0
+    assert rank_fp([], 3) == 0
 
 
 def test_rank_scalar_multiples():
-    assert rank_fp([V(1, 1), V(2, 2)], F3) == 1
+    assert rank_fp([V(1, 1), V(2, 2)], 3) == 1
 
 
 def test_rank_matches_span_size_oracle():
     rng = random.Random(7)
     for p in (2, 3, 5):
-        field = PrimeField(p)
         for _ in range(60):
             n = rng.randint(1, 4)
             m = rng.randint(0, 4)
             rows = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(m)]
-            assert rank_fp([FpVector(r) for r in rows], field) == span_size_rank(
-                rows, p
-            )
+            assert rank_fp(rows, p) == span_size_rank(rows, p)
 
 
 def test_rank_dimension_mismatch():
     with pytest.raises(InputError):
-        rank_fp([V(1, 0), V(1, 0, 0)], F2)
+        rank_fp([V(1, 0), V(1, 0, 0)], 2)
 
 
 def test_unimodular_basic():
-    assert is_unimodular_fp([V(1, 0), V(1, 1)], F2)
-    assert not is_unimodular_fp([V(1, 0), V(0, 1), V(1, 1)], F2)
+    assert is_unimodular_fp([V(1, 0), V(1, 1)], 2)
+    assert not is_unimodular_fp([V(1, 0), V(0, 1), V(1, 1)], 2)
 
 
 def test_unimodular_determinant_oracle():
     # det((1,2),(2,1)) = 1 - 4 = -3 = 0 mod 3
-    assert not is_unimodular_fp([V(1, 2), V(2, 1)], F3)
+    assert not is_unimodular_fp([V(1, 2), V(2, 1)], 3)
 
 
 def test_unimodular_duplicates_false():
-    assert not is_unimodular_fp([V(1, 0), V(1, 0)], F2)
+    assert not is_unimodular_fp([V(1, 0), V(1, 0)], 2)
 
 
 def test_unimodular_hereditary():
     rng = random.Random(11)
-    field = PrimeField(3)
     for _ in range(40):
         m = rng.randint(1, 3)
         vecs = []
         while len(vecs) < m:
             v = V(*(rng.randrange(3) for _ in range(3)))
-            if not v.is_zero() and v not in vecs:
+            if any(v) and v not in vecs:
                 vecs.append(v)
-        if is_unimodular_fp(vecs, field):
+        if is_unimodular_fp(vecs, 3):
             for size in range(len(vecs)):
                 subset = rng.sample(vecs, size)
-                assert is_unimodular_fp(subset, field)
+                assert is_unimodular_fp(subset, 3)
 
 
 def test_line_canonical_examples():
-    assert line_canonical_fp(V(0, 2), F3).generator == V(0, 1)
+    assert line_canonical_fp(V(0, 2), 3) == V(0, 1)
     # (2,1) * 2 = (4,2) = (1,2) mod 3
-    assert line_canonical_fp(V(2, 1), F3).generator == V(1, 2)
-    assert line_canonical_fp(V(1, 0, 1), F2).generator == V(1, 0, 1)
+    assert line_canonical_fp(V(2, 1), 3) == V(1, 2)
+    assert line_canonical_fp(V(1, 0, 1), 2) == V(1, 0, 1)
 
 
 def test_line_canonical_zero_rejected():
     with pytest.raises(InputError):
-        line_canonical_fp(V(0, 0), F3)
+        line_canonical_fp(V(0, 0), 3)
 
 
 def test_line_canonical_scalar_sweep_oracle():
     for p in (3, 5):
-        field = PrimeField(p)
-        for v in enumerate_vectors_fp(2, field):
-            reps = {
-                line_canonical_fp(FpVector(w), field)
-                for w in scalar_class(v.coords, p)
-            }
+        for v in enumerate_vectors_fp(2, p):
+            reps = {line_canonical_fp(w, p) for w in scalar_class(v, p)}
             assert len(reps) == 1
             canon = reps.pop()
-            assert canon.generator.coords in scalar_class(v.coords, p)
+            assert canon in scalar_class(v, p)
             # idempotent
-            assert line_canonical_fp(canon.generator, field) == canon
+            assert line_canonical_fp(canon, p) == canon
 
 
 def test_enumerate_lines_counts():
-    assert len(enumerate_lines_fp(2, F3)) == 4
-    assert len(enumerate_lines_fp(3, F2)) == 7
-    assert len(enumerate_lines_fp(1, PrimeField(7))) == 1
+    assert len(enumerate_lines_fp(2, 3)) == 4
+    assert len(enumerate_lines_fp(3, 2)) == 7
+    assert len(enumerate_lines_fp(1, 7)) == 1
 
 
 def test_enumerate_lines_partitions_vectors():
     for p, n in ((2, 3), (3, 2), (5, 2)):
-        field = PrimeField(p)
-        lines = enumerate_lines_fp(n, field)
+        lines = enumerate_lines_fp(n, p)
         assert len(lines) * (p - 1) == p**n - 1
         seen = set()
         for line in lines:
-            cls = scalar_class(line.generator.coords, p)
+            cls = scalar_class(line, p)
             assert not cls & seen
             seen |= cls
         assert len(seen) == p**n - 1
 
 
 def test_enumerate_lines_sorted_unique():
-    lines = enumerate_lines_fp(3, F3)
-    gens = [l.generator.coords for l in lines]
-    assert gens == sorted(gens)
+    gens = enumerate_lines_fp(3, 3)
+    assert list(gens) == sorted(gens)
     assert len(set(gens)) == len(gens)
+    assert all(line_canonical_fp(g, 3) == g for g in gens)
 
 
 def test_fp_vector_reduces():
-    assert fp_vector((-1, 5), F3) == V(2, 2)
+    assert fp_vector((-1, 5), 3) == V(2, 2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

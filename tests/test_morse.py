@@ -9,7 +9,6 @@ from unicomplex.morse import (
     check_acyclic,
     critical_census,
     greedy_matching,
-    pivot_free_facet_count,
 )
 from unicomplex.scomplex import SimplicialComplex, parse_facet_list
 from unicomplex.universal_fp import (
@@ -186,15 +185,13 @@ def test_link_matching_in_k33():
     assert reduced_homology(L).betti == (0, want)
 
 
-def test_prose_census_recorded_not_asserted():
-    # operational critical count (3) differs from the pivot-free facet
-    # census (1) on K(F_3^2); both are exposed
+def test_standard_schedule_census_on_k32():
+    # the standard schedule leaves one critical vertex and 3 critical edges
+    # on K(F_3^2), one per sphere of the wedge
     kind = UniversalKind("K", 3, 2)
     K = build_universal(kind)
-    piv = standard_pivot_ids(kind)
-    M = greedy_matching(K, piv)
-    assert critical_census(M)[1] == 3
-    assert pivot_free_facet_count(K, piv) == 1
+    M = greedy_matching(K, standard_pivot_ids(kind))
+    assert critical_census(M) == {0: 1, 1: 3}
 
 
 

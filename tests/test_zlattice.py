@@ -11,11 +11,11 @@ from unicomplex.morse import check_acyclic, critical_census, greedy_matching
 from unicomplex.scomplex import SimplicialComplex
 from unicomplex.zlattice import (
     QuasitoricPair,
-    ZVector,
     build_truncated_universal_z,
     compare_z_lines,
     critical_family_sigma,
     enumerate_z_lines,
+    enumerate_z_vectors,
     is_unimodular_z,
     pair_to_simplicial_map,
     parse_quasitoric_pair,
@@ -26,19 +26,19 @@ from unicomplex.zlattice import (
     _quotient_step,
 )
 
-from oracles import det_cofactor, minor_gcd_unimodular
+from oracles import coords_of, det_cofactor, minor_gcd_unimodular
 
 
 def test_unimodular_examples():
-    assert is_unimodular_z([ZVector((2, 1)), ZVector((1, 1))])
-    assert not is_unimodular_z([ZVector((1, 0)), ZVector((0, 2))])
-    assert not is_unimodular_z([ZVector((2, 0))])
+    assert is_unimodular_z([(2, 1), (1, 1)])
+    assert not is_unimodular_z([(1, 0), (0, 2)])
+    assert not is_unimodular_z([(2, 0)])
     assert is_unimodular_z([])
 
 
 def test_unimodular_dimension_mismatch():
     with pytest.raises(InputError):
-        is_unimodular_z([ZVector((1, 0)), ZVector((1, 0, 0))])
+        is_unimodular_z([(1, 0), (1, 0, 0)])
 
 
 def test_unimodular_vs_minor_gcd_oracle():
@@ -47,14 +47,14 @@ def test_unimodular_vs_minor_gcd_oracle():
         n = rng.randint(1, 5)
         m = rng.randint(1, n)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        got = is_unimodular_z([ZVector(tuple(r)) for r in rows])
+        got = is_unimodular_z(tuple(r) for r in rows)
         assert got == minor_gcd_unimodular(rows)
 
 
 def test_z_line_normalization():
-    assert z_line((2, -4)).generator == ZVector((1, -2))
-    assert z_line((-3, 6)).generator == ZVector((1, -2))
-    assert z_line((0, -5)).generator == ZVector((0, 1))
+    assert z_line((2, -4)) == (1, -2)
+    assert z_line((-3, 6)) == (1, -2)
+    assert z_line((0, -5)) == (0, 1)
     with pytest.raises(InputError):
         z_line((0, 0))
 
@@ -71,15 +71,26 @@ def test_order_begins_with_standard_lines():
         lines = enumerate_z_lines(n, 3)
         for i in range(n):
             e = tuple(1 if j == i else 0 for j in range(n))
-            assert lines[i].generator.coords == e
+            assert lines[i] == e
 
 
 def test_enumerate_z_lines_examples():
     two = enumerate_z_lines(2, 2)
-    assert [l.generator.coords for l in two] == [(1, 0), (0, 1), (1, -1), (1, 1)]
+    assert list(two) == [(1, 0), (0, 1), (1, -1), (1, 1)]
     three = enumerate_z_lines(2, 3)
     assert len(three) == 8
     assert three[: len(two)] == two
+
+
+@pytest.mark.parametrize("n,max_norm", [(1, 1), (2, 4), (3, 3)])
+def test_vectors_are_the_lines_with_both_signs(n, max_norm):
+    vecs = enumerate_z_vectors(n, max_norm)
+    lines = enumerate_z_lines(n, max_norm)
+    assert set(vecs) == set(lines) | {tuple(-x for x in l) for l in lines}
+    assert len(vecs) == 2 * len(lines)
+    assert [v for v in vecs if v in set(lines)] == list(lines)
+    keys = [(sum(map(abs, v)), v[::-1]) for v in vecs]
+    assert keys == sorted(keys)
 
 
 def test_total_order_laws():
@@ -115,7 +126,7 @@ def test_truncation_k_z2_norm1():
 def test_truncation_simplices_unimodular():
     K = build_truncated_universal_z("K", 2, 4)
     for s in K.all_simplices():
-        assert is_unimodular_z([K.labels[v].generator for v in s])
+        assert is_unimodular_z([coords_of(K.labels[v]) for v in s])
 
 
 @pytest.mark.parametrize(
@@ -125,10 +136,8 @@ def test_truncation_simplices_unimodular():
 )
 def test_truncation_is_every_unimodular_subset(variant, n, max_norm):
     K = build_truncated_universal_z(variant, n, max_norm)
-    gens = [
-        K.labels[v].generator.coords if variant == "K" else K.labels[v].coords
-        for v in range(K.n_vertices)
-    ]
+    gens = [coords_of(K.labels[v]) for v in range(K.n_vertices)]
+    assert {K.labels[v][0] for v in K.vertices()} == {"[" if variant == "K" else "("}
     want = {
         s
         for size in range(1, n + 1)
@@ -221,14 +230,14 @@ def test_w_matching_acyclic_and_sigma_critical():
         M = greedy_matching(K, list(range(K.n_vertices)))
         ok, cycle = check_acyclic(K, M.pairs)
         assert ok, cycle
-        lab_to_id = {lab: v for v, lab in K.labels.items()}
+        line_to_id = {coords_of(lab): v for v, lab in K.labels.items()}
         crit = set(M.critical)
         k = 1
         while True:
             sigma = critical_family_sigma(2, k)
-            if not all(l in lab_to_id for l in sigma):
+            if not all(l in line_to_id for l in sigma):
                 break
-            assert tuple(sorted(lab_to_id[l] for l in sigma)) in crit
+            assert tuple(sorted(line_to_id[l] for l in sigma)) in crit
             k += 1
 
 
@@ -236,13 +245,14 @@ def test_w_matching_acyclic_and_sigma_critical():
 @pytest.mark.parametrize("n,norm", [(2, 4), (2, 9), (3, 3)])
 def test_sigma_family_stops_at_the_truncation(n, norm):
     K = build_truncated_universal_z("K", n, norm)
-    got = list(sigma_family(K))
+    got = list(sigma_family(K, n))
     assert [k for k, _ in got] == list(range(1, len(got) + 1)) and got
     for k, simp in got:
         assert simp in K
-        assert {K.labels[v] for v in simp} == set(critical_family_sigma(n, k))
+        lines = {coords_of(K.labels[v]) for v in simp}
+        assert lines == set(critical_family_sigma(n, k))
     beyond = critical_family_sigma(n, len(got) + 1)
-    assert not set(beyond) <= set(K.labels.values())
+    assert not set(beyond) <= {coords_of(lab) for lab in K.labels.values()}
 
 def test_truncations_connected_with_growing_top_betti():
     last = -1
@@ -282,13 +292,13 @@ def test_w_matching_weight_decreases_on_descents():
 
 def test_sigma_family_examples():
     s1 = critical_family_sigma(2, 1)
-    assert [l.generator.coords for l in s1] == [(1, 1), (2, 1)]
+    assert s1 == ((1, 1), (2, 1))
     s2 = critical_family_sigma(2, 2)
-    assert [l.generator.coords for l in s2] == [(1, 2), (2, 3)]
+    assert s2 == ((1, 2), (2, 3))
     assert abs(det_cofactor([[1, 2], [2, 3]])) == 1
     s3 = critical_family_sigma(3, 1)
-    assert [l.generator.coords for l in s3] == [(1, 1, 0), (2, 1, 0), (1, 0, 1)]
-    assert is_unimodular_z([l.generator for l in s3])
+    assert s3 == ((1, 1, 0), (2, 1, 0), (1, 0, 1))
+    assert is_unimodular_z(s3)
 
 
 def cp2_pair():
@@ -323,7 +333,7 @@ def test_pair_to_simplicial_map_round_trip():
     vmap = pair_to_simplicial_map(pair)
     verts = pair.dual_complex.vertices()
     rebuilt = tuple(
-        tuple(vmap[v].coords[i] for v in verts) for i in range(pair.n)
+        tuple(vmap[v][i] for v in verts) for i in range(pair.n)
     )
     assert rebuilt == pair.lam
     for facet in pair.dual_complex.facets():
@@ -343,6 +353,16 @@ def test_parse_quasitoric_pair_file():
     assert pair.n == 2 and pair.m == 3
     ok, _ = validate_quasitoric_pair(pair)
     assert ok
+
+
+def test_parse_quasitoric_pair_skips_comments():
+    text = ("# CP^2\r\n1 2\r\n1 3  # an edge\r\n2 3\r\n# matrix\r\n"
+            "1 0 -1\r\n\r\n0 1 -1\r\n")
+    assert parse_quasitoric_pair(text).lam == ((1, 0, -1), (0, 1, -1))
+    with pytest.raises(InputError, match="repeated vertex in facet line: '1 1'"):
+        parse_quasitoric_pair("1 1\n1 3\n\n1 0\n")
+    with pytest.raises(InputError, match="bad matrix row: '1 x'"):
+        parse_quasitoric_pair("1 2\n\n1 x  # not an integer\n")
 
 
 def test_parse_quasitoric_pair_shape_errors():
