@@ -214,7 +214,7 @@ def cmd_fvector(args):
     formula = formula_f_vector(kind, link_dim=args.link_dim)
     results["formula"] = list(formula.entries)
     results["euler"] = formula.euler
-    sc = sphere_count(kind, link_dim=args.link_dim)
+    sc = sphere_count(kind, link_dim=args.link_dim, formula=formula)
     results["sphere_dimension"] = sc.dimension
     results["sphere_count"] = sc.count
     if args.method in ("enumeration", "both"):
@@ -247,7 +247,8 @@ def cmd_homology(args):
     if kind is not None and args.link_dim is None:
         results["sphere_count"] = sphere_count(kind).count
     if args.reisner:
-        ok, witness = reisner_check(K, orbit_sample=kind is not None)
+        ok, witness = reisner_check(K, orbit_sample=kind is not None,
+                                    profile=prof)
         results["cohen_macaulay"] = ok
         if witness is not None:
             results["reisner_witness"] = [list(witness[0]), witness[1]]

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import combinations, count, repeat
 from math import gcd
 
 
@@ -179,21 +180,30 @@ def coreduce(K):
     Returns (cells, faces, partner, stamp): cells[c] is the simplex with id
     c, faces[c] the ids of its codimension-1 faces in vertex-deletion order,
     partner[c] the id matched with c (-1 for a critical cell) and stamp[c]
-    the step at which c left."""
+    the step at which c left.
+
+    The tables are built in C-level passes: `combinations(s, d)` lists the
+    faces of a d-simplex s in the order that deletes its last vertex first,
+    so faces[c] is that run of ids reversed; the reversing slice leaves
+    each list at its exact size."""
     cells = []
     for d in range(K.dim + 1):
         cells.extend(K.sorted_simplices(d))
-    index = {s: c for c, s in enumerate(cells)}
+    index = dict(zip(cells, count()))
+    face_id = index.__getitem__
     n = len(cells)
     faces = [()] * n
-    cofaces = [[] for _ in range(n)]
-    for c, s in enumerate(cells):
-        if len(s) > 1:
-            fs = [index[s[:k] + s[k + 1:]] for k in range(len(s))]
-            faces[c] = fs
+    top = len(K.sorted_simplices(K.dim))
+    cofaces = [[] for _ in range(n - top)]
+    cofaces.extend(repeat((), top))  # no cofaces: one shared empty tuple
+    c = len(K.sorted_simplices(0))
+    for d in range(1, K.dim + 1):
+        for s in K.sorted_simplices(d):
+            faces[c] = fs = list(map(face_id, combinations(s, d)))[::-1]
             for a in fs:
                 cofaces[a].append(c)
-    live = [len(fs) for fs in faces]  # -1 once the cell has left
+            c += 1
+    live = list(map(len, faces))  # -1 once the cell has left
     partner = [-1] * n
     stamp = [0] * n
     queue = deque()
@@ -307,26 +317,43 @@ def reduced_homology(K):
     return HomologyProfile(betti, tuple(torsion))
 
 
-def reisner_check(K, orbit_sample=False):
-    """Cohen-Macaulayness over every field, by the homological criterion:
-    every link (including the whole complex, the link of the empty simplex)
-    must have vanishing reduced homology below its top dimension, with no
-    torsion there either.  Returns (True, None) or (False, (simplex, i)).
+def reisner_check(K, orbit_sample=False, profile=None):
+    """Cohen-Macaulayness over every field, by Reisner's homological
+    criterion: every link (including the whole complex, the link of the
+    empty simplex) must have vanishing reduced homology below its top
+    dimension, with no torsion there either.  Returns (True, None) or
+    (False, (simplex, i)) for the first failing link in the order of the
+    empty simplex, then the simplices by dimension and lexicographically.
 
-    With orbit_sample=True only the lexicographically first simplex of each
-    dimension is checked, which is exhaustive up to symmetry for the
-    vertex-transitive universal complexes."""
-    targets = [()]
-    for d in range(K.dim + 1):
+    A link is built only for a simplex of dimension at most K.dim - 2.  The
+    link of s is made of the simplices t with s + t in K, so its dimension
+    is at most K.dim - |s|, which is <= 0 for every larger simplex; a link
+    of dimension <= 0 has no degree below its top and cannot fail.  The
+    bound is exact, as each face of a K.dim-dimensional facet reaches it.
+    So every simplex whose link can fail is still visited, in the same
+    order, and verdict and witness are those of the sweep over all links.
+
+    `profile` is K's own `HomologyProfile` when the caller already has it;
+    otherwise it is computed here.  With orbit_sample=True only the
+    lexicographically first simplex of each dimension is checked, which is
+    exhaustive up to symmetry for the vertex-transitive universal
+    complexes."""
+    def gap(L, prof):
+        """The first degree below the top of L with homology, or None."""
+        return next((i for i in range(L.dim)
+                     if prof.betti[i] or prof.torsion[i]), None)
+
+    if K.dim <= 0:
+        return True, None
+    i = gap(K, reduced_homology(K) if profile is None else profile)
+    if i is not None:
+        return False, ((), i)
+    for d in range(K.dim - 1):
         level = K.sorted_simplices(d)
-        targets.extend(level[:1] if orbit_sample else level)
-    for s in targets:
-        L = K if s == () else K.link(s)
-        top = L.dim
-        if top <= 0:
-            continue
-        prof = reduced_homology(L)
-        for i in range(top):
-            if prof.betti[i] or prof.torsion[i]:
-                return False, (s, i)
+        for s in level[:1] if orbit_sample else level:
+            L = K.link(s)
+            if L.dim > 0:
+                i = gap(L, reduced_homology(L))
+                if i is not None:
+                    return False, (s, i)
     return True, None

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import merge
 from itertools import chain, combinations, repeat
-from operator import and_
+from operator import and_, lt
 
 from .errors import InputError, ResourceLimitError
 
@@ -52,10 +52,10 @@ def vertex_label(variant, coords):
 def check_simplex(vertices):
     """Validate and normalize one simplex: strictly increasing int tuple."""
     s = tuple(vertices)
-    for v in s:
-        if not isinstance(v, int):
-            raise InputError(f"vertex ids must be ints, got {v!r}")
-    if any(a >= b for a, b in zip(s, s[1:])):
+    if not all(map(isinstance, s, repeat(int))):
+        v = next(v for v in s if not isinstance(v, int))
+        raise InputError(f"vertex ids must be ints, got {v!r}")
+    if not all(map(lt, s, s[1:])):
         raise InputError(f"simplex vertices not strictly increasing: {s}")
     return s
 
@@ -96,8 +96,9 @@ class SimplicialComplex:
         becomes a vertex (so isolated vertices are allowed); every simplex
         must use labeled vertices only.
 
-        Raises ResourceLimitError before the faces of a simplex are added
-        when they would take the closure past `budget` distinct simplices; a
+        Raises ResourceLimitError once the faces of a simplex take the
+        closure past `budget` distinct simplices, counted as the growth of
+        each level, which is closed in one C-level pass per face size; a
         simplex with 2^|s| - 1 > budget faces is refused outright."""
         labels = dict(labels)
         by_dim = [{(v,) for v in labels}]
@@ -110,9 +111,9 @@ class SimplicialComplex:
             s = check_simplex(s)
             if not s:
                 continue
-            for v in s:
-                if v not in labels:
-                    raise InputError(f"simplex {s} uses unlabeled vertex {v}")
+            if not all(map(labels.__contains__, s)):
+                v = next(v for v in s if v not in labels)
+                raise InputError(f"simplex {s} uses unlabeled vertex {v}")
             if 2 ** len(s) - 1 > budget:
                 raise ResourceLimitError(
                     f"simplex with {len(s)} vertices has {2 ** len(s) - 1} "
@@ -122,13 +123,13 @@ class SimplicialComplex:
                 by_dim.append(set())
             for k in range(2, len(s) + 1):
                 level = by_dim[k - 1]
-                new = [f for f in combinations(s, k) if f not in level]
-                count += len(new)
+                before = len(level)
+                level.update(combinations(s, k))
+                count += len(level) - before
                 if count > budget:
                     raise ResourceLimitError(
                         f"closure exceeds simplex budget {budget}"
                     )
-                level.update(new)
         return cls(by_dim, labels)
 
     # -- basic queries -----------------------------------------------------

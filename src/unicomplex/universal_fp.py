@@ -97,11 +97,12 @@ def formula_f_vector(kind, link_dim=None):
     return FVector(tuple(entries))
 
 
-def sphere_count(kind, link_dim=None):
+def sphere_count(kind, link_dim=None, formula=None):
     """Number of top spheres in the wedge decomposition, as the alternating
     sum of the closed-form face counts; the sphere dimension is n-1 for the
-    whole complex and n-i-2 for links of i-simplices."""
-    fv = formula_f_vector(kind, link_dim)
+    whole complex and n-i-2 for links of i-simplices.  `formula` is
+    `formula_f_vector(kind, link_dim)` when the caller already holds it."""
+    fv = formula_f_vector(kind, link_dim) if formula is None else formula
     top = len(fv.entries) - 2
     count = (-1) ** (top + 1) + sum(
         (-1) ** (top - k) * fv.entries[k + 1] for k in range(top + 1)

@@ -48,11 +48,13 @@ ZETA_THETA_FROZEN = {
 
 
 class Workspace:
-    """Caches the built complexes shared by several criteria."""
+    """Caches the built complexes shared by several criteria, and their
+    homology profiles."""
 
     def __init__(self, fp_pairs=FP_PAIRS):
         self.fp_pairs = fp_pairs
         self._built = {}
+        self._profiles = {}
 
     def kinds(self):
         for variant in ("X", "K"):
@@ -63,6 +65,11 @@ class Workspace:
         if kind not in self._built:
             self._built[kind] = build_universal(kind)
         return self._built[kind]
+
+    def profile(self, kind):
+        if kind not in self._profiles:
+            self._profiles[kind] = homology.reduced_homology(self.built(kind))
+        return self._profiles[kind]
 
 
 def _sample_simplices(K, d, count=3):
@@ -139,7 +146,7 @@ def criterion_5(ws):
     no torsion; links included."""
     for kind in ws.kinds():
         K = ws.built(kind)
-        prof = homology.reduced_homology(K)
+        prof = ws.profile(kind)
         want = sphere_count(kind).count
         if prof.betti[: -1] != (0,) * (kind.n - 1) or prof.betti[-1] != want:
             return False, f"{kind}: betti {prof.betti}, want top {want}"
@@ -159,7 +166,8 @@ def criterion_6(ws):
     """Reisner criterion: all universal complexes pass, the disconnected
     pure non-example fails."""
     for kind in ws.kinds():
-        ok, witness = homology.reisner_check(ws.built(kind), orbit_sample=True)
+        ok, witness = homology.reisner_check(ws.built(kind), orbit_sample=True,
+                                             profile=ws.profile(kind))
         if not ok:
             return False, f"{kind}: Reisner fails at {witness}"
     two_edges = SimplicialComplex.from_simplices(

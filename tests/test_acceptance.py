@@ -52,6 +52,23 @@ def test_criterion_06_reisner(ws):
     _run("06 Reisner", verify.criterion_6, ws)
 
 
+def test_homology_criteria_compute_each_profile_once(monkeypatch):
+    # criterion 5 reads the profiles of the workspace, and criterion 6
+    # hands them to the Reisner check
+    real = verify.homology.reduced_homology
+    small = verify.Workspace(fp_pairs=((2, 2), (2, 3), (3, 2)))
+    built = {id(small.built(kind)) for kind in small.kinds()}
+    calls = []
+
+    def counting(K):
+        calls.append(id(K))
+        return real(K)
+
+    monkeypatch.setattr(verify.homology, "reduced_homology", counting)
+    assert verify.criterion_5(small)[0] and verify.criterion_6(small)[0]
+    assert sorted(c for c in calls if c in built) == sorted(built)
+
+
 def test_criterion_07_shellings_and_shiftedness(ws):
     _run("07 shellings/shifted", verify.criterion_7, ws)
     # the stated bound: shiftedness on 8 vertices in under 30 s

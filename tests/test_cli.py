@@ -58,6 +58,27 @@ def test_fvector_link_enumeration(variant, p, n, entries):
     assert "enumeration" not in json.loads(formula_only)["results"]
 
 
+@pytest.mark.parametrize("link_dim", [[], ["--link-dim", "1"]])
+def test_fvector_computes_the_closed_form_once(link_dim, monkeypatch):
+    # the sphere count is read off the f-vector the report already holds
+    from unicomplex import universal_fp
+
+    real = universal_fp.formula_f_vector
+    calls = []
+
+    def counting(kind, link_dim=None):
+        calls.append((kind, link_dim))
+        return real(kind, link_dim)
+
+    monkeypatch.setattr(cli, "formula_f_vector", counting)
+    monkeypatch.setattr(universal_fp, "formula_f_vector", counting)
+    argv = ("fvector", "--variant", "K", "--p", "3", "--n", "3", *link_dim)
+    code, text = run(*argv)
+    assert code == 0 and len(calls) == 1
+    monkeypatch.undo()
+    assert run(*argv) == (code, text)
+
+
 def test_fvector_link_enumeration_mismatch_exits_1(monkeypatch):
     real = cli.formula_f_vector
 

@@ -265,6 +265,96 @@ def test_reisner_disjoint_edges_false():
     assert witness == ((), 0)
 
 
+def every_link_reisner(K):
+    """Reisner's criterion by the sweep over the link of every simplex,
+    each link built and its dimension read afterwards."""
+    targets = [()]
+    for d in range(K.dim + 1):
+        targets.extend(K.sorted_simplices(d))
+    for s in targets:
+        L = K if s == () else K.link(s)
+        if L.dim <= 0:
+            continue
+        prof = reduced_homology(L)
+        for i in range(L.dim):
+            if prof.betti[i] or prof.torsion[i]:
+                return False, (s, i)
+    return True, None
+
+
+def test_reisner_matches_the_sweep_over_every_link():
+    rng = random.Random(17)
+    named = [rp2(), parse_facet_list(
+        "".join(" ".join(f) + "\n" for f in moore_space_z7()))]
+    randoms = [random_complex(rng) for _ in range(300)]
+    verdicts = set()
+    for K in named + randoms:
+        want = every_link_reisner(K)
+        assert reisner_check(K) == want
+        assert reisner_check(K, profile=reduced_homology(K)) == want
+        verdicts.add((K.is_pure(), want[0], want[1] is not None and want[1][0] != ()))
+    # Cohen-Macaulay, failing at the whole complex, failing at a link
+    assert verdicts >= {(True, True, False), (True, False, False), (True, False, True),
+                        (False, False, False), (False, False, True)}
+    assert reisner_check(rp2()) == (False, ((), 1))
+
+
+def test_reisner_builds_no_link_that_cannot_fail(monkeypatch):
+    real = SimplicialComplex.link
+    asked = []
+
+    def counting(K, s):
+        asked.append((K.dim, len(s) - 1))
+        return real(K, s)
+
+    monkeypatch.setattr(SimplicialComplex, "link", counting)
+    rng = random.Random(5)
+    for K in [build_universal(UniversalKind("K", 3, 3)), rp2()] + [
+            random_complex(rng) for _ in range(50)]:
+        reisner_check(K)
+    assert asked and all(d <= dim - 2 for dim, d in asked)
+    assert {(dim, d) for dim, d in asked if d == dim - 2} >= {(2, 0), (3, 1)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--variant", "K", "--p", "3", "--n", "3"],
+    ["--variant", "X", "--p", "2", "--n", "3"],
+    ["--facets", "tetrahedron boundary"],
+])
+def test_homology_reisner_coreduces_the_complex_once(argv, monkeypatch, tmp_path):
+    if argv[0] == "--facets":
+        path = tmp_path / "sphere.facets"
+        path.write_text("a b c\na b d\na c d\nb c d\n")
+        argv = ["--facets", str(path)]
+    real = homology.coreduce
+    sizes = []
+
+    def counting(K):
+        sizes.append(K.f_vector().entries)
+        return real(K)
+
+    monkeypatch.setattr(homology, "coreduce", counting)
+    code, text = dispatch(["homology", "--reisner", *argv])
+    assert code == 0
+    fv = tuple(map(int, json.loads(text)["results"]["f_vector"]))
+    assert sizes.count(fv) == 1 and len(sizes) > 1
+
+
+@pytest.mark.parametrize("name", ["K-3-3", "X-2-4", "moore"])
+def test_coreduce_face_ids_delete_the_kth_vertex(name):
+    # the Morse boundary gives the face at position k the sign (-1)^k
+    if name == "moore":
+        K = parse_facet_list(moore_space_and_simplex_skeleton())
+    else:
+        variant, p, n = name.split("-")
+        K = build_universal(UniversalKind(variant, int(p), int(n)))
+    cells, faces, _, _ = homology.coreduce(K)
+    assert len(cells) == len(faces) == K.n_simplices
+    for c, s in enumerate(cells):
+        assert [cells[a] for a in faces[c]] == (
+            [s[:k] + s[k + 1:] for k in range(len(s))] if len(s) > 1 else [])
+
+
 # -- the coreduction / Morse-complex path against the full boundaries ---------
 
 
