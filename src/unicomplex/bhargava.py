@@ -71,12 +71,6 @@ def explicit(elements):
     return GroundSet("explicit", elements=tuple(elements))
 
 
-@dataclass(frozen=True)
-class POrdering:
-    elements: tuple
-    valuations: tuple  # nu_k as exact p-powers, index k
-
-
 def _vp(x, p):
     """Exponent of p in x (x != 0)."""
     e = 0
@@ -116,9 +110,10 @@ def default_budget(S, K):
 
 
 def p_ordering(S, p, K, start_index=0):
-    """Greedy p-ordering of the first `default_budget(S, K)` elements of S,
-    with nu_k attached.  For the integer and geometric kinds the valuations
-    are certified stable against doubling the window."""
+    """The valuations (nu_0, ..., nu_K), as exact p-powers, of the greedy
+    p-ordering of the first `default_budget(S, K)` elements of S.  For the
+    integer and geometric kinds they are certified stable against doubling
+    the window."""
     check_prime(p)
     if K < 0:
         raise InputError("K must be >= 0")
@@ -126,7 +121,7 @@ def p_ordering(S, p, K, start_index=0):
     candidates = S.enumerate(budget)
     if len(candidates) < K + 1:
         raise InputError(f"ground set yields only {len(candidates)} elements")
-    elems, exps = _greedy_p_ordering(candidates, p, K, start_index)
+    _, exps = _greedy_p_ordering(candidates, p, K, start_index)
     if S.kind in ("integers", "geometric"):
         wide = S.enumerate(2 * budget)
         _, exps2 = _greedy_p_ordering(wide, p, K, start_index)
@@ -135,12 +130,12 @@ def p_ordering(S, p, K, start_index=0):
                 f"p-ordering window unstable for {S.kind} at p={p}, K={K}: "
                 f"doubling the window of {budget} elements changed the valuations"
             )
-    return POrdering(tuple(elems), tuple(p**e for e in exps))
+    return tuple(p**e for e in exps)
 
 
 def nu_k(S, p, k, start_index=0):
     """The invariant p-power nu_k(S, p)."""
-    return p_ordering(S, p, k, start_index).valuations[k]
+    return p_ordering(S, p, k, start_index)[k]
 
 
 def generalized_factorial(S, k):
@@ -179,7 +174,7 @@ def generalized_factorials(S, k_max):
             for j in range(i + 1, len(elems)):
                 support.update(_prime_factors(abs(elems[i] - elems[j])))
         for p in sorted(support):
-            for k, nu in enumerate(p_ordering(S, p, top).valuations):
+            for k, nu in enumerate(p_ordering(S, p, top)):
                 out[k] *= nu
     if k_max > top:
         raise _out_of_range(len(elems), S)
@@ -225,5 +220,5 @@ def check_identities(p, k):
     check_prime(p)
     if k < 1:
         raise InputError("k must be >= 1")
-    face = formula_f_vector(UniversalKind("X", p, k)).entries[k]
+    face = formula_f_vector(UniversalKind("X", p, k))[k]
     return generalized_factorial(geometric(1, p), k) == factorial(k) * face

@@ -24,7 +24,6 @@ canonical generator of a line of K.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import reduce
 from heapq import merge
 from itertools import chain, combinations, repeat
@@ -60,19 +59,10 @@ def check_simplex(vertices):
     return s
 
 
-@dataclass(frozen=True)
-class FVector:
-    """Face counts (f_{-1}=1, f_0, ..., f_dim)."""
-
-    entries: tuple
-
-    @property
-    def euler(self):
-        """Euler characteristic f_0 - f_1 + f_2 - ... (the empty face excluded)."""
-        return sum((-1) ** i * f for i, f in enumerate(self.entries[1:]))
-
-    def __iter__(self):
-        return iter(self.entries)
+def euler_characteristic(f):
+    """Euler characteristic f_0 - f_1 + f_2 - ... of an f-vector
+    (f_{-1}, f_0, ..., f_dim); the empty face is excluded."""
+    return sum((-1) ** i * x for i, x in enumerate(f[1:]))
 
 
 class SimplicialComplex:
@@ -198,7 +188,8 @@ class SimplicialComplex:
         return list(self._facets)
 
     def f_vector(self):
-        return FVector((1,) + tuple(len(level) for level in self._levels))
+        """Face counts (f_{-1}=1, f_0, ..., f_dim) as a tuple."""
+        return (1, *map(len, self._levels))
 
     # -- derived complexes --------------------------------------------------
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import factorial, prod
 from operator import mul
 
 from .errors import InputError, ResourceLimitError
@@ -38,8 +37,8 @@ from .fplin import (
 )
 from .scomplex import (
     SIMPLEX_BUDGET,
-    FVector,
     SimplicialComplex,
+    euler_characteristic,
     grow_by_extension,
     vertex_label,
 )
@@ -62,12 +61,6 @@ class UniversalKind:
         return f"{self.variant}(F_{self.p}^{self.n})"
 
 
-@dataclass(frozen=True)
-class SphereCount:
-    dimension: int
-    count: int
-
-
 def _exact_div(num, den, what):
     q, r = divmod(num, den)
     if r:
@@ -77,43 +70,37 @@ def _exact_div(num, den, what):
 
 def formula_f_vector(kind, link_dim=None):
     """Closed-form f-vector of the universal complex, or of the link of an
-    i-simplex when link_dim = i is given.  All divisions are checked exact."""
+    i-simplex when link_dim = i is given; the whole complex is the link of
+    the empty simplex, i = -1.  Numerator and denominator of the entries
+    are running products, and every division is checked exact."""
     p, n = kind.p, kind.n
-    line_factor = (p - 1) if kind.variant == "K" else 1
-    entries = [1]
     if link_dim is None:
-        for i in range(n):
-            num = prod(p**n - p**j for j in range(i + 1))
-            den = factorial(i + 1) * line_factor ** (i + 1)
-            entries.append(_exact_div(num, den, f"f_{i}({kind})"))
+        i, where = -1, str(kind)
     else:
-        i = link_dim
+        i, where = link_dim, f"link_{link_dim} {kind}"
         if not 0 <= i <= n - 1:
             raise InputError(f"link dimension {i} out of range [0, {n - 1}]")
-        for k in range(n - i - 1):
-            num = prod(p**n - p**(i + 1 + j) for j in range(k + 1))
-            den = factorial(k + 1) * line_factor ** (k + 1)
-            entries.append(_exact_div(num, den, f"f_{k}(link_{i} {kind})"))
-    return FVector(tuple(entries))
+    line_factor = (p - 1) if kind.variant == "K" else 1
+    whole, power = p**n, p ** (i + 1)
+    f, num, den = [1], 1, 1
+    for k in range(n - i - 1):
+        num *= whole - power
+        den *= (k + 1) * line_factor
+        power *= p
+        f.append(_exact_div(num, den, f"f_{k}({where})"))
+    return tuple(f)
 
 
-def sphere_count(kind, link_dim=None, formula=None):
-    """Number of top spheres in the wedge decomposition, as the alternating
-    sum of the closed-form face counts; the sphere dimension is n-1 for the
-    whole complex and n-i-2 for links of i-simplices.  `formula` is
-    `formula_f_vector(kind, link_dim)` when the caller already holds it."""
-    fv = formula_f_vector(kind, link_dim) if formula is None else formula
-    top = len(fv.entries) - 2
-    count = (-1) ** (top + 1) + sum(
-        (-1) ** (top - k) * fv.entries[k + 1] for k in range(top + 1)
-    )
+def sphere_count(f):
+    """Number of top spheres in the wedge decomposition of a complex with
+    f-vector f: its reduced Euler characteristic chi - 1 up to the sign
+    (-1)^d of the sphere dimension d = len(f) - 2 (n-1 for the whole
+    complex, n-i-2 for the link of an i-simplex)."""
+    reduced = euler_characteristic(f) - 1
+    count = reduced if len(f) % 2 == 0 else -reduced
     if count < 0:
-        raise AssertionError(f"negative sphere count for {kind}, link_dim={link_dim}")
-    return SphereCount(top, count)
-
-
-def total_simplex_count(kind):
-    return sum(formula_f_vector(kind).entries[1:])
+        raise AssertionError(f"negative sphere count from the f-vector {f}")
+    return count
 
 
 def _finish_fp(gens, p):
@@ -151,8 +138,10 @@ def build_universal(kind, budget=SIMPLEX_BUDGET):
     vertex count, and then the closed-form simplex count, is checked against
     `budget`.  The vertex count goes first, as it is cheap where the closed
     form of a large n is not; the refusal prints neither, as a large count
-    can have more digits than the interpreter prints."""
-    if _vertex_count(kind) > budget or total_simplex_count(kind) > budget:
+    can have more digits than the interpreter prints.  The one closed form
+    serves the budget and the final check."""
+    formula = None if _vertex_count(kind) > budget else formula_f_vector(kind)
+    if formula is None or sum(formula[1:]) > budget:
         raise ResourceLimitError(
             f"{kind} has more simplices than the simplex budget {budget}")
     p, n = kind.p, kind.n
@@ -164,10 +153,9 @@ def build_universal(kind, budget=SIMPLEX_BUDGET):
                                    for i, c in enumerate(gens)})
     if K.dim != n - 1 or not K.is_pure():
         raise AssertionError(f"built {kind} is not pure of dimension {n - 1}")
-    built, formula = K.f_vector().entries, formula_f_vector(kind).entries
-    if built != formula:
+    if K.f_vector() != formula:
         raise AssertionError(
-            f"built {kind} has f-vector {built}, the closed form gives {formula}"
+            f"built {kind} has f-vector {K.f_vector()}, the closed form gives {formula}"
         )
     return K
 

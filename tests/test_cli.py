@@ -84,7 +84,7 @@ def test_fvector_link_enumeration_mismatch_exits_1(monkeypatch):
 
     def one_too_many(kind, link_dim=None):
         fv = real(kind, link_dim)
-        return type(fv)(fv.entries[:-1] + (fv.entries[-1] + 1,))
+        return fv[:-1] + (fv[-1] + 1,)
 
     monkeypatch.setattr(cli, "formula_f_vector", one_too_many)
     code, text = run("fvector", "--variant", "K", "--p", "3", "--n", "3",
@@ -353,6 +353,22 @@ def test_universal_build_with_large_n_refused_quickly():
                         f"than the simplex budget {SIMPLEX_BUDGET}\n")
 
 
+@pytest.mark.parametrize("method,seconds,line", [
+    ("formula", 0.5, f"a report integer has more than {sys.get_int_max_str_digits()} "
+                     "digits, the interpreter's limit for printing it"),
+    ("both", 0.1, f"X(F_2^400) has more simplices than the simplex budget "
+                  f"{SIMPLEX_BUDGET}"),
+])
+def test_fvector_with_large_n_refused_quickly(method, seconds, line):
+    # the closed form's entries are running products, and with --method
+    # both the build's refusal comes before the closed form is formed
+    start = time.perf_counter()
+    code, text = run("fvector", "--variant", "X", "--p", "2", "--n", "400",
+                     "--method", method)
+    assert time.perf_counter() - start < seconds
+    assert (code, text) == (3, f"resource error: {line}\n")
+
+
 
 @pytest.mark.parametrize("argv", [
     ["bhargava", "--set", "integers", "--k", "1800"],
@@ -503,6 +519,52 @@ def test_z_build_out_is_byte_identical(tmp_path, kind):
     data = out.read_bytes()
     digest, lines = Z_BUILD_OUT_DIGESTS[kind]
     assert (hashlib.sha256(data).hexdigest()[:16], data.count(b"\n")) == (digest, lines)
+
+
+# the six-vertex real projective plane: H_1 = Z/2, so Reisner fails at ()
+RP2_FACETS = "1 2 3\n1 3 4\n1 4 5\n1 5 6\n1 2 6\n2 3 5\n2 4 5\n2 4 6\n3 4 6\n3 5 6\n"
+
+# exit codes and sha256 prefixes of the reports, frozen from the library
+# that carried f-vectors, sphere counts, Smith forms and p-orderings in
+# wrapper classes
+REPORT_DIGESTS = {
+    ("fvector", "--variant", "K", "--p", "3", "--n", "4", "--link-dim", "1",
+     "--format", "csv"): (0, "123b62e8467c1bc2"),
+    ("fvector", "--variant", "X", "--p", "5", "--n", "3", "--link-dim", "0",
+     "--format", "text"): (0, "9fe9e4fcb7f2751f"),
+    ("fvector", "--variant", "K", "--p", "3", "--n", "3", "--link-dim", "0",
+     "--method", "both", "--format", "csv"): (0, "b7a5169ac5d02925"),
+    ("fvector", "--variant", "X", "--p", "2", "--n", "3", "--link-dim", "1",
+     "--method", "both", "--format", "text"): (0, "90f034162e9978fa"),
+    ("homology", "--variant", "K", "--p", "3", "--n", "3", "--reisner"):
+        (0, "a2c02546ee840078"),
+    ("homology", "--variant", "X", "--p", "3", "--n", "3", "--link-dim", "0"):
+        (0, "1af8082197495e66"),
+    ("homology", "--facets", "rp2.facets", "--reisner"): (0, "63b43c33e75e9e82"),
+    ("morse", "--variant", "K", "--p", "3", "--n", "3"): (0, "6e32b92f76f587cf"),
+    ("shelling", "--variant", "X", "--p", "3", "--n", "2"): (0, "934360f9cdc1d65d"),
+    ("bhargava", "--set", "integers", "--k", "6", "--primes", "2,3"):
+        (0, "1540a183c690ae93"),
+    ("bhargava", "--set", "geometric:1:2", "--k", "5", "--primes", "2,3,7"):
+        (0, "adefbe1f87c28233"),
+    ("bhargava", "--set", "list:0,1,3,7,12", "--k", "4", "--primes", "2,3"):
+        (0, "4a2a8bc08daee6e2"),
+    ("buchstaber", "--variant", "K", "--p", "2", "--n", "3"): (0, "f99d13a89e8e12b8"),
+    ("zcheck", "--n", "3", "--max-norm", "3"): (0, "d378eb6ccff7c840"),
+    ("verify-all", "--pairs", "2,2;3,2", "--oracle-samples", "200"):
+        (0, "ca5d51c8dbce4314"),
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=" ".join)
+def test_report_is_byte_identical(tmp_path, monkeypatch, argv):
+    # run from tmp_path so that the facet file's relative path, which the
+    # report echoes, is the same everywhere
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rp2.facets").write_text(RP2_FACETS)
+    code, text = run(*argv)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (code, digest) == REPORT_DIGESTS[argv]
 
 
 def test_shelling_construct_command():

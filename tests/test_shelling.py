@@ -1,14 +1,14 @@
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
-from unicomplex import shelling
+from unicomplex import shelling, universal_fp
 from unicomplex.errors import InputError
 from unicomplex.homology import reisner_check
-from unicomplex.scomplex import FVector, SimplicialComplex
+from unicomplex.scomplex import SimplicialComplex
 from unicomplex.shelling import (
     construct_shelling_fp,
     h_vector_from_f,
@@ -16,11 +16,12 @@ from unicomplex.shelling import (
     shelling_h_vector,
 )
 from unicomplex.universal_fp import (
-    SphereCount,
     UniversalKind,
     build_universal,
     formula_f_vector,
+    sphere_count,
 )
+from unicomplex.verify import FP_PAIRS
 
 from oracles import pairwise_first_non_shelling_step, quadratic_shift_labeling
 
@@ -97,12 +98,39 @@ def test_construction_asserts_closed_form_h_vector(monkeypatch):
     kind = UniversalKind("K", 3, 2)
     K = build_universal(kind)
     # K(F_3^2): f = (1, 4, 6), h = (1, 2, 3), a wedge of 3 circles
-    monkeypatch.setattr(shelling, "sphere_count", lambda kind: SphereCount(1, 4))
-    with pytest.raises(AssertionError, match="sphere_count"):
-        construct_shelling_fp(kind, K)
-    monkeypatch.setattr(shelling, "formula_f_vector", lambda kind: FVector((1, 5, 6)))
+    monkeypatch.setattr(shelling, "formula_f_vector", lambda kind: (1, 5, 6))
     with pytest.raises(AssertionError, match="h-vector"):
         construct_shelling_fp(kind, K)
+
+
+def test_h_vector_top_entry_is_the_sphere_count():
+    # so the h-vector check of a constructed shelling checks the sphere
+    # count too
+    for (p, n), variant in product(FP_PAIRS, "XK"):
+        kind = UniversalKind(variant, p, n)
+        for link_dim in (None, *range(n)):
+            f = formula_f_vector(kind, link_dim)
+            assert h_vector_from_f(f)[-1] == sphere_count(f)
+
+
+def test_construction_forms_the_closed_form_once(monkeypatch):
+    # the recursion is bounded by the built complex's simplex count; only
+    # the final h-vector check reads the closed form
+    kind = UniversalKind("K", 2, 4)
+    K = build_universal(kind)
+    real = universal_fp.formula_f_vector
+    calls = []
+
+    def counting(kind, link_dim=None):
+        calls.append((kind, link_dim))
+        return real(kind, link_dim)
+
+    monkeypatch.setattr(universal_fp, "formula_f_vector", counting)
+    monkeypatch.setattr(shelling, "formula_f_vector", counting)
+    order = shelling._shell_ids("K", 2, 4, 0, K.n_simplices, {})
+    assert calls == []
+    assert construct_shelling_fp(kind, K) == order
+    assert calls == [(kind, None)]
 
 
 def _agrees_with_oracle(K, facets):
@@ -247,7 +275,7 @@ def test_shifted_follows_transitive_action(variant, p, n):
     # same number of faces and the degree-sorted labeling is the identity
     kind = UniversalKind(variant, p, n)
     K = build_universal(kind)
-    f = formula_f_vector(kind).entries
+    f = formula_f_vector(kind)
     full_skeleton = f[-1] == comb(f[1], n)
     faces = Counter(v for s in K.all_simplices() for v in s)
     assert len(set(faces.values())) == 1 and len(faces) == K.n_vertices

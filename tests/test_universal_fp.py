@@ -1,5 +1,9 @@
+from itertools import product
+from math import factorial, prod
+
 import pytest
 
+from unicomplex import universal_fp
 from unicomplex.errors import InputError, ResourceLimitError
 from unicomplex.fplin import is_unimodular_fp, line_canonical_fp
 from unicomplex.universal_fp import (
@@ -73,9 +77,9 @@ def test_kind_validation():
 
 
 def test_build_examples():
-    assert build_universal(X22).f_vector().entries == (1, 3, 3)
-    assert build_universal(K32).f_vector().entries == (1, 4, 6)
-    assert build_universal(K23).f_vector().entries == (1, 7, 21, 28)
+    assert build_universal(X22).f_vector() == (1, 3, 3)
+    assert build_universal(K32).f_vector() == (1, 4, 6)
+    assert build_universal(K23).f_vector() == (1, 7, 21, 28)
 
 
 @pytest.mark.parametrize(
@@ -105,10 +109,10 @@ def test_budget_error_names_parameters():
 
 
 def test_formula_examples():
-    assert formula_f_vector(X32).entries[2] == 24
-    assert formula_f_vector(UniversalKind("K", 3, 3)).entries[3] == 234
+    assert formula_f_vector(X32)[2] == 24
+    assert formula_f_vector(UniversalKind("K", 3, 3))[3] == 234
     link = formula_f_vector(K23, link_dim=0)
-    assert link.entries == (1, 6, 12)
+    assert link == (1, 6, 12)
 
 
 def test_formula_link_range():
@@ -117,29 +121,60 @@ def test_formula_link_range():
 
 
 def test_link_of_facet_formula_is_trivial():
-    assert formula_f_vector(K23, link_dim=2).entries == (1,)
+    assert formula_f_vector(K23, link_dim=2) == (1,)
 
 
 def test_sphere_counts():
-    assert sphere_count(K23) == sphere_count(K23)
-    assert sphere_count(K23).count == 13
-    assert sphere_count(K23).dimension == 2
-    assert sphere_count(K32).count == 3
-    assert sphere_count(X32).count == 17
-    assert sphere_count(UniversalKind("K", 7, 1)).count == 0
+    assert sphere_count(formula_f_vector(K23)) == 13
+    assert len(formula_f_vector(K23)) - 2 == 2  # the sphere dimension
+    assert sphere_count(formula_f_vector(K32)) == 3
+    assert sphere_count(formula_f_vector(X32)) == 17
+    assert sphere_count(formula_f_vector(UniversalKind("K", 7, 1))) == 0
+    # the link of a facet is the (-1)-sphere, the empty complex
+    assert sphere_count(formula_f_vector(K23, link_dim=2)) == 1
 
 
 def test_formula_matches_enumeration_small():
     for kind in (X22, K32, K23, X32):
-        assert build_universal(kind).f_vector().entries == formula_f_vector(kind).entries
+        assert build_universal(kind).f_vector() == formula_f_vector(kind)
+
+
+def test_running_products_match_the_product_formula():
+    # f_k of the link of an i-simplex written out as one product over one
+    # product, i = -1 for the whole complex
+    for variant, p, n in product("XK", (2, 3, 5, 7), range(1, 6)):
+        kind = UniversalKind(variant, p, n)
+        per_line = p - 1 if variant == "K" else 1
+        for i in range(-1, n):
+            want = (1,) + tuple(
+                prod(p**n - p**(i + 1 + j) for j in range(k + 1))
+                // (factorial(k + 1) * per_line ** (k + 1))
+                for k in range(n - i - 1))
+            assert formula_f_vector(kind, None if i < 0 else i) == want
+
+
+def test_build_forms_the_closed_form_once(monkeypatch):
+    # the budget check and the final check share one closed form
+    real = universal_fp.formula_f_vector
+    calls = []
+
+    def counting(kind, link_dim=None):
+        calls.append((kind, link_dim))
+        return real(kind, link_dim)
+
+    monkeypatch.setattr(universal_fp, "formula_f_vector", counting)
+    for kind in (X22, K32, K23, X32):
+        calls.clear()
+        build_universal(kind)
+        assert calls == [(kind, None)]
 
 
 def test_link_formula_matches_enumeration():
     K = build_universal(K23)
     for i in range(3):
-        want = formula_f_vector(K23, link_dim=i).entries
+        want = formula_f_vector(K23, link_dim=i)
         for s in K.sorted_simplices(i)[:3]:
-            assert K.link(s).f_vector().entries == want
+            assert K.link(s).f_vector() == want
 
 
 def test_phi_trivial_vertex():

@@ -108,19 +108,19 @@ def test_total_order_laws():
 
 def test_truncation_norm2():
     K = build_truncated_universal_z("K", 2, 2)
-    assert K.f_vector().entries == (1, 4, 5)
+    assert K.f_vector() == (1, 4, 5)
     # the missing pair is {(1,-1),(1,1)}, determinant 2
     assert abs(det_cofactor([[1, -1], [1, 1]])) == 2
 
 
 def test_truncation_x_z1():
     X = build_truncated_universal_z("X", 1, 1)
-    assert X.f_vector().entries == (1, 2)
+    assert X.f_vector() == (1, 2)
 
 
 def test_truncation_k_z2_norm1():
     K = build_truncated_universal_z("K", 2, 1)
-    assert K.f_vector().entries == (1, 2, 1)
+    assert K.f_vector() == (1, 2, 1)
 
 
 def test_truncation_simplices_unimodular():
