@@ -11,7 +11,9 @@ re-verified by doubling, and instability is an error rather than an answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, prod
+from itertools import accumulate
+from math import factorial
+from operator import mul
 
 from .errors import InputError
 from .fplin import check_prime, is_prime
@@ -155,16 +157,24 @@ def generalized_factorial(S, k):
 def generalized_factorials(S, k_max):
     """[0!_S, 1!_S, ..., k_max!_S].
 
-    On an explicit set the support primes are found once and each gets one
-    p-ordering, whose valuations serve every k: the greedy steps do not
-    depend on how far the ordering runs.  The errors come in the order of
-    a k-by-k computation: those of the p-orderings first, then, for k_max
-    past the last element, an InputError naming the first k out of range."""
+    The closed forms of the integer and geometric sets are running
+    products, one multiplication per k.  On an explicit set the support
+    primes are found once and each gets one p-ordering, whose valuations
+    serve every k: the greedy steps do not depend on how far the ordering
+    runs.  The errors come in the order of a k-by-k computation: those of
+    the p-orderings first, then, for k_max past the last element, an
+    InputError naming the first k out of range."""
+    if k_max < 0:
+        return []
     if S.kind == "integers":
-        return [factorial(k) for k in range(k_max + 1)]
+        return list(accumulate(range(1, k_max + 1), mul, initial=1))
     if S.kind == "geometric":
-        return [S.a**k * prod(S.q**k - S.q**j for j in range(k))
-                for k in range(k_max + 1)]
+        # k!_S = a^k q^(k(k-1)/2) (q - 1)(q^2 - 1)...(q^k - 1), so step k
+        # multiplies by a q^(k-1) (q^k - 1)
+        a, q = S.a, S.q
+        return list(accumulate(range(1, k_max + 1),
+                               lambda f, k: f * a * q ** (k - 1) * (q**k - 1),
+                               initial=1))
     elems = S.elements
     top = min(k_max, len(elems) - 1)
     out = [1] * (top + 1)

@@ -187,22 +187,14 @@ def min_rank_search(K, p, r_max=SEARCH_RANK_CAP):
 # -- bounds -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuchstaberReport:
-    m: int
-    gamma: int
-    lower: int  # m - gamma
-    upper_dim: int  # m - dim K - 1
-    upper_log: int  # m - ceil(log_p((p-1) gamma + 1))
-    s_fp: int | None
-    method: str  # "formula" | "search" | "bounds-only"
-
-
 def buchstaber_bounds(K, p):
     """All bounds, plus the exact s_{F_p} when the complex is a graph (the
     closed formula, which is the log bound itself) or small enough to
-    search.  The chain lower <= s_fp <= upper bounds is asserted whenever
-    s_fp is computed."""
+    search, as a dict: m, gamma, lower = m - gamma, upper_dim = m - dim K
+    - 1, upper_log = m - ceil(log_p((p-1) gamma + 1)), method ("formula",
+    "search" or "bounds-only") and, only when it was computed, s_fp.  The
+    chain lower <= s_fp <= upper bounds is asserted whenever s_fp is
+    computed."""
     check_prime(p)
     if K.n_vertices == 0:
         raise InputError("bounds need at least one vertex")
@@ -221,13 +213,16 @@ def buchstaber_bounds(K, p):
         if r is not None:
             s_fp = m - r
             method = "search"
+    report = {"m": m, "gamma": gamma, "lower": lower, "upper_dim": upper_dim,
+              "upper_log": upper_log, "method": method}
     if s_fp is not None:
         if not (lower <= s_fp <= upper_dim and s_fp <= upper_log):
             raise AssertionError(
                 f"bound chain violated: {lower} <= {s_fp} <= "
                 f"{upper_dim}, log bound {upper_log}"
             )
-    return BuchstaberReport(m, gamma, lower, upper_dim, upper_log, s_fp, method)
+        report["s_fp"] = s_fp
+    return report
 
 
 @dataclass(frozen=True)

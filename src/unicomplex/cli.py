@@ -57,6 +57,13 @@ class _Parser(argparse.ArgumentParser):
 # -- report plumbing ----------------------------------------------------------
 
 
+def _unprintable():
+    return ResourceLimitError(
+        f"a report integer has more than {sys.get_int_max_str_digits()} "
+        "digits, the interpreter's limit for printing it"
+    )
+
+
 def _stringify(obj):
     if isinstance(obj, bool):
         return obj
@@ -64,10 +71,7 @@ def _stringify(obj):
         try:
             return str(obj)
         except ValueError:
-            raise ResourceLimitError(
-                f"a report integer has more than {sys.get_int_max_str_digits()} "
-                "digits, the interpreter's limit for printing it"
-            ) from None
+            raise _unprintable() from None
     if isinstance(obj, (list, tuple)):
         return [_stringify(x) for x in obj]
     if isinstance(obj, dict):
@@ -210,10 +214,31 @@ def cmd_build(args):
     return 0, results
 
 
+def _refuse_unprintable_formula(kind, link_dim):
+    """Refuse, before it is formed, a closed form whose top entry the report
+    could not print.  The top entry of the link of an i-simplex (i = -1 for
+    the whole complex) is m = n - i - 1 factors p^n - p^j, j <= n - 1, each
+    at least p^(n-1) (p - 1), over m! (p - 1)^m for K and m! for X, so it
+    is at least p^((n-1) m) / m! > 2^((n-1) m floor(log2 p) - m bitlen(m)).
+    It is refused when that exceeds 10^limit < 2^(4 limit).  An
+    out-of-range link dimension is left to `formula_f_vector`."""
+    limit = sys.get_int_max_str_digits()
+    if link_dim is None:
+        m = kind.n
+    elif 0 <= link_dim < kind.n:
+        m = kind.n - link_dim - 1
+    else:
+        return
+    bits = (kind.n - 1) * m * (kind.p.bit_length() - 1) - m * m.bit_length()
+    if limit and bits > 4 * limit:
+        raise _unprintable()
+
+
 def cmd_fvector(args):
     kind = UniversalKind(args.variant, args.p, args.n)
     # the build, and so its budget refusal, comes before the closed form
     K = None if args.method == "formula" else build_universal(kind, budget=args.budget)
+    _refuse_unprintable_formula(kind, args.link_dim)
     formula = formula_f_vector(kind, link_dim=args.link_dim)
     results = {
         "formula": list(formula),
@@ -325,22 +350,7 @@ def cmd_shifted(args):
 
 def cmd_buchstaber(args):
     K, _ = _get_complex(args)
-    primes = args.primes.values
-    results = {}
-    for p in primes:
-        rep = buchstaber_bounds(K, p)
-        entry = {
-            "m": rep.m,
-            "gamma": rep.gamma,
-            "lower": rep.lower,
-            "upper_dim": rep.upper_dim,
-            "upper_log": rep.upper_log,
-            "method": rep.method,
-        }
-        if rep.s_fp is not None:
-            entry["s_fp"] = rep.s_fp
-        results[f"p{p}"] = entry
-    return 0, results
+    return 0, {f"p{p}": buchstaber_bounds(K, p) for p in args.primes.values}
 
 
 def cmd_zcheck(args):

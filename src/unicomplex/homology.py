@@ -10,9 +10,10 @@ gradient flow (Harker-Mischaikow-Mrozek-Nanda), with the sign (-1)^k on
 the face that drops the k-th vertex, and an augmentation row over the
 critical vertices makes the Betti numbers reduced.  Each Morse boundary
 then goes through the exact Smith normal form: one sparse elimination loop
-pivots on +-1 entries while any are left and on an entry of least absolute
-value otherwise, and the divisibility chain is repaired.  Betti numbers
-and torsion are therefore exact in every dimension.
+pivots on the first +-1 entry it meets, or on an entry of least absolute
+value when none is left, and one pass of pairwise gcd and lcm repairs the
+divisibility chain.  Betti numbers and torsion are therefore exact in
+every dimension.
 
 The full chain-level boundary operator is not built here; the tests keep it
 (`tests/oracles.py`) as the reference the Morse complex is checked against.
@@ -43,48 +44,33 @@ class HomologyProfile:
 
 
 def _fix_divisibility(diag):
-    """Ascending invariant factors of a diagonal: a pair that does not divide
-    becomes its gcd and lcm until a whole pass finds every pair dividing."""
-    diag = sorted(diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i]:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
-        diag.sort()
+    """Invariant factors of a diagonal of positive entries, in ascending
+    order, by one pass over the pairs i < j: a pair that does not divide
+    becomes its gcd and lcm.  After the pairs (i, j > i), entry i divides
+    every later entry, and the later pairs only change entries i divides,
+    so the pass leaves a divisibility chain; gcd and lcm keep each prime's
+    multiset of exponents, so the chain is the invariant factors."""
+    diag = list(diag)
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            if diag[j] % diag[i]:
+                g = gcd(diag[i], diag[j])
+                diag[i], diag[j] = g, diag[i] * diag[j] // g
     return diag
 
 
-def _pivot(rows, colrows, units):
-    """The next pivot: a unit of least sampled Markowitz cost, or, when no
-    unit is left, an entry of least absolute value, ties broken by
-    (row, col)."""
-    best = None
-    best_cost = None
-    seen = 0
-    stale = []
-    for pos in units:
-        i, j = pos
-        v = rows.get(i, {}).get(j, 0)
-        if v not in (1, -1):
-            # left behind by an earlier pivot's row or column
-            stale.append(pos)
-            continue
-        cost = (len(rows[i]) - 1) * (len(colrows[j]) - 1)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = pos, cost
-        seen += 1
-        if best_cost == 0 or seen >= 64:
-            break
-    units.difference_update(stale)
-    if best is not None:
-        units.discard(best)
-        return best
-    return min((abs(v), i, j) for i, r in rows.items() for j, v in r.items())[1:]
+def _pivot(rows):
+    """The next pivot (row, col): the first +-1 entry met in one scan of the
+    rows, or, when there is none, the first entry of least absolute value."""
+    least = None
+    for i, r in rows.items():
+        for j, v in r.items():
+            a = abs(v)
+            if least is None or a < least:
+                least, best = a, (i, j)
+                if a == 1:
+                    return best
+    return best
 
 
 def smith_normal_form(M):
@@ -93,59 +79,43 @@ def smith_normal_form(M):
     the rank.
 
     The argument is not modified; the elimination runs on a copy of the
-    rows, one pivot per round (see `_pivot`; the Markowitz cost limits
-    fill-in).  Row operations with floor quotients clear the pivot's column;
-    if a remainder is left there, the round ends.  Otherwise column
-    operations reduce every other entry of the pivot row modulo the pivot,
-    and a pivot left alone in its row and column is recorded and removed.
-    A round that removes nothing leaves an entry smaller than its pivot,
-    which the next round pivots on or undercuts, so the loop ends.  Every
-    +-1 entry is kept in the unit set, so a unit pivot takes one round.
-    The result is invariant under row/column permutation of the input."""
+    rows, one pivot s per round (see `_pivot`).  Row operations with floor
+    quotients clear the pivot's column; if a remainder is left there, the
+    round ends.  Otherwise column operations reduce every other entry of
+    the pivot row modulo s, and a pivot left alone in its row and column is
+    recorded and removed.  A unit pivot is always removed in its round.  A
+    round that removes nothing has a pivot of least absolute value and
+    leaves a remainder smaller than |s|, so the next pivot is smaller
+    still and the loop ends.  The result is invariant under row/column
+    permutation of the input."""
     rows = {}
-    colrows = {}
     for i, r in M.items():
-        for j, v in r.items():
-            if v:
-                rows.setdefault(i, {})[j] = v
-                colrows.setdefault(j, set()).add(i)
-    units = {(i, j) for i, r in rows.items() for j, v in r.items() if v in (1, -1)}
+        r = {j: v for j, v in r.items() if v}
+        if r:
+            rows[i] = r
     diag = []
     while rows:
-        pi, pj = _pivot(rows, colrows, units)
+        pi, pj = _pivot(rows)
         prow = rows[pi]
         s = prow[pj]
-        for i in list(colrows[pj]):
-            if i == pi:
-                continue
+        clear = True
+        for i in [i for i, r in rows.items() if pj in r and i != pi]:
             ri = rows[i]
-            f = ri[pj] // s
+            f = ri[pj] // s  # nonzero: |ri[pj]| >= |s| or s is a unit
             for j, v in prow.items():
                 nv = ri.get(j, 0) - f * v
                 if nv:
                     ri[j] = nv
-                    colrows[j].add(i)
-                    if nv in (1, -1):
-                        units.add((i, j))
-                elif j in ri:
+                else:
                     del ri[j]
-                    colrows[j].discard(i)
-            if not ri:
+            if pj in ri:
+                clear = False  # a remainder is left in column pj
+            elif not ri:
                 del rows[i]
-        if len(colrows[pj]) > 1:
-            continue  # remainders are left in column pj
+        if not clear:
+            continue
         # column pj is clear, so column operations change only the pivot row
-        left = {}
-        for j, v in prow.items():
-            r = v % s
-            if r:
-                left[j] = r
-                if r in (1, -1):
-                    units.add((pi, j))
-            elif j != pj:
-                colrows[j].discard(pi)
-                if not colrows[j]:
-                    del colrows[j]
+        left = {j: r for j, v in prow.items() if (r := v % s)}
         if left:
             # the remainders stay with the pivot, and a smaller one is next
             left[pj] = s
@@ -153,7 +123,6 @@ def smith_normal_form(M):
         else:
             diag.append(abs(s))
             del rows[pi]
-            del colrows[pj]
     return tuple(_fix_divisibility(diag))
 
 

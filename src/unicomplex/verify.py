@@ -225,7 +225,7 @@ def criterion_8(ws):
                     f"formula {formula}"
                 )
             rep = buchstaber.buchstaber_bounds(G, p)
-            if not (rep.lower <= rep.s_fp <= rep.upper_dim):
+            if not (rep["lower"] <= rep["s_fp"] <= rep["upper_dim"]):
                 return False, f"graph {idx}, p={p}: bound chain violated"
     for (p, q, n), want in ZETA_THETA_FROZEN.items():
         b = buchstaber.zeta_theta_bounds(p, q, n)

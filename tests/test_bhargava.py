@@ -190,6 +190,18 @@ def test_generalized_factorials_match_per_k_nu_products():
     assert generalized_factorials(INTEGERS, -1) == []
 
 
+def test_running_products_match_the_closed_forms():
+    assert generalized_factorials(INTEGERS, 40) == [factorial(k) for k in range(41)]
+    for a, q in ((1, 2), (3, 5), (-2, 3), (5, -2), (-1, -7)):
+        want = []
+        for k in range(41):
+            val = a**k
+            for j in range(k):
+                val *= q**k - q**j
+            want.append(val)
+        assert generalized_factorials(geometric(a, q), 40) == want
+
+
 def test_generalized_factorial_explicit_range():
     with pytest.raises(InputError):
         generalized_factorial(explicit([1, 2]), 2)

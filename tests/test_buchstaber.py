@@ -149,12 +149,12 @@ def test_search_witness_nondegenerate_and_injective():
 
 def test_bounds_report_examples():
     rep = buchstaber_bounds(complete(4), 3)
-    assert (rep.lower, rep.upper_log, rep.upper_dim) == (0, 2, 2)
-    assert rep.s_fp == 2
+    assert (rep["lower"], rep["upper_log"], rep["upper_dim"]) == (0, 2, 2)
+    assert rep["s_fp"] == 2
     rep = buchstaber_bounds(graph([(0, 1), (0, 2), (1, 2)], 3), 2)
-    assert (rep.lower, rep.upper_log, rep.upper_dim) == (0, 1, 1)
+    assert (rep["lower"], rep["upper_log"], rep["upper_dim"]) == (0, 1, 1)
     point = buchstaber_bounds(graph([], 1), 2)
-    assert (point.lower, point.s_fp, point.upper_dim) == (0, 0, 0)
+    assert (point["lower"], point["s_fp"], point["upper_dim"]) == (0, 0, 0)
 
 
 def test_bounds_on_a_graph_color_it_once(monkeypatch):
@@ -170,7 +170,7 @@ def test_bounds_on_a_graph_color_it_once(monkeypatch):
     G = graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 5)
     rep = buchstaber_bounds(G, 2)
     assert len(calls) == 1
-    assert (rep.method, rep.s_fp) == ("formula", s_fp_graph(G, 2))
+    assert (rep["method"], rep["s_fp"]) == ("formula", s_fp_graph(G, 2))
 
 
 def test_bounds_chain_across_primes():
@@ -179,10 +179,10 @@ def test_bounds_chain_across_primes():
     values = set()
     for p in (2, 3, 5, 7):
         rep = buchstaber_bounds(G, p)
-        assert rep.lower <= rep.s_fp <= rep.upper_dim
-        values.add(rep.s_fp)
+        assert rep["lower"] <= rep["s_fp"] <= rep["upper_dim"]
+        values.add(rep["s_fp"])
     rep = buchstaber_bounds(G, 2)
-    assert len(values) <= rep.upper_dim - rep.lower + 1
+    assert len(values) <= rep["upper_dim"] - rep["lower"] + 1
 
 
 def test_bounds_search_method_on_higher_complex():
@@ -190,8 +190,16 @@ def test_bounds_search_method_on_higher_complex():
         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], {i: i for i in range(4)}
     )
     rep = buchstaber_bounds(tetra, 2)
-    assert rep.method == "search"
-    assert rep.s_fp == 4 - 3
+    assert rep["method"] == "search"
+    assert rep["s_fp"] == 4 - 3
+
+
+def test_bounds_report_has_s_fp_only_when_computed():
+    # 13 vertices are past the search cap, so only the bounds are reported
+    K = SimplicialComplex.from_simplices([(0, 1, 2)] + [(v,) for v in range(3, 13)],
+                                         {i: i for i in range(13)})
+    assert buchstaber_bounds(K, 2) == {"m": 13, "gamma": 3, "lower": 10, "upper_dim": 10,
+                                       "upper_log": 11, "method": "bounds-only"}
 
 
 def test_zeta_theta_examples():

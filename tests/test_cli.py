@@ -353,17 +353,21 @@ def test_universal_build_with_large_n_refused_quickly():
                         f"than the simplex budget {SIMPLEX_BUDGET}\n")
 
 
-@pytest.mark.parametrize("method,seconds,line", [
-    ("formula", 0.5, f"a report integer has more than {sys.get_int_max_str_digits()} "
-                     "digits, the interpreter's limit for printing it"),
+DIGIT_LIMIT_LINE = (f"a report integer has more than {sys.get_int_max_str_digits()} "
+                    "digits, the interpreter's limit for printing it")
+
+
+@pytest.mark.parametrize("method,seconds,line,n", [
+    ("formula", 0.5, DIGIT_LIMIT_LINE, 400),
     ("both", 0.1, f"X(F_2^400) has more simplices than the simplex budget "
-                  f"{SIMPLEX_BUDGET}"),
+                  f"{SIMPLEX_BUDGET}", 400),
+    ("formula", 0.5, DIGIT_LIMIT_LINE, 1600),
 ])
-def test_fvector_with_large_n_refused_quickly(method, seconds, line):
-    # the closed form's entries are running products, and with --method
-    # both the build's refusal comes before the closed form is formed
+def test_fvector_with_large_n_refused_quickly(method, seconds, line, n):
+    # a lower bound on the closed form's top entry refuses it before it is
+    # formed, and with --method both the build's refusal comes first
     start = time.perf_counter()
-    code, text = run("fvector", "--variant", "X", "--p", "2", "--n", "400",
+    code, text = run("fvector", "--variant", "X", "--p", "2", "--n", str(n),
                      "--method", method)
     assert time.perf_counter() - start < seconds
     assert (code, text) == (3, f"resource error: {line}\n")

@@ -168,6 +168,13 @@ def test_snf_matches_determinantal_divisors():
         rows = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
         want = determinantal_invariant_factors(rows)
         assert smith_normal_form(sparse(rows)) == want, rows
+    # diagonals long enough to give the divisibility repair long chains
+    entries = (2, -3, 4, -5, 6, 9, -10, 12, 15, -25, 30, 49)
+    for k in (6, 7, 8) * 8:
+        diag = [rng.choice(entries) for _ in range(k)]
+        rows = [[diag[i] if i == j else 0 for j in range(k)] for i in range(k)]
+        want = determinantal_invariant_factors(rows)
+        assert smith_normal_form(sparse(rows)) == want, rows
 
 
 def test_rank_q_equals_snf_rank_on_boundaries():
