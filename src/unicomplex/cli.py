@@ -394,11 +394,33 @@ def _parse_ground_set(spec):
     raise UsageError(f"unknown ground set {spec!r}")
 
 
+def _refuse_unprintable_factorials(S, k):
+    """Refuse, before any p-ordering runs or any entry is formed, a report
+    whose largest generalized factorial k!_S the report could not print.
+    For the integers k! >= (k/e)^k > 2^(k (floor(log2 k) - 2)), as
+    log2 e < 2.  For a geometric set, k!_S = a^k q^(k(k-1)/2) times the
+    factors q^j - 1, each at least 1 in absolute value as are a and
+    |q| >= 2, so |k!_S| >= |q|^(k(k-1)/2) >= 2^(k(k-1)/2 floor(log2 |q|)).
+    It is refused when that bound exceeds 10^limit < 2^(4 limit), as in
+    `_refuse_unprintable_formula`.  An explicit set has no bound here: its
+    k stops at its last element."""
+    limit = sys.get_int_max_str_digits()
+    if S.kind == "integers":
+        bits = k * (k.bit_length() - 3)
+    elif S.kind == "geometric":
+        bits = k * (k - 1) // 2 * (abs(S.q).bit_length() - 1)
+    else:
+        return
+    if limit and bits > 4 * limit:
+        raise _unprintable()
+
+
 def cmd_bhargava(args):
     S = _parse_ground_set(args.set)
     primes = args.primes.values if args.primes else ()
     if args.k < 0:
         return 0, {}
+    _refuse_unprintable_factorials(S, args.k)
     # one p-ordering per prime serves every k; an explicit set stops at its
     # last element, where generalized_factorials reports k out of range
     top = args.k if S.kind != "explicit" else min(args.k, len(S.elements) - 1)

@@ -12,11 +12,11 @@ kernel is span(sigma), the identity for the empty set.  sigma + {w} is
 independent iff Q w != 0, and one pivot elimination on Q w followed by
 dropping the pivot row gives the surjection for sigma + {w}.
 `is_unimodular_fp` and the shelling construction fold it from the identity
-rows.  The F_p builder runs it below the top level of its frontier; at the
-top the state is one row q, and the vertices completing a facet are those
-off the hyperplane q w = 0, which the builder reads from a bitset kept per
-row (`universal_fp`).  `echelon_basis` is kept for the one place that needs
-an explicit basis of a span.
+rows.  The F_p builder runs it down to the states of two rows, two levels
+below the top of its frontier; from such a state Q it makes the last two
+levels at once, by where Q puts each candidate on the projective line
+(`universal_fp`).  `echelon_basis` is kept for the one place that needs an
+explicit basis of a span.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import combinations, count, repeat
+from itertools import combinations, repeat
 from math import gcd
 
 from .scomplex import euler_characteristic
@@ -152,11 +152,11 @@ def coreduce(K):
     cells = []
     for d in range(K.dim + 1):
         cells.extend(K.sorted_simplices(d))
-    index = dict(zip(cells, count()))
-    face_id = index.__getitem__
     n = len(cells)
-    faces = [()] * n
     top = len(K.sorted_simplices(K.dim))
+    # no top cell is a face, so only the cells below the top are indexed
+    face_id = dict(zip(cells, range(n - top))).__getitem__
+    faces = [()] * n
     cofaces = [[] for _ in range(n - top)]
     cofaces.extend(repeat((), top))  # no cofaces: one shared empty tuple
     c = len(K.sorted_simplices(0))

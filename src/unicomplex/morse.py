@@ -7,11 +7,13 @@ complex and is itself still unmatched.  Within a step the pairing is
 conflict-free: lower partners never contain the pivot, upper partners always
 do, and the upper partner determines the lower one, so the result does not
 depend on the order in which a step visits the simplices.  The empty simplex
-participates in no pair.  `greedy_matching` returns the sorted pairs and the
-critical cells only after `check_acyclic` has found no cycle among the
-pairs, so every `Matching` it returns is a discrete gradient; on a cycle it
-raises AcyclicityError.  `check_acyclic` reads a list of pairs alone,
-wherever it comes from, and `critical_census` counts the critical cells by
+participates in no pair.  `greedy_matching` works on positions within the
+complex's sorted levels, and returns the sorted pairs and the critical
+cells only after the V-path search `_closed_v_path` has found no cycle
+among the pairs, so every `Matching` it returns is a discrete gradient; on
+a cycle it raises AcyclicityError.  `check_acyclic` reads a list of pairs
+alone, wherever it comes from, checks them, and runs the same search on
+their positions.  `critical_census` counts the critical cells by
 dimension: for any matching, their alternating sum is the Euler
 characteristic.
 
@@ -29,15 +31,16 @@ take two matched edges in a row, because a cell lies in at most one pair,
 so it alternates up and down inside one band of adjacent dimensions, and
 every cell it reaches by a down edge must leave by its matched edge, so it
 is the lower cell of a pair.  The search therefore runs on the lower cells
-of the pairs only, with at most dim + 1 edges out of each: the cost is
-O(pairs * dim), and critical cells and the simplices of no pair are never
-visited.
+of the pairs only, one band at a time, with at most dim + 1 edges out of
+each: the cost is O(pairs * dim), and critical cells and the simplices of
+no pair are never visited.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, combinations, compress, count, repeat
 
 from .errors import AcyclicityError, InputError
 
@@ -52,45 +55,91 @@ def greedy_matching(K, pivots):
     """Run the inductive pivot schedule and return the resulting matching,
     checked acyclic (AcyclicityError with the witness cycle otherwise).
 
-    Every simplex of dimension >= 1 is indexed once under each of its
-    vertices that is a scheduled pivot; the step for pivot v pairs
-    (up - v, up) for every up in the star of v whose two members are both
-    still unmatched.  The star lists and the matched set are released
-    before the acyclicity check runs."""
+    The work runs on positions within K's levels.  One pass over the
+    levels lists, for each scheduled pivot v and each dimension d >= 1, the
+    positions of the d-simplices through v; the step for v pairs (up - v,
+    up) for each such up whose two members are both still unmarked, with a
+    bytearray of marks per level.  An upper cell is read from K's own
+    level, and a lower cell's position comes from a dict over the level
+    below; the top level is never indexed.  Each pair is a covering pair of
+    K by construction, and a count of the marks per level against the pairs
+    through it asserts that no simplex is in two pairs.  The pairs of each
+    band of adjacent dimensions go through the V-path search of
+    `_closed_v_path`, and the star lists are released before it runs.  The
+    critical cells are the unmarked ones, taken from each level in one
+    C-level pass."""
+    # imported here, so that a process that never matches does not load the
+    # extension module and keep its pages resident
+    from array import array
+
     vertex_set = set(K.labels)
     for pv in pivots:
         if pv not in vertex_set:
             raise InputError(f"pivot {pv} is not a vertex of the complex")
-    star = {v: [] for v in pivots}
-    for d in range(1, K.dim + 1):
-        for up in K.sorted_simplices(d):
+    levels = [K.sorted_simplices(d) for d in range(K.dim + 1)]
+    bands = range(1, len(levels))
+    star = {v: [array("l") for _ in levels] for v in pivots}
+    for d in bands:
+        add = {v: runs[d].append for v, runs in star.items()}.get
+        for i, up in enumerate(levels[d]):
             for v in up:
-                if v in star:
-                    star[v].append(up)
+                append = add(v)
+                if append is not None:
+                    append(i)
 
-    matched = set()
+    marks = [bytearray(len(level)) for level in levels]
+    index = [dict(zip(level, count())) for level in levels[:-1]]
+    lows = [array("l") for _ in levels]  # band d: positions in level d - 1
+    ups = [array("l") for _ in levels]  # and in level d
+    try:
+        for pivot in pivots:
+            runs = star[pivot]
+            for d in bands:
+                upper, up_mark, lo_mark = levels[d], marks[d], marks[d - 1]
+                position_of = index[d - 1].__getitem__
+                add_lo, add_up = lows[d].append, ups[d].append
+                for i in runs[d]:
+                    if up_mark[i]:
+                        continue
+                    up = upper[i]
+                    k = up.index(pivot)
+                    j = position_of(up[:k] + up[k + 1:])
+                    if lo_mark[j]:
+                        continue
+                    lo_mark[j] = up_mark[i] = 1
+                    add_lo(j)
+                    add_up(i)
+    except KeyError as exc:
+        raise AssertionError(
+            f"the face {exc} is not a simplex of the complex") from None
+    del star
+    for d, mark in enumerate(marks):
+        through = len(ups[d]) + (len(lows[d + 1]) if d + 1 < len(levels) else 0)
+        if mark.count(1) != through:
+            raise AssertionError("a simplex occurs in two pairs")
+
+    # the top band first, so that each band's tables are dropped once its
+    # search has read them
     pairs = []
-    for pivot in pivots:
-        for up in star[pivot]:
-            if up in matched:
-                continue
-            i = up.index(pivot)
-            lo = up[:i] + up[i + 1:]
-            if lo in matched:
-                continue
-            matched.add(lo)
-            matched.add(up)
-            pairs.append((lo, up))
-    critical = tuple(
-        s for d in range(K.dim + 1)
-        for s in K.sorted_simplices(d) if s not in matched
-    )
-    del star, matched
-    pairs = tuple(sorted(pairs))
-    ok, cycle = check_acyclic(K, pairs)
-    if not ok:
-        raise AcyclicityError(cycle)
-    return Matching(pairs, critical)
+    for d in reversed(bands):
+        position, band_lo, band_up = index.pop(), lows.pop(), ups.pop()
+        lower, upper = levels[d - 1], levels[d]
+        partner = [None] * len(lower)
+        for j, i in zip(band_lo, band_up):
+            partner[j] = upper[i]
+        del band_lo, band_up
+        cells = list(compress(position.values(), partner))
+        cycle = _closed_v_path(lower, position, cells, partner)
+        if cycle is not None:
+            raise AcyclicityError(cycle)
+        del position
+        pairs += zip(map(lower.__getitem__, cells), map(partner.__getitem__, cells))
+    pairs.sort()  # the bands are sorted runs, so the sort merges them
+    unmarked = bytes.maketrans(b"\0\1", b"\1\0")
+    critical = tuple(chain.from_iterable(
+        compress(level, mark.translate(unmarked))
+        for level, mark in zip(levels, marks)))
+    return Matching(tuple(pairs), critical)
 
 
 def _check_pairs(K, pairs):
@@ -115,14 +164,69 @@ def _check_pairs(K, pairs):
         seen.update((lo, hi))
 
 
-def _next_lower_cells(lo, up_of):
-    """Successors of lo in the V-path digraph: the faces f != lo of its
-    partner that are themselves lower cells of pairs."""
-    up = up_of[lo]
-    for i in range(len(up)):
-        f = up[:i] + up[i + 1:]
-        if f != lo and f in up_of:
-            yield f
+# a node's count of faces that are nodes, itself included: 1 is a dead end
+_HAS_SUCCESSOR = bytes(c > 1 for c in range(256))
+_DEAD_END = bytes(c < 2 for c in range(256))
+
+
+def _closed_v_path(lower, position, cells, partner):
+    """A closed V-path among the pairs of one band, or None.
+
+    The pairs are (lower[j], partner[j]) for the positions j in `cells`,
+    ascending; `partner` is None at every other position of `lower`, and
+    `position` maps each simplex of `lower` to its position there.  The
+    nodes are the positions of the lower cells, with an edge j -> f for
+    each codimension-1 face of partner[j], other than lower[j], that is
+    itself a lower cell f.  The faces of every partner are looked up in
+    C-level passes, and a byte per face that is a node, summed lane-wise
+    as big integers, counts each node's successors, so a node without any
+    is finished before the search starts.  An iterative three-colour
+    depth-first search, started from the other nodes in ascending order,
+    visits the faces in vertex-deletion order and finds a cycle in
+    O(pairs * dim).  The cycle is returned as the closed V-path
+    [lo, up, lo', up', ...] of simplices (its last upper cell has the
+    first lower cell as a face)."""
+    if not cells:
+        return None
+    # a node has size + 1 faces, so its count fits a byte lane: a simplex
+    # of 256 vertices would have 2^256 faces
+    size = len(partner[cells[0]]) - 1
+    faces = map(position.__getitem__, chain.from_iterable(map(
+        combinations, map(partner.__getitem__, cells), repeat(size))))
+    hits = bytes(map(bool, map(partner.__getitem__, faces)))
+    counts = sum(int.from_bytes(hits[t::size + 1], "little") for t in range(size + 1))
+    counts = counts.to_bytes(len(cells), "little")
+    color = bytearray(len(lower))  # 1 on the current path, 2 finished
+    for j in compress(cells, counts.translate(_DEAD_END)):
+        color[j] = 2
+
+    def successors(j):
+        out = [f for f in map(position.__getitem__, combinations(partner[j], size))
+               if f != j and partner[f] is not None]
+        out.reverse()  # combinations deletes the last vertex first
+        return iter(out)
+
+    for start in compress(cells, counts.translate(_HAS_SUCCESSOR)):
+        if color[start]:
+            continue
+        color[start] = 1
+        path = [start]
+        stack = [successors(start)]
+        while stack:
+            for nxt in stack[-1]:
+                c = color[nxt]
+                if c == 1:
+                    loop = path[path.index(nxt):]
+                    return [cell for j in loop for cell in (lower[j], partner[j])]
+                if not c:
+                    color[nxt] = 1
+                    path.append(nxt)
+                    stack.append(successors(nxt))
+                    break
+            else:
+                color[path.pop()] = 2
+                stack.pop()
+    return None
 
 
 def check_acyclic(K, pairs):
@@ -131,43 +235,37 @@ def check_acyclic(K, pairs):
     of the modified Hasse diagram).  The pairs must be covering pairs of K,
     each simplex in one pair at most, or InputError is raised.
 
-    The nodes are the lower cells of the pairs, with an edge lo -> f for
-    each codimension-1 face f != lo of partner(lo) that is itself a lower
-    cell; an iterative three-colour depth-first search finds a cycle in
-    O(pairs * dim).  Returns (True, None), or (False, cycle) with cycle the
-    closed V-path [lo, up, lo', up', ...] (its last upper cell has the first
-    lower cell as a face).
-    """
+    The pairs are split into bands by dimension, and each band goes through
+    the search of `_closed_v_path` on the positions of its lower cells in
+    K's level, each holding its partner.  Returns (True, None), or (False, cycle) with cycle the closed V-path
+    [lo, up, lo', up', ...] (its last upper cell has the first lower cell
+    as a face)."""
     _check_pairs(K, pairs)
-    up_of = dict(pairs)
-    color = {}  # 1 on the current path, 2 finished
-    for start in up_of:
-        if start in color:
-            continue
-        color[start] = 1
-        path = [start]
-        stack = [_next_lower_cells(start, up_of)]
-        while stack:
-            for nxt in stack[-1]:
-                c = color.get(nxt)
-                if c == 1:
-                    loop = path[path.index(nxt):]
-                    return False, [cell for lo in loop for cell in (lo, up_of[lo])]
-                if c is None:
-                    color[nxt] = 1
-                    path.append(nxt)
-                    stack.append(_next_lower_cells(nxt, up_of))
-                    break
-            else:
-                color[path.pop()] = 2
-                stack.pop()
+    bands = {}
+    for lo, up in pairs:
+        bands.setdefault(len(lo), []).append((lo, up))
+    for size in sorted(bands):
+        lower = K.sorted_simplices(size - 1)
+        position = dict(zip(lower, count()))
+        partner = [None] * len(lower)
+        for lo, up in bands[size]:
+            partner[position[lo]] = up
+        cells = list(compress(position.values(), partner))
+        cycle = _closed_v_path(lower, position, cells, partner)
+        if cycle is not None:
+            return False, cycle
     return True, None
 
 
 def critical_census(matching):
     """The number of critical cells of each dimension, {d: count} in
-    ascending d; `matching.critical` is sorted by dimension, so each
-    dimension is one run of it."""
-    return {size - 1: sum(1 for _ in run)
-            for size, run in groupby(matching.critical, len)}
-
+    ascending d.  `matching.critical` is sorted by dimension, so each
+    dimension is one run of it, and a binary search keyed on the simplex
+    size finds where the run ends: O(dim log cells) C-level steps."""
+    critical, census, start = matching.critical, {}, 0
+    while start < len(critical):
+        size = len(critical[start])
+        end = bisect_right(critical, size, lo=start, key=len)
+        census[size - 1] = end - start
+        start = end
+    return census

@@ -229,12 +229,14 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
 
     `extend(state, w)` returns the state of sigma + {w} from the state of
     sigma, or None when sigma + {w} is not a simplex; `start` is the state of
-    the empty simplex.  The top level is never extended: `finish(state)`
-    takes the state of a simplex one below it and returns the bitset (bit j
-    for generator j) of every generator that completes some simplex with
-    that state.  The loop calls it once per distinct state, keeps the
-    results until it returns, and ANDs each simplex's candidates with the
-    result for its state; simplices with one span often share a state.
+    the empty simplex.  Depth 1 is one level of `extend` from `start`.  From
+    depth 2 on, `extend` stops two levels below the top, and the two levels
+    left come from `finish(state, candidates)`, called once per simplex
+    sigma of the level below them with the bitset of sigma's candidates: it
+    returns, in ascending w, each candidate w with sigma + {w} a simplex,
+    paired with the bitset of the generators g that make sigma + {w, g} one.
+    The loop ANDs that bitset with the candidates of sigma + {w}, so a ring
+    may return bits for generators that are not candidates.
 
     Candidates are bitsets (Python ints): those of a simplex are the AND of
     one bitset per vertex, all ids for the empty simplex.  A vertex's bitset
@@ -247,9 +249,10 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
     a level is, so is the next: the frontier is that level, and each of its
     simplices appends its children in ascending last id, so the children of
     an earlier parent precede those of a later one and, under one parent,
-    they differ only in the last id.  `SimplicialComplex` then sorts each
-    level in one linear pass.  Raises ResourceLimitError naming `what`
-    before a batch of simplices takes the count past `budget`."""
+    they differ only in the last id.  The top level is made the same way
+    from the level below it.  `SimplicialComplex` then sorts each level in
+    one linear pass.  Raises ResourceLimitError naming `what` before a batch
+    of simplices takes the count past `budget`."""
     everything = (1 << len(gens)) - 1
     later = [everything >> (i + 1) << (i + 1) for i in range(len(gens))]
 
@@ -266,7 +269,7 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
 
     by_dim = []
     frontier = [((), start)]
-    for d in range(depth - 1):
+    for d in range(depth - 2 if depth > 1 else depth):
         nxt = []
         for simp, state in frontier:
             kids = []
@@ -280,17 +283,18 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
                 later[simp[0]] = sum(1 << new[-1] for new, _ in kids)
         by_dim.append([new for new, _ in nxt])
         frontier = nxt
-    if depth > 0:
-        level = []
-        tops = {}  # finish(state) for each distinct top state
+    if depth > 1:
+        below, top = [], []
         for simp, state in frontier:
-            done = tops.get(state)
-            if done is None:
-                done = tops[state] = finish(state)
-            acc = candidates(simp) & done
-            charge(acc.bit_count())
-            level.extend(simp + (j,) for j in _bit_ids(acc))
-        by_dim.append(level)
+            cands = candidates(simp)
+            kids = finish(state, cands)
+            charge(len(kids))
+            below.extend([simp + (w,) for w, _ in kids])
+            for w, bits in kids:
+                acc = cands & later[w] & bits
+                charge(acc.bit_count())
+                top.extend([simp + (w, g) for g in _bit_ids(acc)])
+        by_dim += [below, top]
     return by_dim
 
 

@@ -13,12 +13,14 @@ The builder grows simplices in the shared frontier loop
 `fplin._quotient_step_fp`: a simplex sigma carries the rows of a surjection
 F_p^n -> F_p^(n-k) with kernel span(sigma), and a candidate vertex w
 extends it iff its image under that surjection is nonzero.  Candidates are
-bitsets of vertex ids.  At the top level the surjection is one row q, and
-the vertices completing a facet are the candidates off the hyperplane
-q w = 0: `_finish_fp` computes that bitset, the frontier loop keeps it for
-each distinct row, and so each facet costs one AND and no arithmetic.  The
-built level sizes are checked against the closed-form f-vector, a second
-derivation.
+bitsets of vertex ids.  The steps stop where the surjection has two rows
+Q, two levels below the top; `_finish_fp` then makes both remaining levels
+at once from where each candidate's image lies on the projective line
+P^1(F_p): w extends sigma iff Q w != 0, and g completes the facet through
+w iff Q g lies on another point than Q w.  So each simplex below the top
+costs two dot products per candidate, and each facet one AND and no
+arithmetic.  The built level sizes are checked against the closed-form
+f-vector, a second derivation.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .scomplex import (
     euler_characteristic,
     grow_by_extension,
     vertex_label,
+    _bit_ids,
 )
 
 
@@ -104,16 +107,33 @@ def sphere_count(f):
 
 
 def _finish_fp(gens, p):
-    """The top-level step of the frontier over F_p: the state is one row q,
-    and w completes the simplex iff q w != 0, i.e. w lies off the
-    hyperplane ker q.  Returns `finish(rows)`, the bitset of the generators
-    off it.  The frontier loop calls it once per distinct row and then each
-    simplex takes one AND with no arithmetic per candidate; the loop keys
-    rows as the quotient step leaves them, so a hyperplane is scanned at
-    most once for each of its p - 1 rows."""
-    def finish(rows):
-        (q,) = rows
-        return sum(1 << j for j, w in enumerate(gens) if sum(map(mul, q, w)) % p)
+    """The last two levels of the frontier over F_p.  The state of a simplex
+    sigma two below the top is two rows Q = (q_1, q_2), and sigma + {w} is
+    a simplex iff Q w != 0.  sigma + {w, g} is one iff Q w and Q g are
+    independent in F_p^2, that is, iff Q g != 0 lies on another point of
+    the projective line P^1(F_p) than Q w.  Returns `finish(rows, cands)`,
+    which puts each candidate with Q w != 0 on its point, (1 : y/x) or
+    (0 : 1) for Q w = (x, y), keeps one bitset per point, and pairs each
+    such w with the union of the other points' bitsets: a few integer
+    operations per candidate, and none per facet."""
+    def finish(rows, cands):
+        q1, q2 = rows
+        on = {}  # point of P^1 -> bitset of the candidates that lie on it
+        kids = []
+        for j in _bit_ids(cands):
+            w = gens[j]
+            x = sum(map(mul, q1, w)) % p
+            y = sum(map(mul, q2, w)) % p
+            if x:
+                t = y * pow(x, -1, p) % p
+            elif y:
+                t = p
+            else:
+                continue
+            on[t] = on.get(t, 0) | 1 << j
+            kids.append((j, t))
+        off_zero = sum(on.values())
+        return [(j, off_zero ^ on[t]) for j, t in kids]
 
     return finish
 
@@ -134,12 +154,12 @@ def build_universal(kind, budget=SIMPLEX_BUDGET):
     is grown only by vertices (in enumeration order, past its last one) that
     raise the rank, so each unimodular subset is produced exactly once.  The
     rank test is the quotient step, starting from the identity rows, and the
-    top level is finished by `_finish_fp`.  Before anything is allocated the
-    vertex count, and then the closed-form simplex count, is checked against
-    `budget`.  The vertex count goes first, as it is cheap where the closed
-    form of a large n is not; the refusal prints neither, as a large count
-    can have more digits than the interpreter prints.  The one closed form
-    serves the budget and the final check."""
+    last two levels are finished by `_finish_fp`.  Before anything is
+    allocated the vertex count, and then the closed-form simplex count, is
+    checked against `budget`.  The vertex count goes first, as it is cheap
+    where the closed form of a large n is not; the refusal prints neither,
+    as a large count can have more digits than the interpreter prints.  The
+    one closed form serves the budget and the final check."""
     formula = None if _vertex_count(kind) > budget else formula_f_vector(kind)
     if formula is None or sum(formula[1:]) > budget:
         raise ResourceLimitError(

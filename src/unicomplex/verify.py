@@ -130,8 +130,13 @@ def criterion_3(ws):
 def criterion_4(ws):
     """Greedy matchings are valid and acyclic with the expected census."""
     for kind in ws.kinds():
-        # greedy_matching raises on a cycle
-        M = morse.greedy_matching(ws.built(kind), standard_pivot_ids(kind))
+        # greedy_matching raises on a cycle; the public checker re-reads
+        # the pairs it returns, from their simplices alone
+        K = ws.built(kind)
+        M = morse.greedy_matching(K, standard_pivot_ids(kind))
+        ok, cycle = morse.check_acyclic(K, M.pairs)
+        if not ok:
+            return False, f"{kind}: closed V-path {cycle}"
         census = morse.critical_census(M)
         want = {0: 1, kind.n - 1: sphere_count(formula_f_vector(kind))}
         if kind.n == 1:

@@ -20,13 +20,14 @@ Q w = (a, b) that surjection is the one row b q_1 - a q_2, signed so that
 its first nonzero entry is positive.  Each test costs O(n^2) integer
 operations; `is_unimodular_z` folds the step over a list.  The truncation
 builder runs it inside the shared frontier loop `scomplex.grow_by_extension`
-below the top level, on bitset candidates (the AND of the later-neighbour
-bitsets of the simplex's vertices).  At the top the state is one primitive
-row q, and a candidate w completes a facet iff q w = +-1.  `_finish_z`
-computes q w for every generator at once, as slots of one packed big
-integer, and reads the slots equal to +-1 with carry-free bit operations;
-the frontier loop does that once per distinct row and ANDs the result with
-each simplex's candidates.
+down to the states of two rows, on bitset candidates (the AND of the
+later-neighbour bitsets of the simplex's vertices).  From such a state
+`_finish_z` makes the last two levels at once: a candidate w is accepted
+iff gcd(Q w) = 1, and its state is one primitive row r, so g completes
+the facet through w iff r g = +-1.  `_unit_slots` computes r g for every
+generator at once, as slots of one packed big integer, and reads the
+slots equal to +-1 with carry-free bit operations, once per distinct row
+r; the frontier loop ANDs the result with the candidates of sigma + {w}.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .scomplex import (
     parse_facet_list,
     token_lines,
     vertex_label,
+    _bit_ids,
 )
 
 
@@ -60,6 +62,18 @@ def z_line(coords):
     return tuple(x // g for x in c)
 
 
+def _last_row(q1, q2, a, b):
+    """The surjection left when a vector w with Q w = (a, b), gcd(a, b) = 1,
+    joins a set whose state is the two rows Q = (q_1, q_2).  The kernel of
+    (a, b) on Z^2 is spanned by (b, -a), primitive since gcd(a, b) = 1, so
+    the new state is the one row b q_1 - a q_2, up to a sign, fixed so that
+    its first nonzero entry is positive and rows q and -q make one state."""
+    r = [b * x - a * y for x, y in zip(q1, q2)]
+    if next(filter(None, r)) < 0:
+        r = [-x for x in r]
+    return tuple(r)
+
+
 def _quotient_step(rows, w):
     """Extend a unimodular set by the integer vector w.  `rows` is the
     surjection Q whose kernel is the span of the set; returns the rows of
@@ -69,14 +83,7 @@ def _quotient_step(rows, w):
     if gcd(*c) != 1:
         return None
     if len(rows) == 2:
-        # the kernel of (a, b) on Z^2 is spanned by (b, -a), primitive since
-        # gcd(a, b) = 1; that combination of the two rows is the new row, up
-        # to a sign, fixed so that rows q and -q make one state
-        (a, b), (q1, q2) = c, rows
-        r = [b * x - a * y for x, y in zip(q1, q2)]
-        if next(filter(None, r)) < 0:
-            r = [-x for x in r]
-        return (tuple(r),)
+        return (_last_row(*rows, *c),)
     rows = list(rows)
     while True:
         live = [k for k, x in enumerate(c) if x]
@@ -92,11 +99,10 @@ def _quotient_step(rows, w):
                 rows[j] = tuple([a - q * b for a, b in zip(rows[j], pivot)])
 
 
-def _finish_z(gens):
-    """The top-level step of the frontier over Z: the state is one row q,
-    and w completes the simplex iff q w = +-1.  Returns `finish(rows)`, the
-    bitset of all generators with q w = +-1, in a few big-integer
-    operations for all of them together.
+def _unit_slots(gens):
+    """Returns `slots(q)`: the bitset of the generators w with q w = +-1,
+    for one integer row q, in a few big-integer operations for all of them
+    together.
 
     Generator j owns slot j, bits [jW, (j+1)W), of a packed integer:
     P_i = sum_j w_j[i] 2^(jW) per coordinate i, so S = sum_i q_i P_i + H has
@@ -122,8 +128,7 @@ def _finish_z(gens):
         packs[width] = (coords, high, high - ones, high + ones)
         return packs[width]
 
-    def finish(rows):
-        (q,) = rows
+    def slots(q):
         width = (sum(map(abs, q)) * wmax).bit_length() + 2
         coords, high, low, up = packs.get(width) or pack(width)
         s = sum(map(mul, q, coords), high)
@@ -131,6 +136,35 @@ def _finish_z(gens):
         for y in (s ^ up, s ^ low):
             hits |= high & ~(((y & low) + low) | y)
         return int(format(hits, f"0{m * width}b")[::width], 2)
+
+    return slots
+
+
+def _finish_z(gens):
+    """The last two levels of the frontier over Z.  The state of a simplex
+    sigma two below the top is two rows Q = (q_1, q_2); sigma + {w} is
+    unimodular iff Q w = (a, b) has gcd(a, b) = 1, and its state is then the
+    one row r of `_last_row`.  sigma + {w, g} is unimodular iff r g = +-1.
+    Returns `finish(rows, cands)`, which pairs each such candidate w with
+    `_unit_slots` of its row r, computed once per distinct row and kept for
+    the whole build: simplices with one span share a row."""
+    slots = _unit_slots(gens)
+    seen = {}
+
+    def finish(rows, cands):
+        q1, q2 = rows
+        kids = []
+        for j in _bit_ids(cands):
+            w = gens[j]
+            a = sum(map(mul, q1, w))
+            b = sum(map(mul, q2, w))
+            if gcd(a, b) == 1:
+                r = _last_row(q1, q2, a, b)
+                bits = seen.get(r)
+                if bits is None:
+                    bits = seen[r] = slots(r)
+                kids.append((j, bits))
+        return kids
 
     return finish
 
@@ -183,8 +217,8 @@ def enumerate_z_lines(n, max_norm):
 
 def build_truncated_universal_z(variant, n, max_norm, budget=SIMPLEX_BUDGET):
     """Full subcomplex of X(Z^n) or K(Z^n) on the vertices within the norm
-    bound.  Every simplex is grown by the quotient-map step, or at the top
-    level accepted by `_finish_z`, so each one is unimodular over Z.  No
+    bound.  Every simplex is grown by the quotient-map step, or in the last
+    two levels accepted by `_finish_z`, so each one is unimodular over Z.  No
     closed form counts the simplices, so the frontier loop counts them
     against `budget` batch by batch, before each batch is added."""
     if variant not in ("X", "K"):

@@ -134,7 +134,7 @@ def test_morse_report_flags_a_middle_critical_cell(tmp_path):
 ])
 def test_cyclic_matching_exits_1_with_one_line(monkeypatch, argv):
     cycle = [(0,), (0, 1), (1,), (1, 2)]
-    monkeypatch.setattr(morse, "check_acyclic", lambda K, pairs: (False, cycle))
+    monkeypatch.setattr(morse, "_closed_v_path", lambda *band: cycle)
     code, text = run(*argv)
     assert code == 1
     assert text.startswith("self-check failed: ")
@@ -384,6 +384,23 @@ def test_report_integer_past_digit_limit_exits_3(argv):
     assert code == 3
     assert text.count("\n") == 1
     assert f"more than {sys.get_int_max_str_digits()} digits" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["bhargava", "--set", "integers", "--k", "100000"],
+    ["bhargava", "--set", "geometric:1:2", "--k", "10000"],
+])
+def test_bhargava_refuses_before_forming(argv):
+    # a lower bound on k!_S refuses the report before any p-ordering runs
+    # or any entry is formed; forming them would take minutes and gigabytes
+    start = time.perf_counter()
+    code, text = run(*argv, "--primes", "2")
+    assert time.perf_counter() - start < 1
+    assert (code, text) == (
+        3, f"resource error: a report integer has more than "
+           f"{sys.get_int_max_str_digits()} digits, the interpreter's limit "
+           "for printing it\n")
+
 
 @pytest.mark.parametrize("argv", [
     ["homology"],

@@ -115,7 +115,7 @@ def test_greedy_matchings_acyclic():
 
 def test_greedy_matching_raises_on_a_cycle(monkeypatch):
     cycle = [(0,), (0, 1), (1,), (1, 2)]
-    monkeypatch.setattr(morse, "check_acyclic", lambda K, pairs: (False, cycle))
+    monkeypatch.setattr(morse, "_closed_v_path", lambda *band: cycle)
     with pytest.raises(AcyclicityError) as err:
         greedy_matching(triangle_boundary(), [0])
     assert err.value.cycle == cycle
@@ -231,6 +231,31 @@ def test_greedy_matching_equals_rescan_oracle():
         pairs, critical = rescan_greedy_matching(K, pivots)
         assert M.pairs == pairs, name
         assert M.critical == critical, name
+
+
+def _position_cases():
+    # all-vertex schedules on a Z truncation, and links, whose vertex ids
+    # are a subset of the complex's and so are not positions in level 0
+    K = build_truncated_universal_z("K", 3, 4)
+    yield "K(Z^3) norm 4 all vertices", K, list(range(K.n_vertices))
+    L = K.link(K.sorted_simplices(0)[2])
+    yield "link of a vertex of K(Z^3) norm 4", L, list(reversed(L.vertices()))
+    kind = UniversalKind("K", 2, 4)
+    pivots = standard_pivot_ids(kind)
+    yield (f"link of an edge in {kind}",
+           build_universal(kind).link(sorted(pivots[:2])), pivots[2:])
+    kind = UniversalKind("X", 3, 3)
+    L = build_universal(kind).link((standard_pivot_ids(kind)[-1],))
+    yield f"link of a vertex in {kind}, all vertices", L, L.vertices()
+
+
+def test_position_matching_equals_rescan_on_z_and_links():
+    for name, K, pivots in _position_cases():
+        M = greedy_matching(K, pivots)
+        pairs, critical = rescan_greedy_matching(K, pivots)
+        assert M.pairs == pairs, name
+        assert M.critical == critical, name
+        assert M.pairs, name
 
 
 def _random_covering_matching(K, rng, keep):

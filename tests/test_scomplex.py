@@ -182,9 +182,14 @@ def test_grow_by_extension_pairwise_coprime(depth):
 
     finished = []
 
-    def finish(state):
+    def finish(state, cands):
+        # the bits cover every generator, those that are not candidates of
+        # sigma + {w} included: the loop must AND them away
         finished.append(state)
-        return sum(1 << j for j, w in enumerate(gens) if gcd(state, w) == 1)
+        return [(j, sum(1 << k for k, g in enumerate(gens)
+                        if gcd(state * gens[j], g) == 1))
+                for j in range(len(gens))
+                if cands >> j & 1 and gcd(state, gens[j]) == 1]
 
     by_dim = grow_by_extension(gens, depth, 1, extend, finish, 10**6, "toy")
     want = [{s for s in combinations(range(len(gens)), k + 1)
@@ -192,11 +197,13 @@ def test_grow_by_extension_pairwise_coprime(depth):
             for k in range(depth)]
     # each level is handed over as a list, already in lexicographic order
     assert by_dim == [sorted(level) for level in want]
-    # finish runs once per distinct state one level below the top; from
-    # depth 3 on some states repeat ({2, 15} and {3, 10} both give 30)
-    tops = [prod(gens[j] for j in s) for s in want[-2]] if depth > 1 else [1]
-    assert sorted(finished) == sorted(set(tops))
-    assert depth < 3 or len(finished) < len(tops)
+    # depth 1 is one plain level; from depth 2 on, finish runs once per
+    # simplex two levels below the top, in order
+    if depth == 1:
+        assert finished == []
+    else:
+        below = sorted(want[-3]) if depth > 2 else [()]
+        assert finished == [prod(gens[j] for j in s) for s in below]
     total = sum(map(len, want))
     with pytest.raises(ResourceLimitError, match="toy exceeds simplex budget"):
         grow_by_extension(gens, depth, 1, extend, finish, total - 1, "toy")

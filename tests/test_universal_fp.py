@@ -1,17 +1,20 @@
+import random
 from itertools import product
 from math import factorial, prod
+from operator import mul
 
 import pytest
 
 from unicomplex import universal_fp
 from unicomplex.errors import InputError, ResourceLimitError
-from unicomplex.fplin import is_unimodular_fp, line_canonical_fp
+from unicomplex.fplin import enumerate_vectors_fp, is_unimodular_fp, line_canonical_fp
 from unicomplex.universal_fp import (
     UniversalKind,
     build_universal,
     formula_f_vector,
     sphere_count,
     standard_pivot_ids,
+    _finish_fp,
 )
 
 from oracles import brute_unimodular_complex, coords_of
@@ -95,6 +98,47 @@ def test_build_against_powerset_oracle(kind):
     for size, subsets in oracle.items():
         assert list(K.sorted_simplices(size - 1)) == sorted(subsets)
     assert K.n_simplices == sum(len(s) for s in oracle.values())
+
+
+@pytest.mark.parametrize("kind", [
+    UniversalKind(variant, p, n)
+    for n, primes in ((1, (2, 3, 7)), (2, (2, 3, 5)))
+    for variant in ("X", "K") for p in primes
+] + [UniversalKind("K", 7, 2)], ids=str)
+def test_depths_one_and_two_against_powerset_oracle(kind):
+    # depth 1 is one plain level of quotient steps; at depth 2 the two-row
+    # finish makes both levels from the identity rows
+    K = build_universal(kind)
+    gens = [coords_of(K.labels[v]) for v in K.vertices()]
+    oracle = brute_unimodular_complex(gens, kind.p)
+    assert [list(K.sorted_simplices(size - 1)) for size in sorted(oracle)] == \
+        [sorted(oracle[size]) for size in sorted(oracle)]
+    assert K.n_simplices == sum(len(s) for s in oracle.values())
+
+
+def test_two_row_finish_is_the_plain_rule():
+    # _finish_fp pairs each candidate w with Q w != 0 with the candidates g
+    # that make Q w and Q g independent; compare it with a 2 x 2
+    # determinant on random two-row states and candidate sets
+    rng = random.Random("two-row finish fp")
+    hits = 0
+    for p, n in ((2, 4), (3, 3), (5, 3), (7, 2)):
+        gens = enumerate_vectors_fp(n, p)
+        finish = _finish_fp(gens, p)
+        for _ in range(20):
+            rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(2))
+            cands = rng.getrandbits(len(gens))
+            ids = [j for j in range(len(gens)) if cands >> j & 1]
+            image = [tuple(sum(map(mul, q, gens[j])) % p for q in rows)
+                     for j in range(len(gens))]
+            want = [(j, {g for g in ids if (image[j][0] * image[g][1]
+                                            - image[j][1] * image[g][0]) % p})
+                    for j in ids if any(image[j])]
+            got = [(j, {g for g in ids if bits >> g & 1})
+                   for j, bits in finish(rows, cands)]
+            assert got == want
+            hits += sum(len(g) for _, g in want)
+    assert hits > 1000
 
 
 def test_build_simplices_unimodular():

@@ -24,6 +24,7 @@ from unicomplex.zlattice import (
     z_line,
     _finish_z,
     _quotient_step,
+    _unit_slots,
 )
 
 from oracles import coords_of, det_cofactor, minor_gcd_unimodular
@@ -147,6 +148,47 @@ def test_truncation_is_every_unimodular_subset(variant, n, max_norm):
     assert set(K.all_simplices()) == want
 
 
+@pytest.mark.parametrize("variant", ["K", "X"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_depths_one_and_two_are_every_unimodular_subset(variant, n):
+    # depth 1 is one plain level of quotient steps; at depth 2 the two-row
+    # finish makes both levels from the identity rows
+    for max_norm in range(1, 7):
+        K = build_truncated_universal_z(variant, n, max_norm)
+        gens = [coords_of(K.labels[v]) for v in range(K.n_vertices)]
+        want = [
+            [s for s in combinations(range(len(gens)), size)
+             if minor_gcd_unimodular([list(gens[v]) for v in s])]
+            for size in range(1, n + 1)
+        ]
+        assert [list(K.sorted_simplices(d)) for d in range(n)] == want, max_norm
+
+
+def test_two_row_finish_is_the_plain_rule():
+    # _finish_z pairs each candidate w with gcd(Q w) = 1 with the generators
+    # g that make Q w and Q g a basis of Z^2; compare it with a 2 x 2
+    # determinant on random two-row states and candidate sets
+    rng = random.Random("two-row finish z")
+    gens = enumerate_z_vectors(4, 3)
+    finish = _finish_z(gens)
+    hits = 0
+    for _ in range(60):
+        rows = tuple(tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(2))
+        if not minor_gcd_unimodular([list(r) for r in rows]):
+            continue
+        cands = rng.getrandbits(len(gens))
+        ids = [j for j in range(len(gens)) if cands >> j & 1]
+        image = [tuple(sum(map(mul, q, w)) for q in rows) for w in gens]
+        want = [(j, {g for g in ids
+                     if abs(image[j][0] * image[g][1] - image[j][1] * image[g][0]) == 1})
+                for j in ids if gcd(*image[j]) == 1]
+        got = [(j, {g for g in ids if bits >> g & 1})
+               for j, bits in finish(rows, cands)]
+        assert got == want
+        hits += sum(len(g) for _, g in want)
+    assert hits > 1000
+
+
 def test_quotient_step_down_to_one_row():
     # from two rows the step is closed-form; its row must vanish on the set,
     # be primitive (so the map onto Z is surjective) and carry the sign rule
@@ -170,7 +212,7 @@ def test_quotient_step_down_to_one_row():
 
 @pytest.mark.parametrize("m", [1, 2, 13, 100])
 def test_packed_finish_is_the_plain_rule(m):
-    # _finish_z reads q w = +-1 off packed slots; compare it with one dot
+    # _unit_slots reads q w = +-1 off packed slots; compare it with one dot
     # product per generator.  The generators are signed, as on the X side;
     # the first and last are +-e_1, so rows with q_1 = +-1 hit the first and
     # the last slot.  Rows range from |q|_1 = 1 to entries of 10^5, so one
@@ -179,14 +221,14 @@ def test_packed_finish_is_the_plain_rule(m):
     gens = [(1, 0, 0)]
     gens += [tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(m - 2)]
     gens += [(-1, 0, 0)][:m - 1]
-    finish = _finish_z(gens)
+    slots = _unit_slots(gens)
     wmax = max(abs(c) for w in gens for c in w)
     widths, edge_hits = set(), 0
     for trial in range(300):
         big = rng.choice([1, 2, 30, 10**5])
         x, y = rng.randint(-big, big), rng.randint(-big, big)
         q = (rng.choice([1, -1]) if trial % 2 else rng.randint(-big, big), x, y)
-        got = finish((q,))
+        got = slots(q)
         want = {j for j, w in enumerate(gens) if abs(sum(map(mul, q, w))) == 1}
         assert {j for j in range(m) if got >> j & 1} == want, q
         assert got >> m == 0
