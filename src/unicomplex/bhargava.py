@@ -2,22 +2,27 @@
 the identity linking them to face counts of X(F_p^k).
 
 nu_k(S, p) is the p-power part of (a_k - a_0)...(a_k - a_{k-1}) along any
-p-ordering of S; it does not depend on the p-ordering, which the tests
-exercise by reseeding a_0.  The greedy construction here quantifies over a
-finite enumeration window of S; for the infinite ground sets the window is
-re-verified by doubling, and instability is an error rather than an answer.
+p-ordering of S; it does not depend on the p-ordering, and k!_S is the
+product of the nu_k(S, p) over all primes (Bhargava 1997).  So on the
+infinite ground sets nu_k(S, p) is the p-part of the closed form of k!_S:
+k! for the integers, a^k q^(k(k-1)/2) (q - 1)(q^2 - 1)...(q^k - 1) for
+{a q^i}.  Each is written once, as its step factor k!_S / (k-1)!_S; the
+running products of the step factors are the factorials, and the running
+sums of their p-adic valuations the exponents of the nu_k.  An explicit set
+gets the greedy p-ordering of its own elements, which is exact; the tests
+exercise its independence of a_0 by reseeding it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import factorial
+from math import factorial, prod
 from operator import mul
 
 from .errors import InputError
 from .fplin import check_prime, is_prime
-from .universal_fp import UniversalKind, formula_f_vector
+from .universal_fp import UniversalKind, _exact_div, formula_f_vector
 
 
 @dataclass(frozen=True)
@@ -38,28 +43,6 @@ class GroundSet:
                 raise InputError("explicit ground set has duplicates")
         elif self.kind != "integers":
             raise InputError(f"unknown ground set kind {self.kind!r}")
-
-    def enumerate(self, budget):
-        """First `budget` elements in the canonical enumeration order:
-        0, 1, -1, 2, -2, ... for Z; a, aq, aq^2, ... for geometric sets;
-        list order for explicit sets (capped by their length)."""
-        if self.kind == "integers":
-            out = [0]
-            k = 1
-            while len(out) < budget:
-                out.append(k)
-                if len(out) < budget:
-                    out.append(-k)
-                k += 1
-            return out[:budget]
-        if self.kind == "geometric":
-            out = []
-            val = self.a
-            for _ in range(budget):
-                out.append(val)
-                val *= self.q
-            return out
-        return list(self.elements[:budget])
 
 
 INTEGERS = GroundSet("integers")
@@ -82,17 +65,24 @@ def _vp(x, p):
     return e
 
 
-def _greedy_p_ordering(candidates, p, K, start_index):
-    """Greedy p-ordering: each step takes the first candidate of least
-    valuation sum over the chosen prefix.  The sums are kept per candidate
-    and grow by one term per step."""
-    chosen = [candidates[start_index]]
-    rest = [c for i, c in enumerate(candidates) if i != start_index]
+def _step_factor(S, k):
+    """k!_S / (k-1)!_S for k >= 1 on an infinite ground set: k for the
+    integers, a q^(k-1) (q^k - 1) for {a q^i}.  Never 0, as q is not 0, 1
+    or -1."""
+    if S.kind == "integers":
+        return k
+    return S.a * S.q ** (k - 1) * (S.q**k - 1)
+
+
+def _greedy_p_ordering(elements, p, K, start_index):
+    """Greedy p-ordering of a finite set: each step takes the first
+    element of least valuation sum over the chosen prefix.  The sums are
+    kept per element and grow by one term per step."""
+    chosen = [elements[start_index]]
+    rest = [c for i, c in enumerate(elements) if i != start_index]
     sums = [0] * len(rest)
     exps = [0]
     for _ in range(K):
-        if not rest:
-            raise InputError("ground set exhausted before reaching K")
         a = chosen[-1]
         sums = [e + _vp(c - a, p) for e, c in zip(sums, rest)]
         best_exp = min(sums)
@@ -103,35 +93,24 @@ def _greedy_p_ordering(candidates, p, K, start_index):
     return chosen, exps
 
 
-def default_budget(S, K):
-    if S.kind == "integers":
-        return 8 * max(K, 1) + 1  # the window [-4K, 4K]
-    if S.kind == "geometric":
-        return 2 * (K + 1)
-    return len(S.elements)
-
-
 def p_ordering(S, p, K, start_index=0):
-    """The valuations (nu_0, ..., nu_K), as exact p-powers, of the greedy
-    p-ordering of the first `default_budget(S, K)` elements of S.  For the
-    integer and geometric kinds they are certified stable against doubling
-    the window."""
+    """The valuations (nu_0, ..., nu_K) of S at p, as exact p-powers.
+
+    For an explicit set they come from the greedy p-ordering that starts
+    at a_0 = S.elements[start_index].  For the integers and geometric sets
+    they are the running sums of the step factors' valuations; a_0 plays
+    no part there, as nu_k does not depend on the p-ordering, so
+    `start_index` is ignored."""
     check_prime(p)
     if K < 0:
         raise InputError("K must be >= 0")
-    budget = default_budget(S, K)
-    candidates = S.enumerate(budget)
-    if len(candidates) < K + 1:
-        raise InputError(f"ground set yields only {len(candidates)} elements")
-    _, exps = _greedy_p_ordering(candidates, p, K, start_index)
-    if S.kind in ("integers", "geometric"):
-        wide = S.enumerate(2 * budget)
-        _, exps2 = _greedy_p_ordering(wide, p, K, start_index)
-        if exps != exps2:
-            raise AssertionError(
-                f"p-ordering window unstable for {S.kind} at p={p}, K={K}: "
-                f"doubling the window of {budget} elements changed the valuations"
-            )
+    if S.kind == "explicit":
+        if len(S.elements) < K + 1:
+            raise InputError(f"ground set yields only {len(S.elements)} elements")
+        _, exps = _greedy_p_ordering(S.elements, p, K, start_index)
+    else:
+        exps = accumulate((_vp(_step_factor(S, k), p) for k in range(1, K + 1)),
+                          initial=0)
     return tuple(p**e for e in exps)
 
 
@@ -158,23 +137,17 @@ def generalized_factorials(S, k_max):
     """[0!_S, 1!_S, ..., k_max!_S].
 
     The closed forms of the integer and geometric sets are running
-    products, one multiplication per k.  On an explicit set the support
-    primes are found once and each gets one p-ordering, whose valuations
-    serve every k: the greedy steps do not depend on how far the ordering
-    runs.  The errors come in the order of a k-by-k computation: those of
-    the p-orderings first, then, for k_max past the last element, an
-    InputError naming the first k out of range."""
+    products of their step factors, one multiplication per k.  On an
+    explicit set the support primes are found once and each gets one
+    p-ordering, whose valuations serve every k: the greedy steps do not
+    depend on how far the ordering runs.  The errors come in the order of
+    a k-by-k computation: those of the p-orderings first, then, for k_max
+    past the last element, an InputError naming the first k out of range."""
     if k_max < 0:
         return []
-    if S.kind == "integers":
-        return list(accumulate(range(1, k_max + 1), mul, initial=1))
-    if S.kind == "geometric":
-        # k!_S = a^k q^(k(k-1)/2) (q - 1)(q^2 - 1)...(q^k - 1), so step k
-        # multiplies by a q^(k-1) (q^k - 1)
-        a, q = S.a, S.q
-        return list(accumulate(range(1, k_max + 1),
-                               lambda f, k: f * a * q ** (k - 1) * (q**k - 1),
-                               initial=1))
+    if S.kind != "explicit":
+        return list(accumulate((_step_factor(S, k) for k in range(1, k_max + 1)),
+                               mul, initial=1))
     elems = S.elements
     top = min(k_max, len(elems) - 1)
     out = [1] * (top + 1)
@@ -224,11 +197,22 @@ def _prime_factors(n):
 
 
 def check_identities(p, k):
-    """Whether the face-count identity k!_{1,p,p^2,...} = k! * f_{k-1}(X(F_p^k))
-    holds.  Since k! >= 1 it is also the divisibility statement: k!_Z
-    divides k!_{1,p,p^2,...} with quotient f_{k-1}(X(F_p^k))."""
+    """Whether the face-count identity
+    f_{j-1}(X(F_p^k)) * j! = [k choose j]_p * j!_{1,p,p^2,...}
+    holds for every 0 <= j <= k, with the Gaussian binomial
+    [k choose j]_p = prod_{i<j} (p^k - p^i) / prod_{i<j} (p^j - p^i) checked
+    exact.  At j = k it is k!_{1,p,p^2,...} = k! * f_{k-1}(X(F_p^k)), and
+    since k! >= 1 also the divisibility statement: k!_Z divides
+    k!_{1,p,p^2,...} with quotient f_{k-1}(X(F_p^k))."""
     check_prime(p)
     if k < 1:
         raise InputError("k must be >= 1")
-    face = formula_f_vector(UniversalKind("X", p, k))[k]
-    return generalized_factorial(geometric(1, p), k) == factorial(k) * face
+    faces = formula_f_vector(UniversalKind("X", p, k))
+    facts = generalized_factorials(geometric(1, p), k)
+    for j in range(k + 1):
+        num = prod(p**k - p**i for i in range(j))
+        den = prod(p**j - p**i for i in range(j))
+        gauss = _exact_div(num, den, f"[{k} choose {j}]_{p}")
+        if faces[j] * factorial(j) != gauss * facts[j]:
+            return False
+    return True

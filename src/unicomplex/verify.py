@@ -3,7 +3,7 @@ CLI (`verify-all`) and from the test suite.
 
 Each criterion function returns (ok, detail).  Expected constants that have
 an independent derivation (hand-evaluated determinants and alternating
-sums, brute-force enumeations) are frozen inline; the library is never
+sums, brute-force enumerations) are frozen inline; the library is never
 asked to confirm itself against its own output alone.
 """
 
@@ -352,14 +352,16 @@ def criterion_10(ws):
 
 
 def criterion_11(ws):
-    """Bhargava identities, closed-form valuations, seed invariance,
-    nested-set divisibility."""
+    """Bhargava identities on every face size, closed-form valuations, seed
+    invariance of the greedy p-ordering, nested-set divisibility."""
     for p in (2, 3, 5):
         for k in range(1, 6):
             if not bhargava.check_identities(p, k):
                 return False, f"identity fails at p={p}, k={k}"
     for q in (2, 3):
         S = bhargava.geometric(1, q)
+        # the greedy on 1, q, ..., q^11 derives nu_k for k <= 5 independently
+        powers = bhargava.explicit([q**i for i in range(12)])
         for p in (2, 3, 5, 7, 11, 13):
             for k in range(6):
                 closed = bhargava.generalized_factorial(S, k)
@@ -367,11 +369,13 @@ def criterion_11(ws):
                 while closed % p == 0:
                     want *= p
                     closed //= p
-                if bhargava.nu_k(S, p, k) != want:
+                if not want == bhargava.nu_k(S, p, k) == bhargava.nu_k(powers, p, k):
                     return False, f"nu mismatch: S=powers of {q}, p={p}, k={k}"
-    for seed in (0, 1, 2):
-        if bhargava.nu_k(bhargava.INTEGERS, 2, 3, start_index=seed) != 2:
-            return False, f"seed {seed}: nu_3(Z,2) != 2"
+    # the greedy runs only on explicit sets; a window of Z keeps nu_3 = 2
+    window = bhargava.explicit(range(-12, 13))
+    for seed in (0, 1, 5, 12, 24):
+        if bhargava.nu_k(window, 2, 3, start_index=seed) != 2:
+            return False, f"seed {seed}: nu_3([-12, 12], 2) != 2"
     rng = random.Random(99)
     for _ in range(10):
         big = sorted(rng.sample(range(-30, 31), 8))

@@ -8,7 +8,6 @@ from unicomplex.errors import InputError
 from unicomplex.bhargava import (
     INTEGERS,
     check_identities,
-    default_budget,
     explicit,
     generalized_factorial,
     generalized_factorials,
@@ -27,13 +26,10 @@ from oracles import (
 )
 
 
-def is_p_ordering(S, p, sequence, budget=None):
-    """Check that a given prefix sequence is a valid p-ordering of S: each
-    element attains the minimal valuation among the enumerated candidates."""
-    K = len(sequence) - 1
-    if budget is None:
-        budget = default_budget(S, K)
-    candidates = S.enumerate(budget)
+def is_p_ordering(candidates, p, sequence):
+    """Check that a given prefix sequence is a valid p-ordering of a finite
+    window: each element attains the minimal valuation among the
+    candidates."""
     prefix = []
     for a in sequence:
         if prefix:
@@ -58,18 +54,12 @@ def test_ground_set_validation():
         explicit([1, 1, 2])
 
 
-def test_enumeration_orders():
-    assert INTEGERS.enumerate(5) == [0, 1, -1, 2, -2]
-    assert geometric(1, 2).enumerate(4) == [1, 2, 4, 8]
-    assert explicit([5, 7, 11]).enumerate(10) == [5, 7, 11]
-
-
 def test_p_ordering_z_example():
     assert p_ordering(INTEGERS, 2, 3) == (1, 1, 2, 2)
 
 
 def test_p_ordering_budget_too_small():
-    # an explicit set's window is the set itself: too few elements for K
+    # an explicit set has too few elements for K
     with pytest.raises(InputError, match="ground set yields only 2 elements"):
         p_ordering(explicit([0, 1]), 2, 3)
 
@@ -77,9 +67,9 @@ def test_p_ordering_budget_too_small():
 def test_p_ordering_powers_sequence_is_valid():
     # 1, p, p^2, ... is an l-ordering of the powers of p at every prime l
     for p in (2, 3):
-        S = geometric(1, p)
+        window = [p**i for i in range(10)]
         for l in (2, 3, 5, 7):
-            assert is_p_ordering(S, l, S.enumerate(4), budget=10)
+            assert is_p_ordering(window, l, window[:4])
 
 
 def test_greedy_valuations_match_exhaustive_window_oracle():
@@ -93,7 +83,7 @@ def test_greedy_valuations_match_exhaustive_window_oracle():
             # take the first window element achieving it, like the library
             nxt = next(
                 c
-                for c in INTEGERS.enumerate(41)
+                for c in integer_window(41)
                 if c not in chosen
                 and sum(p_exponent(c - a, p) for a in chosen) == e
             )
@@ -109,24 +99,32 @@ def integer_window(size):
     return out[:size]
 
 
+def geometric_window(a, q):
+    """a, aq, aq^2, ...: 2(K + 1) terms for a p-ordering up to K."""
+    return lambda K: [a * q**i for i in range(2 * (K + 1))]
+
+
+# (a, q) with p | a, p | q and negative q for some p in 2, 3, 5, 7
+GEOMETRIC_CASES = ((1, 2), (3, -5), (2, 6), (9, -3), (-2, 5), (6, 7), (5, -2),
+                   (-1, 9))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_p_ordering_matches_quadratic_reference(p):
     squares = [i * i for i in range(1, 14)]
     mixed = [7, -3, 12, 0, 5, 40, -18, 2, 33, 27, 1, -64, 11]
     sets = [
-        (INTEGERS, integer_window),
-        (geometric(1, 2), lambda size: [2**i for i in range(size)]),
-        (geometric(3, -5), lambda size: [3 * (-5) ** i for i in range(size)]),
-        (explicit(squares), lambda size: squares[:size]),
-        (explicit(mixed), lambda size: mixed[:size]),
+        (INTEGERS, lambda K: integer_window(8 * max(K, 1) + 1)),  # [-4K, 4K]
+        *((geometric(a, q), geometric_window(a, q)) for a, q in GEOMETRIC_CASES),
+        (explicit(squares), lambda K: squares),
+        (explicit(mixed), lambda K: mixed),
     ]
     for S, window in sets:
-        for K in (0, 1, 2, 5, 8, 12):
-            size = default_budget(S, K)
-            assert S.enumerate(size) == window(size)
-            for start in (s for s in (0, 1, 3) if s < size):
-                chosen, exps = reference_greedy_p_ordering(window(size), p, K, start)
-                assert _greedy_p_ordering(window(size), p, K, start) == (chosen, exps)
+        for K in (0, 1, 2, 3, 5, 8, 12):
+            cands = window(K)
+            for start in (s for s in (0, 1, 3) if s < len(cands)):
+                chosen, exps = reference_greedy_p_ordering(cands, p, K, start)
+                assert _greedy_p_ordering(cands, p, K, start) == (chosen, exps)
                 assert p_ordering(S, p, K, start_index=start) == tuple(
                     p**e for e in exps)
 
@@ -139,12 +137,14 @@ def test_nu_examples():
 
 
 def test_nu_seed_invariance():
-    for p in (2, 3):
-        for k in (1, 2, 3):
+    # the greedy runs on explicit sets; on a window of Z it keeps Z's nu_k
+    window = explicit(range(-12, 13))
+    for p in (2, 3, 5):
+        for k in range(1, 7):
             vals = {
-                nu_k(INTEGERS, p, k, start_index=s) for s in (0, 1, 2)
+                nu_k(window, p, k, start_index=s) for s in (0, 1, 5, 12, 24)
             }
-            assert len(vals) == 1
+            assert vals == {nu_k(INTEGERS, p, k)}
 
 
 def test_generalized_factorial_closed_forms():
@@ -238,7 +238,21 @@ def test_identities_examples():
     assert check_identities(5, 1)
 
 
+def gaussian_binomials(n, q):
+    """[n choose j]_q for 0 <= j <= n, by the q-Pascal rule
+    [m choose j]_q = [m-1 choose j-1]_q + q^j [m-1 choose j]_q."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [1] + [row[j - 1] + q**j * row[j] for j in range(1, m)] + [1]
+    return row
+
+
 def test_identities_sweep():
-    for p in (2, 3, 5):
-        for k in range(1, 6):
-            assert check_identities(p, k) is True
+    # f_{j-1}(X(F_p^n)) j! = [n choose j]_p j!_{1,p,p^2,...} on every face
+    for p in (2, 3, 5, 7):
+        facts = generalized_factorials(geometric(1, p), 8)
+        for n in range(1, 9):
+            faces = formula_f_vector(UniversalKind("X", p, n))
+            for j, gauss in enumerate(gaussian_binomials(n, p)):
+                assert faces[j] * factorial(j) == gauss * facts[j]
+            assert check_identities(p, n) is True

@@ -172,6 +172,25 @@ def test_bhargava_large_prime_difference_is_fast():
     assert json.loads(text)["results"]["k1"]["factorial"] == "1000000000000000003"
 
 
+def test_bhargava_integers_at_k400_is_fast():
+    # a fresh process, as the command is run; nu_k(Z, p) = p^{v_p(k!)}
+    src = str(Path(unicomplex.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "unicomplex.cli", "bhargava", "--set", "integers",
+         "--k", "400", "--primes", "2,3,5,7"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert out.returncode == 0
+    assert time.perf_counter() - start < 1.0
+    results = json.loads(out.stdout)["results"]
+    assert len(results) == 401
+    for k in range(401):
+        for p in (2, 3, 5, 7):
+            legendre = sum(k // p**i for i in range(1, 9))  # 2^9 > 400
+            assert int(results[f"k{k}"][f"nu_p{p}"]) == p**legendre
+
+
 def test_cli_import_leaves_numpy_out():
     src = str(Path(unicomplex.__file__).resolve().parents[1])
     out = subprocess.run(
