@@ -319,7 +319,7 @@ def cmd_shelling(args):
     K, kind = _get_complex(args)
     if args.order:
         label_to_id = {lab: v for v, lab in K.labels.items()}
-        lines = facet_lines(_read_text(args.order))
+        lines = list(facet_lines(_read_text(args.order)))
         try:
             facets = [tuple(sorted(label_to_id[t] for t in toks)) for toks in lines]
         except KeyError as exc:

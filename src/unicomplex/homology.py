@@ -6,14 +6,17 @@ when no such simplex is left, a live simplex with no live faces is taken as
 critical.  The pairs form an acyclic matching, and since every incidence of
 a simplicial complex is +-1 they are valid over Z.  The boundary of the
 Morse complex on the critical simplices is computed over Z by following the
-gradient flow (Harker-Mischaikow-Mrozek-Nanda), with the sign (-1)^k on
-the face that drops the k-th vertex, and an augmentation row over the
-critical vertices makes the Betti numbers reduced.  Each Morse boundary
-then goes through the exact Smith normal form: one sparse elimination loop
-pivots on the first +-1 entry it meets, or on an entry of least absolute
-value when none is left, and one pass of pairwise gcd and lcm repairs the
-divisibility chain.  Betti numbers and torsion are therefore exact in
-every dimension.
+gradient flow (Harker-Mischaikow-Mrozek-Nanda), with the sign (-1)^k on the
+face that drops the k-th vertex, and an augmentation row over the critical
+vertices makes the Betti numbers reduced.  The boundary into a lone
+critical vertex is zero by theorem and is not formed: the Morse complex has
+the homology of K, and H_0(K) is free of rank at least one, so with one
+critical vertex the boundary from dimension 1 has rank 0 and no torsion.
+Every other Morse boundary goes through the exact Smith normal form: one
+sparse elimination loop pivots on the first +-1 entry it meets, or on an
+entry of least absolute value when none is left, and one pass of pairwise
+gcd and lcm repairs the divisibility chain.  Betti numbers and torsion are
+therefore exact in every dimension.
 
 The full chain-level boundary operator is not built here; the tests keep it
 (`tests/oracles.py`) as the reference the Morse complex is checked against.
@@ -21,13 +24,17 @@ The full chain-level boundary operator is not built here; the tests keep it
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import combinations, repeat
+from itertools import accumulate, chain, combinations, compress, repeat
 from math import gcd
+from operator import itemgetter
 
 from .scomplex import euler_characteristic
+
+_REVERSED = itemgetter(slice(None, None, -1))
 
 
 @dataclass(frozen=True)
@@ -141,14 +148,14 @@ def coreduce(K):
     matching is acyclic and removal stamps decrease along gradient paths.
 
     Returns (cells, faces, partner, stamp): cells[c] is the simplex with id
-    c, faces[c] the ids of its codimension-1 faces in vertex-deletion order,
-    partner[c] the id matched with c (-1 for a critical cell) and stamp[c]
-    the step at which c left.
+    c, faces[c] the tuple of ids of its codimension-1 faces in
+    vertex-deletion order, partner[c] the id matched with c (-1 for a
+    critical cell) and stamp[c] the step at which c left.
 
-    The tables are built in C-level passes: `combinations(s, d)` lists the
-    faces of a d-simplex s in the order that deletes its last vertex first,
-    so faces[c] is that run of ids reversed; the reversing slice leaves
-    each list at its exact size."""
+    The face table is built in one C-level pass per level: `combinations(s,
+    d)` lists the faces of a d-simplex s in the order that deletes its last
+    vertex first, so the face ids of the whole level come out as one run,
+    which is cut into groups of d + 1 per cell and each group reversed."""
     cells = []
     for d in range(K.dim + 1):
         cells.extend(K.sorted_simplices(d))
@@ -156,48 +163,50 @@ def coreduce(K):
     top = len(K.sorted_simplices(K.dim))
     # no top cell is a face, so only the cells below the top are indexed
     face_id = dict(zip(cells, range(n - top))).__getitem__
-    faces = [()] * n
+    faces = [()] * len(K.sorted_simplices(0))
     cofaces = [[] for _ in range(n - top)]
     cofaces.extend(repeat((), top))  # no cofaces: one shared empty tuple
-    c = len(K.sorted_simplices(0))
     for d in range(1, K.dim + 1):
-        for s in K.sorted_simplices(d):
-            faces[c] = fs = list(map(face_id, combinations(s, d)))[::-1]
-            for a in fs:
-                cofaces[a].append(c)
-            c += 1
+        level = K.sorted_simplices(d)
+        ids = list(map(face_id, chain.from_iterable(
+            map(combinations, level, repeat(d)))))
+        c = len(faces)
+        faces.extend(map(_REVERSED, zip(*[iter(ids)] * (d + 1))))
+        for a, b in zip(ids, chain.from_iterable(
+                map(repeat, range(c, len(faces)), repeat(d + 1)))):
+            cofaces[a].append(b)
     live = list(map(len, faces))  # -1 once the cell has left
     partner = [-1] * n
     stamp = [0] * n
     queue = deque()
     clock = 0
-
-    def remove(c):
-        nonlocal clock
-        live[c] = -1
-        stamp[c] = clock
-        clock += 1
-        for u in cofaces[c]:
-            if live[u] > 0:
-                live[u] -= 1
-                if live[u] == 1:
-                    queue.append(u)
-
     first_live = 0
     while True:
-        while queue:
+        if queue:
             b = queue.popleft()
             if live[b] != 1:
                 continue
-            a = next(f for f in faces[b] if live[f] >= 0)
+            for a in faces[b]:
+                if live[a] >= 0:
+                    break
             partner[a], partner[b] = b, a
-            remove(a)
-            remove(b)
-        while first_live < n and live[first_live] < 0:
-            first_live += 1
-        if first_live == n:
-            break
-        remove(first_live)
+            leaving = (a, b)
+        else:
+            while first_live < n and live[first_live] < 0:
+                first_live += 1
+            if first_live == n:
+                break
+            leaving = (first_live,)
+        for c in leaving:
+            live[c] = -1
+            stamp[c] = clock
+            clock += 1
+            for u in cofaces[c]:
+                k = live[u]
+                if k > 0:
+                    live[u] = k - 1
+                    if k == 2:
+                        queue.append(u)
     return cells, faces, partner, stamp
 
 
@@ -243,6 +252,16 @@ def _morse_boundary(faces, partner, stamp, lower, upper):
 # -- homology ---------------------------------------------------------------
 
 
+def _critical_by_dim(partner, f):
+    """The critical cell ids of each dimension, ascending, from the partner
+    table of `coreduce` and the f-vector f = (1, f_0, ..., f_dim).  Cell ids
+    ascend with dimension, so the critical ids, listed in one C-level pass,
+    split by dimension at the level offsets."""
+    ids = list(compress(range(len(partner)), map((0).__gt__, partner)))
+    cuts = [0, *(bisect_left(ids, end) for end in accumulate(f[1:]))]
+    return [ids[i:j] for i, j in zip(cuts, cuts[1:])]
+
+
 def reduced_homology(K):
     """Reduced Betti numbers and torsion coefficients over Z.
 
@@ -251,15 +270,18 @@ def reduced_homology(K):
     the augmentation row over the critical vertices, and the torsion of H_d
     is read off the invariant factors > 1 of the Morse boundary d+1.  A
     Morse boundary is only computed where both of its dimensions have
-    critical cells; otherwise it is zero."""
+    critical cells; otherwise it is zero.
+
+    The boundary for d = 1 is zero, too, when exactly one vertex is
+    critical: the Morse complex has the homology of K, whose H_0 is free of
+    rank at least 1, so with C_0 = Z the quotient Z / im(boundary_1) is Z
+    and the boundary vanishes.  That holds for every connected graph and
+    every connected link, so their d = 1 boundary is never formed."""
     if K.dim < 0:
         return HomologyProfile((), ())
     dim = K.dim
-    cells, faces, partner, stamp = coreduce(K)
-    critical = [[] for _ in range(dim + 1)]
-    for c, b in enumerate(partner):
-        if b < 0:
-            critical[len(cells[c]) - 1].append(c)
+    _, faces, partner, stamp = coreduce(K)
+    critical = _critical_by_dim(partner, K.f_vector())
     census = [len(cs) for cs in critical]
     euler = euler_characteristic(K.f_vector())
     if sum((-1) ** d * m for d, m in enumerate(census)) != euler:
@@ -267,7 +289,7 @@ def reduced_homology(K):
     ranks = [0] * (dim + 2)
     ranks[0] = 1 if census[0] else 0  # the augmentation row, all ones
     torsion = [()] * (dim + 1)
-    for d in range(1, dim + 1):
+    for d in range(2 if census[0] == 1 else 1, dim + 1):
         if critical[d] and critical[d - 1]:
             factors = smith_normal_form(
                 _morse_boundary(faces, partner, stamp, critical[d - 1], critical[d])

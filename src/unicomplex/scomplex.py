@@ -26,8 +26,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import reduce
 from heapq import merge
-from itertools import chain, combinations, repeat
-from operator import and_, lt
+from itertools import chain, combinations, compress, filterfalse, repeat
+from operator import and_, itemgetter, lt, methodcaller
 
 from .errors import InputError, ResourceLimitError
 
@@ -39,6 +39,8 @@ SIMPLEX_BUDGET = 10**7
 # upper simplices whose faces `facets` strikes in one C-level pass between
 # its checks for an exhausted level
 _STRIKE_CHUNK = 4096
+
+_TAIL = itemgetter(slice(1, None))
 
 
 def vertex_label(variant, coords):
@@ -88,8 +90,14 @@ class SimplicialComplex:
 
         Raises ResourceLimitError once the faces of a simplex take the
         closure past `budget` distinct simplices, counted as the growth of
-        each level, which is closed in one C-level pass per face size; a
-        simplex with 2^|s| - 1 > budget faces is refused outright."""
+        each level; a simplex with 2^|s| - 1 > budget faces is refused
+        outright.  The simplices are validated and closed in chunks, each
+        in one C-level pass per face size.  A chunk holds max(1, (budget -
+        count) // (2^big - 1)) simplices, where big is the largest simplex
+        size, so a chunk of two or more cannot take the count past the
+        budget: every verdict and message is that of closing one simplex
+        at a time, and a refusal holds at most one simplex's faces past the
+        budget."""
         labels = dict(labels)
         by_dim = [{(v,) for v in labels}]
         count = len(labels)
@@ -97,24 +105,36 @@ class SimplicialComplex:
             raise ResourceLimitError(
                 f"{count} vertices exceed simplex budget {budget}"
             )
-        for s in simplices:
-            s = check_simplex(s)
-            if not s:
-                continue
-            if not all(map(labels.__contains__, s)):
-                v = next(v for v in s if v not in labels)
-                raise InputError(f"simplex {s} uses unlabeled vertex {v}")
-            if 2 ** len(s) - 1 > budget:
+        simplices = list(map(tuple, simplices))
+        cap = max(1, 2 ** max(map(len, simplices), default=0) - 1)
+        start = 0
+        while start < len(simplices):
+            size = max(1, (budget - count) // cap)
+            chunk = simplices[start:start + size]
+            start += size
+            # the checks of `check_simplex` and the label test, over the
+            # whole chunk: int vertices, increasing simplices, all labeled
+            if not (all(map(isinstance, chain.from_iterable(chunk), repeat(int)))
+                    and all(map(all, map(map, repeat(lt), chunk, map(_TAIL, chunk))))
+                    and all(map(labels.__contains__, chain.from_iterable(chunk)))):
+                for s in chunk:  # raise the first fault in input order
+                    check_simplex(s)
+                    if not all(map(labels.__contains__, s)):
+                        v = next(v for v in s if v not in labels)
+                        raise InputError(f"simplex {s} uses unlabeled vertex {v}")
+            big = len(max(chunk, key=len))
+            if 2 ** big - 1 > budget:  # then the chunk is that one simplex
                 raise ResourceLimitError(
-                    f"simplex with {len(s)} vertices has {2 ** len(s) - 1} "
+                    f"simplex with {big} vertices has {2 ** big - 1} "
                     f"faces, over simplex budget {budget}"
                 )
-            while len(by_dim) < len(s):
+            while len(by_dim) < big:
                 by_dim.append(set())
-            for k in range(2, len(s) + 1):
+            for k in range(2, big + 1):
                 level = by_dim[k - 1]
                 before = len(level)
-                level.update(combinations(s, k))
+                level.update(chain.from_iterable(
+                    map(combinations, chunk, repeat(k))))
                 count += len(level) - before
                 if count > budget:
                     raise ResourceLimitError(
@@ -194,7 +214,9 @@ class SimplicialComplex:
     # -- derived complexes --------------------------------------------------
 
     def link(self, simplex):
-        """link(sigma) = {tau | sigma U tau in K, sigma and tau disjoint}."""
+        """link(sigma) = {tau | sigma U tau in K, sigma and tau disjoint},
+        each level made in C-level passes: the simplices through sigma are
+        picked by `issubset` and lose sigma's vertices by `filterfalse`."""
         s = check_simplex(simplex)
         if s and s not in self:
             raise InputError(f"simplex {s} not in complex")
@@ -202,9 +224,9 @@ class SimplicialComplex:
         # deleting the vertices of sigma keeps the lexicographic order of
         # the simplices through it, so each level comes out sorted
         by_dim = [
-            [tuple(v for v in rho if v not in sset)
-             for rho in self._levels[d] if sset.issubset(rho)]
-            for d in range(len(s), self.dim + 1)
+            list(map(tuple, map(filterfalse, repeat(sset.__contains__), compress(
+                level, map(sset.issubset, level)))))
+            for level in self._levels[len(s):]
         ]
         labels = {v: self.labels[v] for (v,) in by_dim[0]} if by_dim else {}
         return SimplicialComplex(by_dim, labels)
@@ -305,22 +327,26 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
 # (numeric tokens sort numerically, before non-numeric ones).  Every text
 # input (facet lists, shelling orders, quasitoric pair files) is read line
 # by line through `token_lines`, and every facet line through `facet_lines`.
+# A facet list is read in two streamed passes over its lines, one for the
+# label set and one for the facet tuples, so no token list outlives its
+# line.
 
 
 def token_lines(text):
     """The whitespace-separated tokens of each line of `text`, with '#'
-    starting a comment; a blank or comment-only line gives []."""
-    return [line.split("#", 1)[0].split() for line in text.splitlines()]
+    starting a comment, one list per line in a lazy C-level pass; a blank
+    or comment-only line gives []."""
+    return map(str.split, map(itemgetter(0), map(
+        methodcaller("partition", "#"), text.splitlines())))
 
 
 def facet_lines(text):
-    """The token lists of the facet lines of `text`, blank lines skipped;
-    a line naming a vertex twice is an InputError."""
-    facets = [toks for toks in token_lines(text) if toks]
-    for toks in facets:
+    """The token lists of the facet lines of `text`, blank lines skipped,
+    one at a time; a line naming a vertex twice is an InputError."""
+    for toks in filter(None, token_lines(text)):
         if len(set(toks)) < len(toks):
             raise InputError(f"repeated vertex in facet line: {' '.join(toks)!r}")
-    return facets
+        yield toks
 
 
 def _token_key(tok):
@@ -332,11 +358,13 @@ def _token_key(tok):
 
 def parse_facet_list(text, budget=SIMPLEX_BUDGET):
     """The complex closed from a facet-list text, under the simplex budget
-    of `SimplicialComplex.from_simplices`."""
-    facets_tokens = facet_lines(text)
-    order = sorted({tok for toks in facets_tokens for tok in toks}, key=_token_key)
-    vid = {tok: i for i, tok in enumerate(order)}
-    facets = [tuple(sorted(vid[t] for t in toks)) for toks in facets_tokens]
+    of `SimplicialComplex.from_simplices`.  The first pass over the lines
+    checks each for a repeated vertex and collects the labels; the second
+    turns each facet line into a tuple of vertex ids."""
+    order = sorted(set(chain.from_iterable(facet_lines(text))), key=_token_key)
+    vid = dict(zip(order, range(len(order)))).__getitem__
+    facets = list(map(tuple, map(sorted, map(
+        map, repeat(vid), filter(None, token_lines(text))))))
     return SimplicialComplex.from_simplices(facets, dict(enumerate(order)),
                                             budget=budget)
 

@@ -322,7 +322,7 @@ def parse_quasitoric_pair(text, budget=SIMPLEX_BUDGET):
     """Pair file: a facet-list block for P*, a blank line, then n rows of m
     whitespace-separated integers (columns in sorted vertex-label order).
     The facet block is closed under the simplex budget."""
-    tokens = token_lines(text)
+    tokens = list(token_lines(text))
     start = next((i for i, toks in enumerate(tokens) if toks), len(tokens))
     split = next((i for i in range(start, len(tokens)) if not tokens[i]), None)
     if split is None:

@@ -15,7 +15,8 @@ import unicomplex
 from unicomplex import cli, morse
 from unicomplex.cli import dispatch, emit_report
 from unicomplex.errors import AcyclicityError
-from unicomplex.scomplex import SIMPLEX_BUDGET
+from unicomplex.scomplex import SIMPLEX_BUDGET, format_facet_list
+from unicomplex.universal_fp import UniversalKind, build_universal
 
 
 def run(*argv):
@@ -506,9 +507,28 @@ def test_order_file_read_like_a_facet_file(tmp_path):
     code, text = run("shelling", "--facets", str(facets), "--order", str(order))
     assert code == 2
     assert text == "input error: repeated vertex in facet line: 'b c c'\n"
+    # every line is checked for a repeat before any label is looked up
+    order.write_text("a b\nq r\nb c c\n")
+    code, text3 = run("shelling", "--facets", str(facets), "--order", str(order))
+    assert (code, text3) == (2, text)
     facets.write_text("a b\nb c c\nc d\n")
     code, text2 = run("homology", "--facets", str(facets))
     assert (code, text2) == (2, text)
+
+
+def test_facet_file_layout_gives_the_same_report(tmp_path):
+    facets = tmp_path / "k33.facets"
+    plain = format_facet_list(build_universal(UniversalKind("K", 3, 3)))
+    lines = plain.splitlines()
+    reports = set()
+    for layout in (plain,
+                   "# K(F_3^3)\n\n" + "".join(f"{line} # c\n\n" for line in lines),
+                   "".join("\t" + line.replace(" ", "\t") + "\n" for line in lines),
+                   "\r\n".join(lines) + "\r\n"):
+        facets.write_bytes(layout.encode())
+        reports.add(run("homology", "--reisner", "--facets", str(facets)))
+    (report,) = reports
+    assert report[0] == 0 and json.loads(report[1])["results"]["cohen_macaulay"] is True
 
 
 # sha256 prefixes and line counts of the `shelling --out` files, frozen from

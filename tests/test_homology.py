@@ -18,7 +18,12 @@ from unicomplex.homology import (
     smith_normal_form,
 )
 from unicomplex.morse import Matching, check_acyclic, critical_census
-from unicomplex.scomplex import SimplicialComplex, euler_characteristic, parse_facet_list
+from unicomplex.scomplex import (
+    SimplicialComplex,
+    euler_characteristic,
+    format_facet_list,
+    parse_facet_list,
+)
 from unicomplex.universal_fp import (
     UniversalKind,
     build_universal,
@@ -258,7 +263,7 @@ def test_torsion_found_in_2363_triangles(tmp_path):
 def test_complete_graph_k70():
     K = SimplicialComplex.from_simplices(combinations(range(70), 2), labeled(70))
     assert K.f_vector() == (1, 70, 2415)
-    assert reduced_homology(K).betti == (0, 2346)
+    assert assert_matches_full_boundaries(K).betti == (0, 2346)
 
 
 def test_reisner_universal_true():
@@ -491,3 +496,80 @@ def test_frontier_k73_exact():
     prof = reduced_homology(build_universal(kind))
     assert prof.betti == (0, 0, 24528) == (0, 0, sphere_count(formula_f_vector(kind)))
     assert prof.torsion_free
+
+
+# -- the lone critical vertex and the critical split ---------------------------
+
+
+def recording_morse_boundaries(monkeypatch):
+    """Record (d, lower, upper) for each Morse boundary that
+    `reduced_homology` forms, d being the dimension of the upper cells."""
+    real = homology._morse_boundary
+    calls = []
+
+    def recording(faces, partner, stamp, lower, upper):
+        calls.append((len(faces[upper[0]]) - 1, list(lower), list(upper)))
+        return real(faces, partner, stamp, lower, upper)
+
+    monkeypatch.setattr(homology, "_morse_boundary", recording)
+    return calls
+
+
+def test_no_boundary_into_a_lone_critical_vertex(monkeypatch, tmp_path):
+    calls = recording_morse_boundaries(monkeypatch)
+    code, _ = dispatch(["homology", "--variant", "X", "--p", "7", "--n", "2"])
+    assert code == 0
+    k33 = tmp_path / "k33.facets"
+    k33.write_text(format_facet_list(build_universal(UniversalKind("K", 3, 3))))
+    code, text = dispatch(["homology", "--reisner", "--facets", str(k33)])
+    assert code == 0 and json.loads(text)["results"]["cohen_macaulay"] is True
+    assert all(d != 1 for d, _, _ in calls)
+
+
+@pytest.mark.parametrize("facets, betti, formed", [
+    ([(0, 1), (2, 3)], (1, 0), []),  # no critical edge, so nothing to form
+    ([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], (1, 2), [1]),
+], ids=["two disjoint edges", "two disjoint circles"])
+def test_two_critical_vertices_match_full_boundaries(facets, betti, formed, monkeypatch):
+    K = SimplicialComplex.from_simplices(facets, labeled(max(map(max, facets)) + 1))
+    calls = recording_morse_boundaries(monkeypatch)
+    assert assert_matches_full_boundaries(K).betti == betti
+    assert [d for d, _, _ in calls] == formed
+
+
+def test_connected_graphs_match_full_boundaries():
+    X72 = build_universal(UniversalKind("X", 7, 2))
+    assert assert_matches_full_boundaries(X72).betti[0] == 0
+    K24 = build_universal(UniversalKind("K", 2, 4))
+    for e in K24.sorted_simplices(1):
+        L = K24.link(e)
+        assert L.dim == 1
+        assert assert_matches_full_boundaries(L).betti[0] == 0
+
+
+@pytest.mark.parametrize("name", ["moore", "rp2 wedge", "links"])
+def test_critical_split_by_dimension(name, monkeypatch):
+    if name == "moore":
+        complexes = [parse_facet_list(moore_space_and_simplex_skeleton())]
+    elif name == "rp2 wedge":
+        complexes = [rp2_wedge(5)]
+    else:
+        rp2s = rp2_wedge(2)
+        K = build_universal(UniversalKind("K", 2, 4))
+        # the link of the wedge point is two disjoint hexagons
+        complexes = [rp2s.link(rp2s.sorted_simplices(0)[0]),
+                     K.link(K.sorted_simplices(0)[3]), K.link(K.sorted_simplices(1)[-1])]
+    calls = recording_morse_boundaries(monkeypatch)
+    formed = 0
+    for K in complexes:
+        cells, _, partner, _ = homology.coreduce(K)
+        by_cell = [[c for c, b in enumerate(partner) if b < 0 and len(cells[c]) == d + 1]
+                   for d in range(K.dim + 1)]
+        assert homology._critical_by_dim(partner, K.f_vector()) == by_cell
+        # and those are the lists each Morse boundary is formed between
+        del calls[:]
+        reduced_homology(K)
+        for d, lower, upper in calls:
+            assert (lower, upper) == (by_cell[d - 1], by_cell[d])
+        formed += len(calls)
+    assert formed

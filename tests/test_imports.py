@@ -1,6 +1,7 @@
-"""The lint steps: every name a library module imports is used in it, and
+"""The lint steps: every name a library module imports is used in it,
 every public function, class, method, property and annotated field of the
-library is read somewhere in the library.
+library is read somewhere in the library, and importing the CLI loads a
+fixed set of extension modules.
 
 The second check matches names only, not the object they are read on, so a
 member counts as read when any object anywhere has an attribute read under
@@ -8,6 +9,8 @@ the same name.  Echoed fields such as a report's `p`, `q` or `n` slip through
 it, since `kind.p`, `pair.n` and the like are read all over the library."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -144,3 +147,29 @@ def test_external_surface_is_defined():
     sources = {path.stem: path.read_text() for path in MODULES}
     defined = {qual for qual, _ in public_definitions(sources)}
     assert sorted(EXTERNAL - defined) == []
+
+
+# The extension modules (shared objects) that `import unicomplex.cli` loads
+# into an interpreter started without the site hooks.  Each one costs
+# resident memory in every run of the CLI: a module-level `import array`
+# alone added 77 KiB to the peak RSS of a homology benchmark pass.  A change
+# to this set is deliberate, and this list changes with it.
+CLI_EXTENSION_MODULES = ["_bisect", "_heapq", "_json", "_opcode", "_random",
+                         "_sha512", "math"]
+
+
+def test_cli_import_loads_a_fixed_set_of_extension_modules():
+    src = str(Path(unicomplex.__file__).resolve().parents[1])
+    probe = (
+        "import sys\n"
+        "from importlib.machinery import EXTENSION_SUFFIXES\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import unicomplex.cli\n"
+        "print(' '.join(sorted(name for name in set(sys.modules) - before\n"
+        "      if getattr(sys.modules[name], '__file__', None)\n"
+        "      and sys.modules[name].__file__.endswith(tuple(EXTENSION_SUFFIXES)))))\n"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == CLI_EXTENSION_MODULES

@@ -303,3 +303,118 @@ def test_membership_is_the_stored_levels(name):
             probes.extend(s[:i] + (v,) + s[i + 1:] for v in ids)
     for s in probes:
         assert (s in K) == (s in everything), s
+
+
+# -- closure in chunks and the streamed facet-file passes ---------------------
+
+
+def closure_one_at_a_time(simplices, labels, budget):
+    """The sorted levels of the downward closure, or (error class name,
+    message) for the first fault, each simplex checked and closed before
+    the next one is looked at."""
+    levels = [{(v,) for v in labels}]
+    count = len(labels)
+    if count > budget:
+        return ("ResourceLimitError", f"{count} vertices exceed simplex budget {budget}")
+    for s in simplices:
+        s = tuple(s)
+        bad = [v for v in s if not isinstance(v, int)]
+        if bad:
+            return ("InputError", f"vertex ids must be ints, got {bad[0]!r}")
+        if any(a >= b for a, b in zip(s, s[1:])):
+            return ("InputError", f"simplex vertices not strictly increasing: {s}")
+        missing = [v for v in s if v not in labels]
+        if missing:
+            return ("InputError", f"simplex {s} uses unlabeled vertex {missing[0]}")
+        if 2 ** len(s) - 1 > budget:
+            return ("ResourceLimitError", f"simplex with {len(s)} vertices has "
+                    f"{2 ** len(s) - 1} faces, over simplex budget {budget}")
+        while len(levels) < len(s):
+            levels.append(set())
+        for k in range(2, len(s) + 1):
+            before = len(levels[k - 1])
+            levels[k - 1].update(combinations(s, k))
+            count += len(levels[k - 1]) - before
+            if count > budget:
+                return ("ResourceLimitError", f"closure exceeds simplex budget {budget}")
+    while levels and not levels[-1]:
+        levels.pop()
+    return [sorted(level) for level in levels]
+
+
+def closure_outcome(simplices, labels, budget):
+    try:
+        K = SimplicialComplex.from_simplices(simplices, labels, budget=budget)
+    except (InputError, ResourceLimitError) as exc:
+        return (type(exc).__name__, str(exc))
+    return [list(K.sorted_simplices(d)) for d in range(K.dim + 1)]
+
+
+def overlapping_simplices(rng, n):
+    """Mixed-size simplices on n vertices, most of them sharing faces."""
+    return [tuple(sorted(rng.sample(range(n), rng.randint(0, min(n, 6)))))
+            for _ in range(rng.randint(1, 40))]
+
+
+def test_chunked_closure_matches_one_simplex_at_a_time():
+    rng = random.Random(31)
+    faults = [("s",), (3, 1), (2, 2), (0, 99), tuple(range(12)), [1, 4.0]]
+    verdicts = set()
+    for trial in range(400):
+        n = rng.randint(1, 9)
+        labels = {v: str(v) for v in range(12 if trial % 3 == 0 else n)}
+        simplices = overlapping_simplices(rng, n)
+        if trial % 2:  # a fault somewhere, with more simplices after it
+            simplices.insert(rng.randrange(len(simplices) + 1), rng.choice(faults))
+        full = sum(map(len, closure_one_at_a_time(
+            [s for s in simplices if s not in faults], labels, 10**9)))
+        for budget in {full, full - 1, rng.randint(len(labels), full + 5), 10**6}:
+            want = closure_one_at_a_time(simplices, labels, budget)
+            assert closure_outcome(simplices, labels, budget) == want
+            verdicts.add(want[0] if isinstance(want, tuple) else "closed")
+    assert verdicts == {"closed", "InputError", "ResourceLimitError"}
+
+
+def test_closure_budget_verdict_at_the_closure_size():
+    # heavily overlapping facets of sizes 2..6 on 9 vertices, so chunks of
+    # many simplices meet a budget that is one short
+    rng = random.Random(8)
+    for _ in range(30):
+        text = "".join(" ".join(f"v{v}" for v in rng.sample(range(9), rng.randint(2, 6))) + "\n"
+                       for _ in range(rng.randint(5, 60)))
+        size = parse_facet_list(text).n_simplices
+        assert parse_facet_list(text, budget=size).n_simplices == size
+        with pytest.raises(ResourceLimitError, match=f"closure exceeds simplex budget {size - 1}$"):
+            parse_facet_list(text, budget=size - 1)
+
+
+def test_facet_file_errors_keep_their_order():
+    huge = " ".join(f"x{i}" for i in range(30))
+    # every line is checked for a repeated vertex before any facet is closed
+    for text in (f"a b\nc c d\n{huge}\ne e\n", f"{huge}\na b\nc c d\ne e\n"):
+        with pytest.raises(InputError, match=r"^repeated vertex in facet line: 'c c d'$"):
+            parse_facet_list(text, budget=1000)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^simplex with 30 vertices has 1073741823 faces, "
+                             r"over simplex budget 1000$"):
+        parse_facet_list(f"a b c d e f g h i\n{huge}\n", budget=1000)
+    with pytest.raises(ResourceLimitError, match=r"^32 vertices exceed simplex budget 31$"):
+        parse_facet_list(f"a b\n{huge}\n", budget=31)
+
+
+def test_facet_text_layout_gives_the_same_complex():
+    K = build_universal(UniversalKind("X", 2, 3))
+    lines = format_facet_list(K).splitlines()
+    layouts = [
+        "\n".join(lines) + "\n",
+        "# header\n\n" + "".join(f"{line}  # facet {i}\n\n" for i, line in enumerate(lines)),
+        "".join("\t" + line.replace(" ", " \t ") + "\t\n" for line in lines),
+        "\r\n".join(lines) + "\r\n",
+        "\r\n".join(lines),
+    ]
+    parsed = [parse_facet_list(text) for text in layouts]
+    for L in parsed:
+        assert L.labels == parsed[0].labels
+        assert [L.sorted_simplices(d) for d in range(3)] == [
+            parsed[0].sorted_simplices(d) for d in range(3)]
+    assert parsed[0].f_vector() == K.f_vector()

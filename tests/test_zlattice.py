@@ -400,7 +400,11 @@ def test_parse_quasitoric_pair_file():
 def test_parse_quasitoric_pair_skips_comments():
     text = ("# CP^2\r\n1 2\r\n1 3  # an edge\r\n2 3\r\n# matrix\r\n"
             "1 0 -1\r\n\r\n0 1 -1\r\n")
-    assert parse_quasitoric_pair(text).lam == ((1, 0, -1), (0, 1, -1))
+    pair, plain = parse_quasitoric_pair(text), parse_quasitoric_pair(
+        "1 2\n1 3\n2 3\n\n1 0 -1\n0 1 -1\n")
+    assert pair.lam == plain.lam == ((1, 0, -1), (0, 1, -1))
+    assert pair.dual_complex.labels == plain.dual_complex.labels
+    assert pair.dual_complex.facets() == plain.dual_complex.facets()
     with pytest.raises(InputError, match="repeated vertex in facet line: '1 1'"):
         parse_quasitoric_pair("1 1\n1 3\n\n1 0\n")
     with pytest.raises(InputError, match="bad matrix row: '1 x'"):
