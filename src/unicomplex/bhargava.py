@@ -15,34 +15,33 @@ exercise its independence of a_0 by reseeding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from math import factorial, prod
 from operator import mul
 
 from .errors import InputError
 from .fplin import check_prime, is_prime
-from .universal_fp import UniversalKind, _exact_div, formula_f_vector
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    kind: str  # "integers" | "geometric" | "explicit"
-    a: int = None
-    q: int = None
-    elements: tuple = None
+class GroundSet(namedtuple("GroundSet", "kind a q elements")):
+    """The integers (kind "integers"), {a q^i} ("geometric") or a finite
+    tuple of `elements` ("explicit")."""
 
-    def __post_init__(self):
-        if self.kind == "geometric":
-            if not self.a or self.q in (None, 0, 1, -1):
+    __slots__ = ()
+
+    def __new__(cls, kind, a=None, q=None, elements=None):
+        if kind == "geometric":
+            if not a or q in (None, 0, 1, -1):
                 raise InputError("geometric ground set needs a != 0, q not in {0,1,-1}")
-        elif self.kind == "explicit":
-            if not self.elements:
+        elif kind == "explicit":
+            if not elements:
                 raise InputError("explicit ground set needs elements")
-            if len(set(self.elements)) != len(self.elements):
+            if len(set(elements)) != len(elements):
                 raise InputError("explicit ground set has duplicates")
-        elif self.kind != "integers":
-            raise InputError(f"unknown ground set kind {self.kind!r}")
+        elif kind != "integers":
+            raise InputError(f"unknown ground set kind {kind!r}")
+        return super().__new__(cls, kind, a, q, elements)
 
 
 INTEGERS = GroundSet("integers")
@@ -204,6 +203,9 @@ def check_identities(p, k):
     exact.  At j = k it is k!_{1,p,p^2,...} = k! * f_{k-1}(X(F_p^k)), and
     since k! >= 1 also the divisibility statement: k!_Z divides
     k!_{1,p,p^2,...} with quotient f_{k-1}(X(F_p^k))."""
+    # imported here, so that the factorials alone do not load the builder
+    from .universal_fp import UniversalKind, _exact_div, formula_f_vector
+
     check_prime(p)
     if k < 1:
         raise InputError("k must be >= 1")

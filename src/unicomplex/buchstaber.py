@@ -9,7 +9,7 @@ chromatic number, which gives the cross-validation target for the searcher.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InputError, ResourceLimitError
 from .fplin import check_prime, enumerate_lines_fp, is_unimodular_fp
@@ -225,12 +225,9 @@ def buchstaber_bounds(K, p):
     return report
 
 
-@dataclass(frozen=True)
-class ZetaThetaBounds:
-    zeta_lower: int
-    zeta_upper: int
-    theta_lower: int
-    theta_upper: int
+class ZetaThetaBounds(namedtuple(
+        "ZetaThetaBounds", "zeta_lower zeta_upper theta_lower theta_upper")):
+    __slots__ = ()
 
 
 def _zeta_lower(p, q, n):

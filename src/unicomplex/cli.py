@@ -20,29 +20,13 @@ import time
 from functools import cache
 
 from . import __version__
-from .bhargava import INTEGERS, explicit, generalized_factorials, geometric, \
-    p_ordering
-from .buchstaber import buchstaber_bounds
 from .errors import AcyclicityError, InputError, ResourceLimitError
-from .homology import reduced_homology, reisner_check
-from .morse import critical_census, greedy_matching
 from .scomplex import SIMPLEX_BUDGET, euler_characteristic, facet_lines, \
     format_facet_list, parse_facet_list
-from .shelling import construct_shelling_fp, is_shifted, shelling_h_vector
-from .universal_fp import (
-    UniversalKind,
-    build_universal,
-    formula_f_vector,
-    sphere_count,
-    standard_pivot_ids,
-)
-from .verify import FP_PAIRS, ORACLE_SAMPLES, run_all
-from .zlattice import (
-    build_truncated_universal_z,
-    parse_quasitoric_pair,
-    sigma_family,
-    validate_quasitoric_pair,
-)
+
+# Each command imports the library modules it runs inside its own body, so a
+# process loads only those: most commands take a few milliseconds, and
+# importing every module would cost more than the command itself.
 
 
 class UsageError(Exception):
@@ -183,6 +167,8 @@ def _get_complex(args):
         return parse_facet_list(_read_text(args.facets), budget=args.budget), None
     if args.variant is None or args.p is None or args.n is None:
         raise UsageError("give either --facets FILE or --variant/--p/--n")
+    from .universal_fp import UniversalKind, build_universal
+
     kind = UniversalKind(args.variant, args.p, args.n)
     return build_universal(kind, budget=args.budget), kind
 
@@ -199,6 +185,8 @@ def cmd_build(args):
     if args.ring == "z":
         if args.variant is None or args.n is None or args.max_norm is None:
             raise UsageError("--ring z needs --variant, --n and --max-norm")
+        from .zlattice import build_truncated_universal_z
+
         K = build_truncated_universal_z(args.variant, args.n, args.max_norm,
                                         budget=args.budget)
         name = f"{args.variant}(Z^{args.n}) truncated at norm {args.max_norm}"
@@ -235,6 +223,9 @@ def _refuse_unprintable_formula(kind, link_dim):
 
 
 def cmd_fvector(args):
+    from .universal_fp import UniversalKind, build_universal, formula_f_vector, \
+        sphere_count
+
     kind = UniversalKind(args.variant, args.p, args.n)
     # the build, and so its budget refusal, comes before the closed form
     K = None if args.method == "formula" else build_universal(kind, budget=args.budget)
@@ -257,6 +248,8 @@ def cmd_fvector(args):
 
 
 def cmd_homology(args):
+    from .homology import reduced_homology, reisner_check
+
     K, kind = _get_complex(args)
     if args.link_dim is not None:
         if not 0 <= args.link_dim <= K.dim:
@@ -274,6 +267,8 @@ def cmd_homology(args):
     }
     if kind is not None and args.link_dim is None:
         # build_universal has checked this f-vector against the closed form
+        from .universal_fp import sphere_count
+
         results["sphere_count"] = sphere_count(K.f_vector())
     if args.reisner:
         ok, witness = reisner_check(K, orbit_sample=kind is not None,
@@ -285,10 +280,14 @@ def cmd_homology(args):
 
 
 def cmd_morse(args):
+    from .morse import critical_census, greedy_matching
+
     K, kind = _get_complex(args)
     if args.pivots:
         pivots = list(args.pivots.values)
     elif kind is not None:
+        from .universal_fp import standard_pivot_ids
+
         pivots = list(standard_pivot_ids(kind))
     else:
         raise UsageError("--pivots is required for a facet-list complex")
@@ -316,6 +315,8 @@ def cmd_shelling(args):
             "constructing a shelling needs --variant/--p/--n; "
             "--facets needs --order"
         )
+    from .shelling import construct_shelling_fp, shelling_h_vector
+
     K, kind = _get_complex(args)
     if args.order:
         label_to_id = {lab: v for v, lab in K.labels.items()}
@@ -340,6 +341,8 @@ def cmd_shelling(args):
 
 
 def cmd_shifted(args):
+    from .shelling import is_shifted
+
     K, _ = _get_complex(args)
     ok, witness = is_shifted(K)
     results = {"shifted": ok}
@@ -349,18 +352,25 @@ def cmd_shifted(args):
 
 
 def cmd_buchstaber(args):
+    from .buchstaber import buchstaber_bounds
+
     K, _ = _get_complex(args)
     return 0, {f"p{p}": buchstaber_bounds(K, p) for p in args.primes.values}
 
 
 def cmd_zcheck(args):
     if args.pair:
+        from .zlattice import parse_quasitoric_pair, validate_quasitoric_pair
+
         pair = parse_quasitoric_pair(_read_text(args.pair), budget=args.budget)
         ok, witness = validate_quasitoric_pair(pair)
         results = {"pair_valid": ok, "n": pair.n, "m": pair.m}
         if not ok:
             results["failing_facet"] = [pair.dual_complex.labels[v] for v in witness]
         return (0 if ok else 1), results
+    from .morse import critical_census, greedy_matching
+    from .zlattice import build_truncated_universal_z, sigma_family
+
     K = build_truncated_universal_z("K", args.n, args.max_norm, budget=args.budget)
     pivots = list(range(K.n_vertices))
     matching = greedy_matching(K, pivots)  # raises on a cycle
@@ -378,6 +388,8 @@ def cmd_zcheck(args):
 
 
 def _parse_ground_set(spec):
+    from .bhargava import INTEGERS, explicit, geometric
+
     if spec == "integers":
         return INTEGERS
     if spec.startswith("geometric:"):
@@ -416,6 +428,8 @@ def _refuse_unprintable_factorials(S, k):
 
 
 def cmd_bhargava(args):
+    from .bhargava import generalized_factorials, p_ordering
+
     S = _parse_ground_set(args.set)
     primes = args.primes.values if args.primes else ()
     if args.k < 0:
@@ -438,6 +452,12 @@ def cmd_bhargava(args):
 
 
 def cmd_verify_all(args):
+    from .verify import FP_PAIRS, ORACLE_SAMPLES, run_all
+
+    if args.oracle_samples is None:
+        # resolved here, not in the parser, which then needs no verify
+        # import; set on args so that the report echoes it
+        args.oracle_samples = ORACLE_SAMPLES
     pairs = args.pairs.values if args.pairs else FP_PAIRS
     outcome = run_all(fp_pairs=pairs, oracle_samples=args.oracle_samples)
     results = {
@@ -529,7 +549,7 @@ def build_parser():
 
     s = subs.add_parser(parents=[common], name="verify-all", help="run the acceptance suite")
     s.add_argument("--pairs", type=_pair_list, help='override test pairs, e.g. "2,2;3,2"')
-    s.add_argument("--oracle-samples", type=int, default=ORACLE_SAMPLES)
+    s.add_argument("--oracle-samples", type=int)  # default: verify.ORACLE_SAMPLES
     s.set_defaults(func=cmd_verify_all)
     return parser
 

@@ -38,17 +38,18 @@ no pair are never visited.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import chain, combinations, compress, count, repeat
+from bisect import bisect_left, bisect_right
+from collections import namedtuple
+from itertools import chain, combinations, compress, count, islice, repeat
 
 from .errors import AcyclicityError, InputError
 
 
-@dataclass(frozen=True)
-class Matching:
-    pairs: tuple  # ((lower, upper), ...) sorted
-    critical: tuple  # unmatched simplices, by dimension, each sorted
+class Matching(namedtuple("Matching", "pairs critical")):
+    """`pairs`: ((lower, upper), ...), sorted; `critical`: the unmatched
+    simplices, by dimension, each dimension sorted."""
+
+    __slots__ = ()
 
 
 def greedy_matching(K, pivots):
@@ -57,17 +58,19 @@ def greedy_matching(K, pivots):
 
     The work runs on positions within K's levels.  One pass over the
     levels lists, for each scheduled pivot v and each dimension d >= 1, the
-    positions of the d-simplices through v; the step for v pairs (up - v,
-    up) for each such up whose two members are both still unmarked, with a
-    bytearray of marks per level.  An upper cell is read from K's own
-    level, and a lower cell's position comes from a dict over the level
-    below; the top level is never indexed.  Each pair is a covering pair of
-    K by construction, and a count of the marks per level against the pairs
-    through it asserts that no simplex is in two pairs.  The pairs of each
-    band of adjacent dimensions go through the V-path search of
-    `_closed_v_path`, and the star lists are released before it runs.  The
-    critical cells are the unmarked ones, taken from each level in one
-    C-level pass."""
+    positions of the d-simplices through v.  Only a simplex whose first
+    vertex is at most the largest pivot can hold one, so the pass reads
+    each sorted level up to there, and each simplex up to its first vertex
+    past the largest pivot.  The step for v pairs (up - v, up) for each such
+    up whose two members are both still unmarked, with a bytearray of marks
+    per level.  An upper cell is read from K's own level, and a lower
+    cell's position comes from a dict over the level below; the top level
+    is never indexed.  Each pair is a covering pair of K by construction,
+    and a count of the marks per level against the pairs through it asserts
+    that no simplex is in two pairs.  The pairs of each band of adjacent
+    dimensions go through the V-path search of `_closed_v_path`, and the
+    star lists are released before it runs.  The critical cells are the
+    unmarked ones, taken from each level in one C-level pass."""
     # imported here, so that a process that never matches does not load the
     # extension module and keep its pages resident
     from array import array
@@ -79,10 +82,14 @@ def greedy_matching(K, pivots):
     levels = [K.sorted_simplices(d) for d in range(K.dim + 1)]
     bands = range(1, len(levels))
     star = {v: [array("l") for _ in levels] for v in pivots}
+    last = max(pivots, default=-1)
     for d in bands:
         add = {v: runs[d].append for v, runs in star.items()}.get
-        for i, up in enumerate(levels[d]):
+        level = levels[d]
+        for i, up in enumerate(islice(level, bisect_left(level, (last + 1,)))):
             for v in up:
+                if v > last:
+                    break
                 append = add(v)
                 if append is not None:
                     append(i)

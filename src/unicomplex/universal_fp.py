@@ -25,7 +25,7 @@ f-vector, a second derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from operator import mul
 
@@ -47,18 +47,19 @@ from .scomplex import (
 )
 
 
-@dataclass(frozen=True)
-class UniversalKind:
-    variant: str  # "X" (vector vertices) or "K" (line vertices)
-    p: int
-    n: int
+class UniversalKind(namedtuple("UniversalKind", "variant p n")):
+    """X(F_p^n) (variant "X", vector vertices) or K(F_p^n) ("K", line
+    vertices)."""
 
-    def __post_init__(self):
-        if self.variant not in ("X", "K"):
-            raise InputError(f"variant must be 'X' or 'K', got {self.variant!r}")
-        check_prime(self.p)
-        if self.n < 1:
-            raise InputError(f"ambient dimension must be >= 1, got {self.n}")
+    __slots__ = ()
+
+    def __new__(cls, variant, p, n):
+        if variant not in ("X", "K"):
+            raise InputError(f"variant must be 'X' or 'K', got {variant!r}")
+        check_prime(p)
+        if n < 1:
+            raise InputError(f"ambient dimension must be >= 1, got {n}")
+        return super().__new__(cls, variant, p, n)
 
     def __str__(self):
         return f"{self.variant}(F_{self.p}^{self.n})"

@@ -32,7 +32,7 @@ r; the frontier loop ANDs the result with the candidates of sigma + {w}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count, product
 from math import gcd
 from operator import mul
@@ -264,10 +264,12 @@ def sigma_family(K, n):
 # -- quasitoric pairs ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuasitoricPair:
-    dual_complex: SimplicialComplex  # boundary complex P* of a simple polytope
-    lam: tuple  # n rows x m columns of ints, one column per vertex of P*
+class QuasitoricPair(namedtuple("QuasitoricPair", "dual_complex lam")):
+    """`dual_complex`: the boundary complex P* of a simple polytope, a
+    SimplicialComplex; `lam`: n rows x m columns of ints, one column per
+    vertex of P*."""
+
+    __slots__ = ()
 
     @property
     def n(self):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import unicomplex
-from unicomplex import cli, morse
+from unicomplex import cli, morse, shelling, universal_fp
 from unicomplex.cli import dispatch, emit_report
 from unicomplex.errors import AcyclicityError
 from unicomplex.scomplex import SIMPLEX_BUDGET, format_facet_list
@@ -62,8 +62,6 @@ def test_fvector_link_enumeration(variant, p, n, entries):
 @pytest.mark.parametrize("link_dim", [[], ["--link-dim", "1"]])
 def test_fvector_computes_the_closed_form_once(link_dim, monkeypatch):
     # the sphere count is read off the f-vector the report already holds
-    from unicomplex import universal_fp
-
     real = universal_fp.formula_f_vector
     calls = []
 
@@ -71,7 +69,6 @@ def test_fvector_computes_the_closed_form_once(link_dim, monkeypatch):
         calls.append((kind, link_dim))
         return real(kind, link_dim)
 
-    monkeypatch.setattr(cli, "formula_f_vector", counting)
     monkeypatch.setattr(universal_fp, "formula_f_vector", counting)
     argv = ("fvector", "--variant", "K", "--p", "3", "--n", "3", *link_dim)
     code, text = run(*argv)
@@ -81,13 +78,15 @@ def test_fvector_computes_the_closed_form_once(link_dim, monkeypatch):
 
 
 def test_fvector_link_enumeration_mismatch_exits_1(monkeypatch):
-    real = cli.formula_f_vector
+    real = universal_fp.formula_f_vector
 
     def one_too_many(kind, link_dim=None):
+        # only the link's closed form: build_universal checks the whole
+        # complex against the same function
         fv = real(kind, link_dim)
-        return fv[:-1] + (fv[-1] + 1,)
+        return fv if link_dim is None else fv[:-1] + (fv[-1] + 1,)
 
-    monkeypatch.setattr(cli, "formula_f_vector", one_too_many)
+    monkeypatch.setattr(universal_fp, "formula_f_vector", one_too_many)
     code, text = run("fvector", "--variant", "K", "--p", "3", "--n", "3",
                      "--link-dim", "0", "--method", "both")
     assert code == 1
@@ -642,7 +641,7 @@ def test_self_check_failure_exits_1_with_one_line(monkeypatch, error):
     def failing(kind, built=None):
         raise error
 
-    monkeypatch.setattr(cli, "construct_shelling_fp", failing)
+    monkeypatch.setattr(shelling, "construct_shelling_fp", failing)
     code, text = run("shelling", "--variant", "K", "--p", "3", "--n", "2")
     assert code == 1
     assert text == f"self-check failed: {error}\n"
@@ -728,6 +727,14 @@ def test_verify_all_reduced_scale():
     assert code == 0
     rep = json.loads(text)
     assert rep["results"]["all_passed"] is True
+
+
+def test_verify_all_echoes_the_default_oracle_samples():
+    # the default is resolved in the command, not in the parser
+    code, text = run("verify-all", "--pairs", "2,2")
+    assert code == 0
+    assert json.loads(text)["parameters"] == {"oracle_samples": "10000", "pairs": "2,2"}
+    assert cli.build_parser().parse_args(["verify-all"]).oracle_samples is None
 
 
 def test_verify_all_timing_adds_only_seconds():

@@ -528,13 +528,63 @@ def test_no_boundary_into_a_lone_critical_vertex(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("facets, betti, formed", [
     ([(0, 1), (2, 3)], (1, 0), []),  # no critical edge, so nothing to form
-    ([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], (1, 2), [1]),
+    # one critical vertex per circle, as many as the components
+    ([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], (1, 2), []),
 ], ids=["two disjoint edges", "two disjoint circles"])
 def test_two_critical_vertices_match_full_boundaries(facets, betti, formed, monkeypatch):
     K = SimplicialComplex.from_simplices(facets, labeled(max(map(max, facets)) + 1))
     calls = recording_morse_boundaries(monkeypatch)
     assert assert_matches_full_boundaries(K).betti == betti
     assert [d for d, _, _ in calls] == formed
+
+
+def disjoint_circles(k, size):
+    """k disjoint cycles of `size` vertices each."""
+    edges = [(c * size + i, c * size + (i + 1) % size)
+             for c in range(k) for i in range(size)]
+    return SimplicialComplex.from_simplices([tuple(sorted(e)) for e in edges],
+                                            labeled(k * size))
+
+
+@pytest.mark.parametrize("name", ["disjoint circles", "moore and skeleton"])
+def test_no_boundary_from_edges_with_one_critical_vertex_per_component(
+        name, monkeypatch):
+    if name == "disjoint circles":
+        K, components = disjoint_circles(5, 7), 5
+    else:
+        K, components = parse_facet_list(moore_space_and_simplex_skeleton()), 2
+    calls = recording_morse_boundaries(monkeypatch)
+    prof = assert_matches_full_boundaries(K)
+    assert prof.betti[0] == components - 1
+    assert homology._component_count(K) == components
+    _, _, partner, _ = homology.coreduce(K)
+    census = [len(c) for c in homology._critical_by_dim(partner, K.f_vector())]
+    assert census[0] == components and census[1] > 0
+    assert all(d != 1 for d, _, _ in calls)
+
+
+def test_boundary_from_edges_formed_with_two_critical_vertices_in_a_component(
+        monkeypatch):
+    # coreduction leaves one critical vertex per component on every complex
+    # tried; a matching with one vertex-edge pair undone leaves two in one
+    # component, and then the boundary from dimension 1 has rank 1
+    real = homology.coreduce
+
+    def unmatch_a_vertex(K):
+        cells, faces, partner, stamp = real(K)
+        a = next(c for c, b in enumerate(partner) if b > c and len(cells[c]) == 1)
+        partner[partner[a]] = partner[a] = -1
+        return cells, faces, partner, stamp
+
+    for K in (circle(), disjoint_circles(3, 4), rp2_wedge(2)):
+        expected = full_boundary_homology(K)
+        monkeypatch.setattr(homology, "coreduce", unmatch_a_vertex)
+        calls = recording_morse_boundaries(monkeypatch)
+        prof = reduced_homology(K)
+        monkeypatch.undo()
+        assert (prof.betti, prof.torsion) == expected
+        formed = [(lower, upper) for d, lower, upper in calls if d == 1]
+        assert len(formed) == 1 and len(formed[0][0]) == homology._component_count(K) + 1
 
 
 def test_connected_graphs_match_full_boundaries():
@@ -556,9 +606,14 @@ def test_critical_split_by_dimension(name, monkeypatch):
     else:
         rp2s = rp2_wedge(2)
         K = build_universal(UniversalKind("K", 2, 4))
-        # the link of the wedge point is two disjoint hexagons
+        # the link of the wedge point is two disjoint hexagons, with no
+        # boundary formed; the link of a cone point over the wedge is the
+        # wedge, whose boundary from dimension 2 is formed
+        cone = SimplicialComplex.from_simplices(
+            [f + (11,) for f in rp2s.facets()], labeled(12))
         complexes = [rp2s.link(rp2s.sorted_simplices(0)[0]),
-                     K.link(K.sorted_simplices(0)[3]), K.link(K.sorted_simplices(1)[-1])]
+                     K.link(K.sorted_simplices(0)[3]), K.link(K.sorted_simplices(1)[-1]),
+                     cone.link((11,))]
     calls = recording_morse_boundaries(monkeypatch)
     formed = 0
     for K in complexes:

@@ -1,7 +1,8 @@
 """The lint steps: every name a library module imports is used in it,
 every public function, class, method, property and annotated field of the
-library is read somewhere in the library, and importing the CLI loads a
-fixed set of extension modules.
+library is read somewhere in the library, importing the CLI loads a fixed
+set of extension modules, each command loads only the library modules it
+runs, and no library module imports `dataclasses`.
 
 The second check matches names only, not the object they are read on, so a
 member counts as read when any object anywhere has an attribute read under
@@ -154,22 +155,102 @@ def test_external_surface_is_defined():
 # resident memory in every run of the CLI: a module-level `import array`
 # alone added 77 KiB to the peak RSS of a homology benchmark pass.  A change
 # to this set is deliberate, and this list changes with it.
-CLI_EXTENSION_MODULES = ["_bisect", "_heapq", "_json", "_opcode", "_random",
-                         "_sha512", "math"]
+CLI_EXTENSION_MODULES = ["_bisect", "_heapq", "_json"]
+
+SRC = str(Path(unicomplex.__file__).resolve().parents[1])
+
+
+def fresh_run(probe, *args):
+    """The stdout of `probe` run with `args` in a fresh interpreter that
+    imports unicomplex from this checkout, without the site hooks."""
+    out = subprocess.run([sys.executable, "-S", "-c",
+                          f"import sys\nsys.path.insert(0, {SRC!r})\n" + probe, *args],
+                         capture_output=True, text=True, check=True)
+    return out.stdout
 
 
 def test_cli_import_loads_a_fixed_set_of_extension_modules():
-    src = str(Path(unicomplex.__file__).resolve().parents[1])
     probe = (
-        "import sys\n"
         "from importlib.machinery import EXTENSION_SUFFIXES\n"
-        f"sys.path.insert(0, {src!r})\n"
         "before = set(sys.modules)\n"
         "import unicomplex.cli\n"
         "print(' '.join(sorted(name for name in set(sys.modules) - before\n"
         "      if getattr(sys.modules[name], '__file__', None)\n"
         "      and sys.modules[name].__file__.endswith(tuple(EXTENSION_SUFFIXES)))))\n"
     )
-    out = subprocess.run([sys.executable, "-S", "-c", probe],
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == CLI_EXTENSION_MODULES
+    assert fresh_run(probe).split() == CLI_EXTENSION_MODULES
+
+
+# Each command imports the library modules it runs, and no others: the
+# modules of the package loaded by one command in a fresh process, beyond
+# the three that `import unicomplex.cli` loads.
+CLI_IMPORT = ["cli", "errors", "scomplex"]
+COMMAND_MODULES = [
+    (["fvector", "--variant", "K", "--p", "3", "--n", "3"], ["fplin", "universal_fp"]),
+    (["homology", "--facets", "{facets}"], ["homology"]),
+    (["morse", "--variant", "K", "--p", "2", "--n", "3"],
+     ["fplin", "morse", "universal_fp"]),
+    (["zcheck", "--pair", "{pair}"], ["fplin", "zlattice"]),
+    (["bhargava", "--set", "integers", "--k", "5", "--primes", "2"],
+     ["bhargava", "fplin"]),
+]
+# the other commands are only kept clear of `verify`, which loads every module
+OTHER_COMMANDS = [
+    ["build", "--variant", "K", "--p", "2", "--n", "3"],
+    ["build", "--ring", "z", "--variant", "K", "--n", "2", "--max-norm", "2"],
+    ["homology", "--variant", "K", "--p", "2", "--n", "3", "--reisner"],
+    ["morse", "--facets", "{facets}", "--pivots", "0"],
+    ["shelling", "--variant", "K", "--p", "2", "--n", "3"],
+    ["shifted", "--variant", "K", "--p", "2", "--n", "3"],
+    ["buchstaber", "--variant", "K", "--p", "2", "--n", "3"],
+    ["zcheck"],
+    ["bhargava", "--set", "geometric:1:2", "--k", "4", "--primes", "2,3"],
+]
+LOADED_BY_MAIN = (
+    "import unicomplex.cli\n"
+    "code = unicomplex.cli.main(sys.argv[1:])\n"
+    "print('exit', code)\n"
+    "print(' '.join(sorted(name.partition('.')[2] for name in sys.modules\n"
+    "      if name.startswith('unicomplex.'))))\n"
+    "print('dataclasses' in sys.modules)\n"
+)
+
+
+def loaded_by_command(argv, tmp_path):
+    """(exit code, sorted unicomplex modules, whether dataclasses loaded)
+    after `main(argv)` in a fresh interpreter; {facets} and {pair} in argv
+    name a small facet file and a quasitoric pair file."""
+    facets, pair = tmp_path / "t.facets", tmp_path / "cp2.pair"
+    facets.write_text("a b c\nb c d\n")
+    pair.write_text("1 2\n1 3\n2 3\n\n1 0 -1\n0 1 -1\n")
+    argv = [a.format(facets=facets, pair=pair) for a in argv]
+    *_, code, modules, dataclasses = fresh_run(LOADED_BY_MAIN, *argv).splitlines()
+    return code, modules.split(), dataclasses == "True"
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=lambda a: a[0])
+def test_command_loads_only_the_modules_it_runs(argv, modules, tmp_path):
+    assert loaded_by_command(argv, tmp_path) == (
+        "exit 0", sorted(CLI_IMPORT + modules), False)
+
+
+@pytest.mark.parametrize("argv", OTHER_COMMANDS, ids=lambda a: " ".join(a[:2]))
+def test_other_commands_do_not_load_verify(argv, tmp_path):
+    code, modules, dataclasses = loaded_by_command(argv, tmp_path)
+    assert code == "exit 0" and "verify" not in modules and not dataclasses
+
+
+def test_verify_all_loads_verify(tmp_path):
+    code, modules, dataclasses = loaded_by_command(
+        ["verify-all", "--pairs", "2,2", "--oracle-samples", "20"], tmp_path)
+    assert code == "exit 0" and "verify" in modules and not dataclasses
+
+
+def test_no_library_module_imports_dataclasses():
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported, path.name

@@ -223,6 +223,19 @@ def _oracle_cases():
     K = build_universal(kind)
     piv = standard_pivot_ids(kind)
     yield "repeated pivot", K, [piv[1], piv[0], piv[1], piv[2], piv[0]]
+    # the star pass reads each level only up to the largest pivot
+    kind = UniversalKind("K", 3, 3)
+    K = build_universal(kind)
+    yield "small last pivot", K, [2, 0, 1]
+    yield "single pivot", K, [4]
+    yield "last vertex alone", K, [K.n_vertices - 1]
+    yield "empty schedule", K, []
+    L = K.link((5,))
+    ids = L.vertices()
+    assert ids != list(range(len(ids)))  # the link keeps K's vertex ids
+    yield "sparse link, small last pivot", L, [ids[1], ids[0]]
+    yield "sparse link, last vertex alone", L, [ids[-1]]
+    yield "sparse link, all vertices descending", L, ids[::-1]
 
 
 def test_greedy_matching_equals_rescan_oracle():
