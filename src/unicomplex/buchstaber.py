@@ -1,15 +1,17 @@
-"""Buchstaber invariant machinery: exact chromatic numbers, the closed
-formula for graphs, general bounds, direct nondegenerate-map search, and
-the bound functions for maps between universal complexes.
+"""Buchstaber invariant machinery: exact chromatic numbers, general
+bounds with the exact value where it is known, direct nondegenerate-map
+search, and the bound functions for maps between universal complexes.
 
 s_{F_p}(K) = m - r where r is the least rank with a nondegenerate simplicial
 map K -> K(F_p^r).  For graphs this reduces to a ceiling logarithm of the
-chromatic number, which gives the cross-validation target for the searcher.
+chromatic number (the log bound, reported as the `formula` method), which
+gives the cross-validation target for the searcher.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import count
 
 from .errors import InputError, ResourceLimitError
 from .fplin import check_prime, enumerate_lines_fp, is_unimodular_fp
@@ -51,9 +53,10 @@ def _greedy_clique(adj, order):
 
 
 def chromatic_number(K):
-    """Exact chromatic number of the 1-skeleton with a witness coloring,
-    by branch and bound over vertex colorings of at most
-    COLORING_VERTEX_CAP vertices."""
+    """Exact chromatic number of the 1-skeleton with a witness coloring, of
+    at most COLORING_VERTEX_CAP vertices: the least k, counting up from
+    the size of a greedy clique, for which a backtracking search over
+    vertex colorings finds a k-coloring."""
     verts = K.vertices()
     if len(verts) > COLORING_VERTEX_CAP:
         raise ResourceLimitError(
@@ -63,17 +66,6 @@ def chromatic_number(K):
         return 0, {}
     adj = _adjacency(K)
     order = sorted(verts, key=lambda v: (-len(adj[v]), v))
-    lower = len(_greedy_clique(adj, order))
-
-    # greedy upper bound and witness
-    best = {}
-    for v in order:
-        used = {best[u] for u in adj[v] if u in best}
-        c = 0
-        while c in used:
-            c += 1
-        best[v] = c
-    upper = max(best.values()) + 1
 
     def try_k(k):
         coloring = {}
@@ -94,23 +86,12 @@ def chromatic_number(K):
 
         return dict(coloring) if place(0, 0) else None
 
-    k = lower
-    while k < upper:
+    # a clique needs as many colors as it has vertices, and len(verts)
+    # colors always suffice, so the count ends
+    for k in count(len(_greedy_clique(adj, order))):
         witness = try_k(k)
         if witness is not None:
             return k, witness
-        k += 1
-    return upper, best
-
-
-def s_fp_graph(K, p):
-    """The closed formula for simple graphs: m - ceil(log_p((p-1)*gamma + 1))."""
-    if K.dim > 1:
-        raise InputError("the graph formula applies to complexes of dimension <= 1")
-    check_prime(p)
-    gamma, _ = chromatic_number(K)
-    m = K.n_vertices
-    return m - ceil_log(p, (p - 1) * gamma + 1)
 
 
 # -- direct search for nondegenerate maps ------------------------------------
@@ -187,19 +168,28 @@ def min_rank_search(K, p, r_max=SEARCH_RANK_CAP):
 # -- bounds -------------------------------------------------------------------
 
 
-def buchstaber_bounds(K, p):
-    """All bounds, plus the exact s_{F_p} when the complex is a graph (the
-    closed formula, which is the log bound itself) or small enough to
-    search, as a dict: m, gamma, lower = m - gamma, upper_dim = m - dim K
-    - 1, upper_log = m - ceil(log_p((p-1) gamma + 1)), method ("formula",
+def buchstaber_bounds(K, primes):
+    """All bounds for each prime of `primes`, plus the exact s_{F_p} when
+    the complex is a graph (the closed formula, which is the log bound
+    itself) or small enough to search, as {p: report}.  Every prime is
+    checked before K is colored, once for all of them.  A report is a
+    dict: m, gamma, lower = m - gamma, upper_dim = m - dim K - 1,
+    upper_log = m - ceil(log_p((p-1) gamma + 1)), method ("formula",
     "search" or "bounds-only") and, only when it was computed, s_fp.  The
     chain lower <= s_fp <= upper bounds is asserted whenever s_fp is
     computed."""
-    check_prime(p)
-    if K.n_vertices == 0:
-        raise InputError("bounds need at least one vertex")
-    m = K.n_vertices
+    for p in primes:
+        check_prime(p)
+        # an empty K is refused right after the first prime's check: a bad
+        # first prime is the error named, any later one is not
+        if K.n_vertices == 0:
+            raise InputError("bounds need at least one vertex")
     gamma, _ = chromatic_number(K)
+    return {p: _bounds_report(K, p, gamma) for p in primes}
+
+
+def _bounds_report(K, p, gamma):
+    m = K.n_vertices
     lower = m - gamma
     upper_dim = m - K.dim - 1
     upper_log = m - ceil_log(p, (p - 1) * gamma + 1)
@@ -209,10 +199,11 @@ def buchstaber_bounds(K, p):
         s_fp = upper_log
         method = "formula"
     elif m <= SEARCH_VERTEX_CAP and gamma <= SEARCH_RANK_CAP:
-        r, _ = min_rank_search(K, p, r_max=min(gamma, SEARCH_RANK_CAP))
-        if r is not None:
-            s_fp = m - r
-            method = "search"
+        # a gamma-coloring sends each facet to distinct coordinate lines of
+        # F_p^gamma, a nondegenerate map, so the search ends by r = gamma
+        r, _ = min_rank_search(K, p, r_max=gamma)
+        s_fp = m - r
+        method = "search"
     report = {"m": m, "gamma": gamma, "lower": lower, "upper_dim": upper_dim,
               "upper_log": upper_log, "method": method}
     if s_fp is not None:

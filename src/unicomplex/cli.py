@@ -140,8 +140,20 @@ def _pair_list(text):
     return _Parsed(text, pairs)
 
 
+def _count(text):
+    """argparse type: an integer >= 0.  A non-integer gets the message that
+    `type=int` gives."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _add_budget(sub):
-    sub.add_argument("--budget", type=int, default=SIMPLEX_BUDGET,
+    sub.add_argument("--budget", type=_count, default=SIMPLEX_BUDGET,
                      help="most simplices built or read from a facet file")
 
 
@@ -355,7 +367,8 @@ def cmd_buchstaber(args):
     from .buchstaber import buchstaber_bounds
 
     K, _ = _get_complex(args)
-    return 0, {f"p{p}": buchstaber_bounds(K, p) for p in args.primes.values}
+    reports = buchstaber_bounds(K, args.primes.values)
+    return 0, {f"p{p}": rep for p, rep in reports.items()}
 
 
 def cmd_zcheck(args):
@@ -549,7 +562,7 @@ def build_parser():
 
     s = subs.add_parser(parents=[common], name="verify-all", help="run the acceptance suite")
     s.add_argument("--pairs", type=_pair_list, help='override test pairs, e.g. "2,2;3,2"')
-    s.add_argument("--oracle-samples", type=int)  # default: verify.ORACLE_SAMPLES
+    s.add_argument("--oracle-samples", type=_count)  # default: verify.ORACLE_SAMPLES
     s.set_defaults(func=cmd_verify_all)
     return parser
 

@@ -11,10 +11,11 @@ k vectors in F_p^n is the rows of a surjection Q: F_p^n -> F_p^(n-k) whose
 kernel is span(sigma), the identity for the empty set.  sigma + {w} is
 independent iff Q w != 0, and one pivot elimination on Q w followed by
 dropping the pivot row gives the surjection for sigma + {w}.
-`is_unimodular_fp` and the shelling construction fold it from the identity
-rows.  The F_p builder runs it down to the states of two rows, two levels
-below the top of its frontier; from such a state Q it makes the last two
-levels at once, by where Q puts each candidate on the projective line
+`_span_quotient_fp` folds it from the identity rows, for `is_unimodular_fp`
+(independent iff no vector is skipped) and the shelling construction.  The
+F_p builder runs it down to the states of two rows, two levels below the
+top of its frontier; from such a state Q it makes the last two levels at
+once, by where Q puts each candidate on the projective line
 (`universal_fp`).  `echelon_basis` is kept for the one place that needs an
 explicit basis of a span.
 """
@@ -130,14 +131,11 @@ def echelon_basis(rows, p):
 
 
 def is_unimodular_fp(vectors, p):
-    """True iff the vectors are linearly independent (duplicates force False)."""
+    """True iff the vectors are linearly independent (duplicates force
+    False): their span has rank equal to their number."""
     vectors = list(vectors)
-    rows = _identity_rows(_common_dimension(vectors))
-    for v in vectors:
-        rows = _quotient_step_fp(rows, v, p)
-        if rows is None:
-            return False
-    return True
+    n = _common_dimension(vectors)
+    return n - len(_span_quotient_fp(vectors, n, p)) == len(vectors)
 
 
 def line_canonical_fp(v, p):

@@ -310,16 +310,6 @@ def validate_quasitoric_pair(pair):
     return True, None
 
 
-def pair_to_simplicial_map(pair):
-    """Vertex assignment of the induced nondegenerate map into X(Z^n):
-    vertex i of the dual complex goes to column i."""
-    ok, witness = validate_quasitoric_pair(pair)
-    if not ok:
-        raise InputError(f"invalid quasitoric pair; facet {witness} fails the minor test")
-    verts = pair.dual_complex.vertices()
-    return {v: pair.column(j) for j, v in enumerate(verts)}
-
-
 def parse_quasitoric_pair(text, budget=SIMPLEX_BUDGET):
     """Pair file: a facet-list block for P*, a blank line, then n rows of m
     whitespace-separated integers (columns in sorted vertex-label order).

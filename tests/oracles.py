@@ -6,11 +6,12 @@ expanded by cofactors, invariant factors are quotients of gcds of minors,
 minimality is exhausted over windows, primes are found by trial division,
 ranks over Q by elimination on Fractions, shellings by intersecting every
 facet with every earlier one, p-orderings by re-summing every valuation at
-every step, acyclicity by searching the whole modified Hasse diagram and
-shiftedness by trying every vertex swap in every facet.  None of it shares
+every step, acyclicity by searching the whole modified Hasse diagram,
+shiftedness by trying every vertex swap in every facet and chromatic
+numbers by trying every coloring.  None of it shares
 code with the library's elimination, quotient-step, Smith normal form,
-coreduction, restriction-face, running-sum, V-path or degree-labeling
-paths, so agreement is evidence, not tautology.
+coreduction, restriction-face, running-sum, V-path, degree-labeling or
+backtracking-coloring paths, so agreement is evidence, not tautology.
 """
 
 from itertools import combinations, product
@@ -319,3 +320,15 @@ def quadratic_shift_labeling(K):
             return False, None
         labeling[free[0]] = len(labeling) + 1
     return True, labeling
+
+
+def brute_chromatic_number(n, edges):
+    """Least k admitting a proper coloring of vertices 0..n-1 with k colors,
+    by trying every coloring in turn; vertex 0 keeps color 0, as any
+    coloring can be renamed to give it that."""
+    for k in range(1, n + 1):
+        for rest in product(range(k), repeat=n - 1):
+            colors = (0,) + rest
+            if all(colors[a] != colors[b] for a, b in edges):
+                return k
+    return 0

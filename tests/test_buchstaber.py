@@ -1,19 +1,21 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from unicomplex import buchstaber
 from unicomplex.errors import InputError, ResourceLimitError
 from unicomplex.buchstaber import (
+    COLORING_VERTEX_CAP,
     buchstaber_bounds,
     ceil_log,
     chromatic_number,
     is_nondegenerate_map,
     min_rank_search,
-    s_fp_graph,
     zeta_theta_bounds,
 )
 from unicomplex.fplin import enumerate_lines_fp
+from oracles import brute_chromatic_number
 from unicomplex.scomplex import SimplicialComplex
 from unicomplex.universal_fp import UniversalKind, build_universal
 
@@ -60,28 +62,76 @@ def test_chromatic_cap():
         chromatic_number(graph([], 30))
 
 
+def cycle(m):
+    return graph([(i, i + 1) for i in range(m - 1)] + [(0, m - 1)], m)
+
+
+def grotzsch():
+    # the Mycielskian of the 5-cycle: triangle-free, chromatic number 4
+    ring = [(i, i + 1) for i in range(4)] + [(0, 4)]
+    shadows = [(j, 5 + i) for i in range(5) for j in ((i - 1) % 5, (i + 1) % 5)]
+    return graph(ring + shadows + [(5 + i, 10) for i in range(5)], 11)
+
+
+def test_chromatic_number_matches_brute_force():
+    rng = random.Random(11)
+    graphs = [graph([e for e in combinations(range(m), 2)
+                     if rng.random() < density], m)
+              for m, density in ((rng.randint(1, 8), rng.random())
+                                 for _ in range(200))]
+    # odd cycles and the Groetzsch graph have a clique bound below gamma
+    graphs += [cycle(5), cycle(7)]
+    graphs.append(grotzsch())
+    for G in graphs:
+        gamma, coloring = chromatic_number(G)
+        assert gamma == brute_chromatic_number(G.n_vertices, G.sorted_simplices(1))
+        assert sorted(coloring) == G.vertices()
+        assert set(coloring.values()) == set(range(gamma))
+        assert all(coloring[a] != coloring[b] for a, b in G.sorted_simplices(1))
+
+
+def test_chromatic_number_above_the_clique_bound():
+    # frozen: the Groetzsch graph has no triangle, so its clique bound is 2
+    assert chromatic_number(grotzsch())[0] == 4
+
+
 def test_s_fp_graph_examples():
-    assert s_fp_graph(complete(3), 2) == 1
-    assert s_fp_graph(complete(4), 3) == 2
-    assert s_fp_graph(graph([], 5), 2) == 4
+    def s_fp(G, p):
+        rep = buchstaber_bounds(G, [p])[p]
+        assert rep["method"] == "formula" and rep["s_fp"] == rep["upper_log"]
+        return rep["s_fp"]
+
+    assert s_fp(complete(3), 2) == 1
+    assert s_fp(complete(4), 3) == 2
+    assert s_fp(graph([], 5), 2) == 4
 
 
 @pytest.mark.parametrize("call", [
-    lambda G: s_fp_graph(G, 4),
     lambda G: min_rank_search(G, 4),
-    lambda G: buchstaber_bounds(G, 4),
+    lambda G: buchstaber_bounds(G, [4]),
+    lambda G: buchstaber_bounds(G, [2, 4]),
     lambda G: zeta_theta_bounds(4, 2, 2),
     lambda G: zeta_theta_bounds(2, 4, 2),
-], ids=["s_fp_graph", "min_rank_search", "bounds", "zeta_p", "zeta_q"])
+], ids=["min_rank_search", "bounds", "bounds_second_prime", "zeta_p", "zeta_q"])
 def test_entry_points_refuse_a_composite(call):
     with pytest.raises(InputError, match="not a prime: 4"):
         call(complete(3))
 
 
-def test_s_fp_graph_rejects_high_dimension():
-    K = SimplicialComplex.from_simplices([(0, 1, 2)], {i: i for i in range(3)})
-    with pytest.raises(InputError):
-        s_fp_graph(K, 2)
+def test_bounds_check_every_prime_before_coloring():
+    # 25 vertices are past the coloring cap, which only a call with good
+    # primes reaches
+    over_cap = graph([], COLORING_VERTEX_CAP + 1)
+    with pytest.raises(InputError, match="not a prime: 4"):
+        buchstaber_bounds(over_cap, [2, 4])
+    with pytest.raises(ResourceLimitError):
+        buchstaber_bounds(over_cap, [2, 3])
+    # an empty complex is refused after the first prime's check
+    empty = graph([], 0)
+    with pytest.raises(InputError, match="at least one vertex"):
+        buchstaber_bounds(empty, [2, 4])
+    with pytest.raises(InputError, match="not a prime: 4"):
+        buchstaber_bounds(empty, [4, 2])
 
 
 def test_min_rank_search_examples():
@@ -119,7 +169,7 @@ def test_graph_search_matches_formula():
         for p in (2, 3):
             r, _ = min_rank_search(G, p)
             assert r is not None
-            assert G.n_vertices - r == s_fp_graph(G, p)
+            assert G.n_vertices - r == buchstaber_bounds(G, [p])[p]["s_fp"]
 
 
 def test_graph_map_exists_iff_enough_lines():
@@ -148,18 +198,18 @@ def test_search_witness_nondegenerate_and_injective():
 
 
 def test_bounds_report_examples():
-    rep = buchstaber_bounds(complete(4), 3)
+    rep = buchstaber_bounds(complete(4), [3])[3]
     assert (rep["lower"], rep["upper_log"], rep["upper_dim"]) == (0, 2, 2)
     assert rep["s_fp"] == 2
-    rep = buchstaber_bounds(graph([(0, 1), (0, 2), (1, 2)], 3), 2)
+    rep = buchstaber_bounds(graph([(0, 1), (0, 2), (1, 2)], 3), [2])[2]
     assert (rep["lower"], rep["upper_log"], rep["upper_dim"]) == (0, 1, 1)
-    point = buchstaber_bounds(graph([], 1), 2)
+    point = buchstaber_bounds(graph([], 1), [2])[2]
     assert (point["lower"], point["s_fp"], point["upper_dim"]) == (0, 0, 0)
 
 
 def test_bounds_on_a_graph_color_it_once(monkeypatch):
-    # the graph formula is the log bound, so the one chromatic number of
-    # the bounds serves it too
+    # one chromatic number serves every prime, and on a graph the formula
+    # is the log bound, so it needs no other; the search needs none either
     calls = []
 
     def counting(K):
@@ -168,20 +218,26 @@ def test_bounds_on_a_graph_color_it_once(monkeypatch):
 
     monkeypatch.setattr(buchstaber, "chromatic_number", counting)
     G = graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 5)
-    rep = buchstaber_bounds(G, 2)
-    assert len(calls) == 1
-    assert (rep["method"], rep["s_fp"]) == ("formula", s_fp_graph(G, 2))
+    tetra = SimplicialComplex.from_simplices(
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], {i: i for i in range(4)})
+    for K, method in ((G, "formula"), (tetra, "search")):
+        calls.clear()
+        reports = buchstaber_bounds(K, [2, 3, 5])
+        assert len(calls) == 1
+        assert list(reports) == [2, 3, 5]
+        for p, rep in reports.items():
+            assert rep["method"] == method
+            assert rep == buchstaber_bounds(K, [p])[p]
 
 
 def test_bounds_chain_across_primes():
     # pigeonhole consistency: values across primes stay inside the chain
     G = complete(5)
     values = set()
-    for p in (2, 3, 5, 7):
-        rep = buchstaber_bounds(G, p)
+    for rep in buchstaber_bounds(G, [2, 3, 5, 7]).values():
         assert rep["lower"] <= rep["s_fp"] <= rep["upper_dim"]
         values.add(rep["s_fp"])
-    rep = buchstaber_bounds(G, 2)
+    rep = buchstaber_bounds(G, [2])[2]
     assert len(values) <= rep["upper_dim"] - rep["lower"] + 1
 
 
@@ -189,7 +245,7 @@ def test_bounds_search_method_on_higher_complex():
     tetra = SimplicialComplex.from_simplices(
         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], {i: i for i in range(4)}
     )
-    rep = buchstaber_bounds(tetra, 2)
+    rep = buchstaber_bounds(tetra, [2])[2]
     assert rep["method"] == "search"
     assert rep["s_fp"] == 4 - 3
 
@@ -198,8 +254,8 @@ def test_bounds_report_has_s_fp_only_when_computed():
     # 13 vertices are past the search cap, so only the bounds are reported
     K = SimplicialComplex.from_simplices([(0, 1, 2)] + [(v,) for v in range(3, 13)],
                                          {i: i for i in range(13)})
-    assert buchstaber_bounds(K, 2) == {"m": 13, "gamma": 3, "lower": 10, "upper_dim": 10,
-                                       "upper_log": 11, "method": "bounds-only"}
+    assert buchstaber_bounds(K, [2]) == {2: {"m": 13, "gamma": 3, "lower": 10, "upper_dim": 10,
+                                           "upper_log": 11, "method": "bounds-only"}}
 
 
 def test_zeta_theta_examples():

@@ -281,6 +281,8 @@ def test_usage_errors_exit_2():
     ["build", "--ring", "z", "--variant", "X", "--n", "0", "--max-norm", "3"],
     ["build", "--ring", "z", "--variant", "X", "--n", "2", "--max-norm", "0"],
     ["shelling", "--facets", "{F}"],
+    ["verify-all", "--oracle-samples", "-5"],
+    ["homology", "--facets", "{F}", "--budget", "-1"],
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, argv):
     facets = tmp_path / "tri.facets"
@@ -288,6 +290,71 @@ def test_bad_values_exit_2_with_one_line(tmp_path, argv):
     code, text = run(*(a.replace("{F}", str(facets)) for a in argv))
     assert code == 2
     assert text.count("\n") == 1 and text.endswith("\n")
+
+
+def test_zero_counts_stay_valid(tmp_path):
+    facets = tmp_path / "tri.facets"
+    facets.write_text("a b\nb c\nc a\n")
+    code, text = run("verify-all", "--pairs", "2,2", "--oracle-samples", "0")
+    assert code == 0
+    assert json.loads(text)["results"]["09 Z-lattice suite"]["detail"].startswith(
+        "0 oracle trials")
+    code, text = run("homology", "--facets", str(facets), "--budget", "0")
+    assert (code, text) == (3, "resource error: 3 vertices exceed simplex budget 0\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["morse", "--facets", "{F}"],
+     "usage error: --pivots is required for a facet-list complex"),
+    (["shelling", "--facets", "{F}", "--order", "{O}"],
+     "input error: unknown vertex label 'z' in order file"),
+    (["bhargava", "--set", "geometric:1", "--k", "2"],
+     "usage error: bad geometric spec 'geometric:1'"),
+    (["bhargava", "--set", "list:1,x", "--k", "2"],
+     "usage error: bad list spec 'list:1,x'"),
+    (["bhargava", "--set", "naturals", "--k", "2"],
+     "usage error: unknown ground set 'naturals'"),
+    (["buchstaber", "--facets", "{E}"],
+     "input error: bounds need at least one vertex"),
+    (["verify-all", "--oracle-samples", "-5"],
+     "usage error: argument --oracle-samples: expected an integer >= 0, got '-5'"),
+    (["homology", "--facets", "{F}", "--budget", "-1"],
+     "usage error: argument --budget: expected an integer >= 0, got '-1'"),
+    (["homology", "--facets", "{F}", "--budget", "x"],
+     "usage error: argument --budget: invalid int value: 'x'"),
+])
+def test_input_errors_exit_2_with_the_line(tmp_path, argv, line):
+    facets, order, empty = (tmp_path / name
+                            for name in ("tri.facets", "z.order", "e.facets"))
+    facets.write_text("a b\nb c\nc a\n")
+    order.write_text("a b\nb z\n")
+    empty.write_text("")
+    subs = {"{F}": str(facets), "{O}": str(order), "{E}": str(empty)}
+    assert run(*(subs.get(a, a) for a in argv)) == (2, line + "\n")
+
+
+def test_bhargava_negative_k_reports_no_results():
+    code, text = run("bhargava", "--set", "integers", "--k", "-1")
+    assert code == 0
+    assert json.loads(text) == {
+        "command": "bhargava", "parameters": {"k": "-1", "set": "integers"},
+        "results": {}, "version": unicomplex.__version__,
+    }
+
+
+def test_homology_of_an_empty_facet_file(tmp_path):
+    empty = tmp_path / "e.facets"
+    empty.write_text("")
+    code, text = run("homology", "--facets", str(empty))
+    assert code == 0
+    assert json.loads(text) == {
+        "command": "homology",
+        "parameters": {"budget": str(SIMPLEX_BUDGET), "facets": str(empty),
+                       "reisner": False},
+        "results": {"betti": [], "euler": "0", "f_vector": ["1"], "torsion": [],
+                    "torsion_free": True},
+        "version": unicomplex.__version__,
+    }
 
 
 def test_shelling_facets_without_order_is_a_usage_error(tmp_path):

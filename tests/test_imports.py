@@ -191,6 +191,7 @@ COMMAND_MODULES = [
     (["morse", "--variant", "K", "--p", "2", "--n", "3"],
      ["fplin", "morse", "universal_fp"]),
     (["zcheck", "--pair", "{pair}"], ["fplin", "zlattice"]),
+    (["buchstaber", "--facets", "{facets}"], ["buchstaber", "fplin"]),
     (["bhargava", "--set", "integers", "--k", "5", "--primes", "2"],
      ["bhargava", "fplin"]),
 ]

@@ -17,7 +17,6 @@ from unicomplex.zlattice import (
     enumerate_z_lines,
     enumerate_z_vectors,
     is_unimodular_z,
-    pair_to_simplicial_map,
     parse_quasitoric_pair,
     sigma_family,
     validate_quasitoric_pair,
@@ -368,25 +367,6 @@ def test_quasitoric_n1_two_points():
     pair = QuasitoricPair(dual, ((1, -1),))
     ok, _ = validate_quasitoric_pair(pair)
     assert ok
-
-
-def test_pair_to_simplicial_map_round_trip():
-    pair = cp2_pair()
-    vmap = pair_to_simplicial_map(pair)
-    verts = pair.dual_complex.vertices()
-    rebuilt = tuple(
-        tuple(vmap[v][i] for v in verts) for i in range(pair.n)
-    )
-    assert rebuilt == pair.lam
-    for facet in pair.dual_complex.facets():
-        assert is_unimodular_z([vmap[v] for v in facet])
-
-
-def test_pair_to_simplicial_map_rejects_invalid():
-    pair = cp2_pair()
-    mutant = QuasitoricPair(pair.dual_complex, ((2, 0, -1), (0, 1, -1)))
-    with pytest.raises(InputError):
-        pair_to_simplicial_map(mutant)
 
 
 def test_parse_quasitoric_pair_file():
