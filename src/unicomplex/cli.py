@@ -405,17 +405,21 @@ def _parse_ground_set(spec):
 
     if spec == "integers":
         return INTEGERS
+    # only the parse is guarded: the library's InputError, a ValueError
+    # too, keeps its own message
     if spec.startswith("geometric:"):
         try:
             _, a, q = spec.split(":")
-            return geometric(int(a), int(q))
+            a, q = int(a), int(q)
         except ValueError as exc:
             raise UsageError(f"bad geometric spec {spec!r}") from exc
+        return geometric(a, q)
     if spec.startswith("list:"):
         try:
-            return explicit(int(t) for t in spec[5:].split(","))
+            elements = [int(t) for t in spec[5:].split(",")]
         except ValueError as exc:
             raise UsageError(f"bad list spec {spec!r}") from exc
+        return explicit(elements)
     raise UsageError(f"unknown ground set {spec!r}")
 
 

@@ -8,14 +8,13 @@ a simplicial complex is +-1 they are valid over Z.  The boundary of the
 Morse complex on the critical simplices is computed over Z by following the
 gradient flow (Harker-Mischaikow-Mrozek-Nanda), with the sign (-1)^k on the
 face that drops the k-th vertex, and an augmentation row over the critical
-vertices makes the Betti numbers reduced.  The boundary into a lone
-critical vertex is zero by theorem and is not formed: the Morse complex has
-the homology of K, and H_0(K) is free of rank at least one, so with one
-critical vertex the boundary from dimension 1 has rank 0 and no torsion.
-Every other Morse boundary goes through the exact Smith normal form: one
-sparse elimination loop pivots on the first +-1 entry it meets, or on an
-entry of least absolute value when none is left, and one pass of pairwise
-gcd and lcm repairs the divisibility chain.  Betti numbers and torsion are
+vertices makes the Betti numbers reduced.  Coreduction leaves exactly one
+critical vertex in each connected component of K, so the Morse boundary
+from dimension 1 is zero and is never formed.  Every other Morse boundary
+goes through the exact Smith normal form: one sparse elimination loop
+pivots on the first +-1 entry it meets, or on an entry of least absolute
+value when none is left, and one pass of pairwise gcd and lcm repairs the
+divisibility chain.  Betti numbers and torsion are
 therefore exact in every dimension.
 
 The full chain-level boundary operator is not built here; the tests keep it
@@ -272,11 +271,17 @@ def reduced_homology(K):
     Morse boundary is only computed where both of its dimensions have
     critical cells; otherwise it is zero.
 
-    The boundary for d = 1 is zero, too, when exactly one vertex is
-    critical: the Morse complex has the homology of K, whose H_0 is free of
-    rank at least 1, so with C_0 = Z the quotient Z / im(boundary_1) is Z
-    and the boundary vanishes.  That holds for every connected graph and
-    every connected link, so their d = 1 boundary is never formed."""
+    The boundary for d = 1 is zero and is never formed: coreduction leaves
+    exactly one critical vertex in each connected component.  While a
+    vertex u is live, no edge at u is taken as critical (u has a lower id)
+    or leaves below a triangle (another edge at u would have to leave
+    first), so the first edge at u to leave is paired with u.  So when a
+    vertex leaves, each edge from it to a live vertex is queued with that
+    vertex as its one live face, and the queue empties only after the
+    whole component has left: the first vertex of a component to leave is
+    its one critical vertex.  C_0 of the Morse complex is then
+    Z^(components) = H_0(K).  K has a vertex, so the augmentation row, all
+    ones, has rank 1."""
     if K.dim < 0:
         return HomologyProfile((), ())
     dim = K.dim
@@ -287,9 +292,9 @@ def reduced_homology(K):
     if sum((-1) ** d * m for d, m in enumerate(census)) != euler:
         raise AssertionError(f"critical census {census} does not give chi = {euler}")
     ranks = [0] * (dim + 2)
-    ranks[0] = 1 if census[0] else 0  # the augmentation row, all ones
+    ranks[0] = 1
     torsion = [()] * (dim + 1)
-    for d in range(2 if census[0] == 1 else 1, dim + 1):
+    for d in range(2, dim + 1):
         if critical[d] and critical[d - 1]:
             factors = smith_normal_form(
                 _morse_boundary(faces, partner, stamp, critical[d - 1], critical[d])

@@ -66,11 +66,11 @@ def greedy_matching(K, pivots):
     per level.  An upper cell is read from K's own level, and a lower
     cell's position comes from a dict over the level below; the top level
     is never indexed.  Each pair is a covering pair of K by construction,
-    and a count of the marks per level against the pairs through it asserts
-    that no simplex is in two pairs.  The pairs of each band of adjacent
-    dimensions go through the V-path search of `_closed_v_path`, and the
-    star lists are released before it runs.  The critical cells are the
-    unmarked ones, taken from each level in one C-level pass."""
+    and is recorded once, as the upper cell at the lower cell's position in
+    a partner list per band.  The pairs of each band of adjacent dimensions
+    go through the V-path search of `_closed_v_path`, and the star lists
+    are released before it runs.  The critical cells are the unmarked ones,
+    taken from each level in one C-level pass."""
     # imported here, so that a process that never matches does not load the
     # extension module and keep its pages resident
     from array import array
@@ -96,15 +96,15 @@ def greedy_matching(K, pivots):
 
     marks = [bytearray(len(level)) for level in levels]
     index = [dict(zip(level, count())) for level in levels[:-1]]
-    lows = [array("l") for _ in levels]  # band d: positions in level d - 1
-    ups = [array("l") for _ in levels]  # and in level d
+    # band d: the upper cell paired with each position of level d - 1
+    partners = [[None] * len(level) for level in levels[:-1]]
     try:
         for pivot in pivots:
             runs = star[pivot]
             for d in bands:
                 upper, up_mark, lo_mark = levels[d], marks[d], marks[d - 1]
                 position_of = index[d - 1].__getitem__
-                add_lo, add_up = lows[d].append, ups[d].append
+                partner = partners[d - 1]
                 for i in runs[d]:
                     if up_mark[i]:
                         continue
@@ -114,27 +114,18 @@ def greedy_matching(K, pivots):
                     if lo_mark[j]:
                         continue
                     lo_mark[j] = up_mark[i] = 1
-                    add_lo(j)
-                    add_up(i)
+                    partner[j] = up
     except KeyError as exc:
         raise AssertionError(
             f"the face {exc} is not a simplex of the complex") from None
     del star
-    for d, mark in enumerate(marks):
-        through = len(ups[d]) + (len(lows[d + 1]) if d + 1 < len(levels) else 0)
-        if mark.count(1) != through:
-            raise AssertionError("a simplex occurs in two pairs")
 
     # the top band first, so that each band's tables are dropped once its
     # search has read them
     pairs = []
     for d in reversed(bands):
-        position, band_lo, band_up = index.pop(), lows.pop(), ups.pop()
-        lower, upper = levels[d - 1], levels[d]
-        partner = [None] * len(lower)
-        for j, i in zip(band_lo, band_up):
-            partner[j] = upper[i]
-        del band_lo, band_up
+        position, partner = index.pop(), partners.pop()
+        lower = levels[d - 1]
         cells = list(compress(position.values(), partner))
         cycle = _closed_v_path(lower, position, cells, partner)
         if cycle is not None:

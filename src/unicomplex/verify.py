@@ -290,21 +290,9 @@ def criterion_9(ws):
         if got != want:
             return False, f"trial {trial}: {rows} snf={got} minors={want}"
 
-    lines = zlattice.enumerate_z_lines(2, 6)
-    for a in lines:
-        for b in lines:
-            c = zlattice.compare_z_lines(a, b)
-            if (c == 0) != (a == b):
-                return False, f"trichotomy fails on {a}, {b}"
-            if c != -zlattice.compare_z_lines(b, a):
-                return False, f"antisymmetry fails on {a}, {b}"
-    ordered = list(lines)
-    for i in range(len(ordered) - 2):
-        a, b, c = ordered[i : i + 3]
-        if not (
-            zlattice.compare_z_lines(a, b) < 0 and zlattice.compare_z_lines(b, c) < 0
-        ):
-            return False, "enumeration is not strictly increasing"
+    keys = list(map(zlattice.z_line_key, zlattice.enumerate_z_lines(2, 6)))
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        return False, "enumeration is not strictly increasing"
     prev = zlattice.enumerate_z_lines(2, 1)
     for norm in range(2, 7):
         cur = zlattice.enumerate_z_lines(2, norm)

@@ -189,14 +189,6 @@ def z_line_key(line):
     return (sum(map(abs, line)), line[::-1])
 
 
-def compare_z_lines(a, b):
-    """-1, 0, or 1; a strict total order on lines of fixed ambient dimension."""
-    if len(a) != len(b):
-        raise InputError("lines live in different ambient dimensions")
-    ka, kb = z_line_key(a), z_line_key(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
-
-
 def enumerate_z_vectors(n, max_norm):
     """All primitive vectors (both signs) with 1-norm <= max_norm, sorted
     by `z_line_key`."""

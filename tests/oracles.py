@@ -7,8 +7,9 @@ minimality is exhausted over windows, primes are found by trial division,
 ranks over Q by elimination on Fractions, shellings by intersecting every
 facet with every earlier one, p-orderings by re-summing every valuation at
 every step, acyclicity by searching the whole modified Hasse diagram,
-shiftedness by trying every vertex swap in every facet and chromatic
-numbers by trying every coloring.  None of it shares
+shiftedness by trying every vertex swap in every facet, chromatic
+numbers by trying every coloring and connected components by union-find
+over the edges.  None of it shares
 code with the library's elimination, quotient-step, Smith normal form,
 coreduction, restriction-face, running-sum, V-path, degree-labeling or
 backtracking-coloring paths, so agreement is evidence, not tautology.
@@ -64,6 +65,22 @@ def boundary_matrix(K, d):
         for k in range(len(s)):
             rows.setdefault(row_index[s[:k] + s[k + 1:]], {})[j] = -1 if k % 2 else 1
     return rows
+
+
+def component_count(K):
+    """The number of connected components of K, by union-find over its
+    edges (0 for a complex without vertices)."""
+    parent = {v: v for v in K.vertices()}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in K.sorted_simplices(1):
+        parent[root(u)] = root(v)
+    return len({root(v) for v in parent})
 
 
 def det_cofactor(a):

@@ -322,15 +322,78 @@ def test_zero_counts_stay_valid(tmp_path):
      "usage error: argument --budget: expected an integer >= 0, got '-1'"),
     (["homology", "--facets", "{F}", "--budget", "x"],
      "usage error: argument --budget: invalid int value: 'x'"),
+    # a ground set that parses but is refused keeps the library's message
+    (["bhargava", "--set", "list:1,1", "--k", "2"],
+     "input error: explicit ground set has duplicates"),
+    (["bhargava", "--set", "geometric:0:2", "--k", "2"],
+     "input error: geometric ground set needs a != 0, q not in {0,1,-1}"),
+    (["bhargava", "--set", "geometric:1:1", "--k", "2"],
+     "input error: geometric ground set needs a != 0, q not in {0,1,-1}"),
+    (["zcheck", "--pair", "{IMPURE}"],
+     "input error: dual complex must be pure of dimension n-1 = 1"),
+    (["zcheck", "--pair", "{RAGGED}"], "input error: matrix block missing or ragged"),
+    (["zcheck", "--pair", "{NOMATRIX}"], "input error: matrix block missing or ragged"),
+    (["build", "--ring", "z", "--variant", "K", "--n", "2"],
+     "usage error: --ring z needs --variant, --n and --max-norm"),
+    (["fvector", "--variant", "K", "--p", "3", "--n", "3", "--link-dim", "5"],
+     "input error: link dimension 5 out of range [0, 2]"),
 ])
 def test_input_errors_exit_2_with_the_line(tmp_path, argv, line):
-    facets, order, empty = (tmp_path / name
-                            for name in ("tri.facets", "z.order", "e.facets"))
-    facets.write_text("a b\nb c\nc a\n")
-    order.write_text("a b\nb z\n")
-    empty.write_text("")
-    subs = {"{F}": str(facets), "{O}": str(order), "{E}": str(empty)}
+    files = {
+        "{F}": "a b\nb c\nc a\n",
+        "{O}": "a b\nb z\n",
+        "{E}": "",
+        # an isolated vertex beside two edges, so not pure of dimension 1
+        "{IMPURE}": "1 2\n1 3\n4\n\n1 0 -1 0\n0 1 -1 1\n",
+        "{RAGGED}": "1 2\n1 3\n2 3\n\n1 0 -1\n0 1\n",
+        "{NOMATRIX}": "1 2\n1 3\n2 3\n\n",
+    }
+    subs = {}
+    for key, text in files.items():
+        path = tmp_path / key.strip("{}")
+        path.write_text(text)
+        subs[key] = str(path)
     assert run(*(subs.get(a, a) for a in argv)) == (2, line + "\n")
+
+
+MAIN_ARGVS = [
+    (["fvector", "--variant", "K", "--p", "3", "--n", "3"], 0),
+    (["zcheck", "--pair", "{BAD}"], 1),
+    (["bhargava", "--set", "naturals", "--k", "2"], 2),
+    (["homology", "--facets", "{F}", "--budget", "0"], 3),
+]
+
+
+def main_argv(tmp_path, argv):
+    facets, bad = tmp_path / "tri.facets", tmp_path / "bad.pair"
+    facets.write_text("a b\nb c\nc a\n")
+    bad.write_text("1 2\n1 3\n2 3\n\n2 0 -1\n0 1 -1\n")
+    subs = {"{F}": str(facets), "{BAD}": str(bad)}
+    return [subs.get(a, a) for a in argv]
+
+
+@pytest.mark.parametrize("argv, code", MAIN_ARGVS, ids=str)
+def test_main_writes_reports_to_stdout_and_lines_to_stderr(tmp_path, capsys, argv,
+                                                           code):
+    argv = main_argv(tmp_path, argv)
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    text = dispatch(argv)[1]
+    assert (out, err) == ((text, "") if code < 2 else ("", text))
+
+
+def test_console_script_keeps_the_exit_contract(tmp_path):
+    # a fresh process, as the unicomplex script runs
+    src = str(Path(unicomplex.__file__).resolve().parents[1])
+    for argv, code in MAIN_ARGVS:
+        argv = main_argv(tmp_path, argv)
+        out = subprocess.run(
+            [sys.executable, "-m", "unicomplex.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        text = dispatch(argv)[1]
+        assert out.returncode == code
+        assert (out.stdout, out.stderr) == ((text, "") if code < 2 else ("", text))
 
 
 def test_bhargava_negative_k_reports_no_results():

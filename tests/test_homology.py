@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     boundary_matrix,
+    component_count,
     determinantal_invariant_factors,
     rank_over_q_fractions,
 )
@@ -498,7 +499,7 @@ def test_frontier_k73_exact():
     assert prof.torsion_free
 
 
-# -- the lone critical vertex and the critical split ---------------------------
+# -- one critical vertex per component, and the critical split ----------------
 
 
 def recording_morse_boundaries(monkeypatch):
@@ -528,7 +529,7 @@ def test_no_boundary_into_a_lone_critical_vertex(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("facets, betti, formed", [
     ([(0, 1), (2, 3)], (1, 0), []),  # no critical edge, so nothing to form
-    ([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], (1, 2), [1]),
+    ([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], (1, 2), []),
 ], ids=["two disjoint edges", "two disjoint circles"])
 def test_two_critical_vertices_match_full_boundaries(facets, betti, formed, monkeypatch):
     K = SimplicialComplex.from_simplices(facets, labeled(max(map(max, facets)) + 1))
@@ -545,28 +546,37 @@ def disjoint_circles(k, size):
                                             labeled(k * size))
 
 
-def test_boundary_from_edges_formed_with_two_critical_vertices_in_a_component(
-        monkeypatch):
-    # coreduction leaves one critical vertex per component on every complex
-    # tried; a matching with one vertex-edge pair undone leaves two in one
-    # component, and then the boundary from dimension 1 has rank 1
-    real = homology.coreduce
+def disjoint_union(A, B):
+    """A and B side by side, B's vertex ids shifted past A's."""
+    shift = max(A.vertices(), default=-1) + 1
+    facets = list(A.facets()) + [tuple(v + shift for v in f) for f in B.facets()]
+    return SimplicialComplex.from_simplices(
+        facets, {**A.labels, **{v + shift: str(v + shift) for v in B.vertices()}})
 
-    def unmatch_a_vertex(K):
-        cells, faces, partner, stamp = real(K)
-        a = next(c for c, b in enumerate(partner) if b > c and len(cells[c]) == 1)
-        partner[partner[a]] = partner[a] = -1
-        return cells, faces, partner, stamp
 
-    for K, components in ((circle(), 1), (disjoint_circles(3, 4), 3), (rp2_wedge(2), 1)):
-        expected = full_boundary_homology(K)
-        monkeypatch.setattr(homology, "coreduce", unmatch_a_vertex)
-        calls = recording_morse_boundaries(monkeypatch)
-        prof = reduced_homology(K)
-        monkeypatch.undo()
-        assert (prof.betti, prof.torsion) == expected
-        formed = [(lower, upper) for d, lower, upper in calls if d == 1]
-        assert len(formed) == 1 and len(formed[0][0]) == components + 1
+def test_one_critical_vertex_per_component():
+    rng = random.Random(25)
+    previous = random_complex(rng)
+    disconnected = 0
+    for _ in range(2000):
+        K = random_complex(rng)
+        for L in (K, disjoint_union(previous, K)):
+            cells, _, partner, _ = homology.coreduce(L)
+            critical_vertices = sum(
+                1 for c, b in enumerate(partner) if b < 0 and len(cells[c]) == 1)
+            components = component_count(L)
+            assert critical_vertices == components
+            disconnected += components > 1
+        previous = K
+    assert disconnected > 1000
+
+
+def test_disconnected_complexes_match_full_boundaries():
+    prof = assert_matches_full_boundaries(disjoint_circles(3, 4))
+    assert prof.betti == (2, 3) and component_count(disjoint_circles(3, 4)) == 3
+    moore = parse_facet_list(moore_space_and_simplex_skeleton())
+    assert component_count(moore) == 2
+    assert assert_matches_full_boundaries(moore).torsion == ((), (7,), ())
 
 
 def test_connected_graphs_match_full_boundaries():
@@ -588,8 +598,12 @@ def test_critical_split_by_dimension(name, monkeypatch):
     else:
         rp2s = rp2_wedge(2)
         K = build_universal(UniversalKind("K", 2, 4))
-        # the link of the wedge point is two disjoint hexagons
-        complexes = [rp2s.link(rp2s.sorted_simplices(0)[0]),
+        # the link of a cone point of the suspension of rp2() is rp2()
+        # itself, whose boundary from dimension 2 is formed; the link of
+        # the wedge point is two disjoint hexagons
+        suspension = SimplicialComplex.from_simplices(
+            [f + (c,) for f in rp2().facets() for c in (6, 7)], labeled(8))
+        complexes = [suspension.link((6,)), rp2s.link(rp2s.sorted_simplices(0)[0]),
                      K.link(K.sorted_simplices(0)[3]), K.link(K.sorted_simplices(1)[-1])]
     calls = recording_morse_boundaries(monkeypatch)
     formed = 0

@@ -12,7 +12,6 @@ from unicomplex.scomplex import SimplicialComplex
 from unicomplex.zlattice import (
     QuasitoricPair,
     build_truncated_universal_z,
-    compare_z_lines,
     critical_family_sigma,
     enumerate_z_lines,
     enumerate_z_vectors,
@@ -21,6 +20,7 @@ from unicomplex.zlattice import (
     sigma_family,
     validate_quasitoric_pair,
     z_line,
+    z_line_key,
     _finish_z,
     _quotient_step,
     _unit_slots,
@@ -61,9 +61,9 @@ def test_z_line_normalization():
 
 def test_compare_examples():
     L10, L01 = z_line((1, 0)), z_line((0, 1))
-    assert compare_z_lines(L10, L01) == -1
-    assert compare_z_lines(z_line((1, -1)), z_line((1, 1))) == -1
-    assert compare_z_lines(L10, L10) == 0
+    assert z_line_key(L10) < z_line_key(L01)
+    assert z_line_key(z_line((1, -1))) < z_line_key(z_line((1, 1)))
+    assert z_line_key(L10) == z_line_key(L10)
 
 
 def test_order_begins_with_standard_lines():
@@ -95,15 +95,10 @@ def test_vectors_are_the_lines_with_both_signs(n, max_norm):
 
 def test_total_order_laws():
     lines = enumerate_z_lines(2, 6)
-    for a in lines:
-        for b in lines:
-            c = compare_z_lines(a, b)
-            assert (c == 0) == (a == b)
-            assert c == -compare_z_lines(b, a)
-    # transitivity along the sorted enumeration
-    for i, a in enumerate(lines):
-        for b in lines[i + 1:]:
-            assert compare_z_lines(a, b) == -1
+    # distinct lines get distinct keys, and the enumeration ascends by key
+    assert len(set(map(z_line_key, lines))) == len(lines)
+    keys = list(map(z_line_key, lines))
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_truncation_norm2():
