@@ -109,10 +109,11 @@ def min_rank_search(K, p, r_max=SEARCH_RANK_CAP):
     """Least r <= r_max admitting a nondegenerate map K -> K(F_p^r), by
     backtracking over vertex assignments to lines; returns (r, map), the map
     a dict from source vertex id to target line index, or (None, None).  The
-    first vertex is pinned to the first line (the target symmetry group is
-    transitive on lines), later candidates are tried in canonical order, so
-    the witness is deterministic.  Each set of placed
-    lines has its unimodularity decided once per rank."""
+    ranks tried start at dim K + 1, as a top facet needs that many
+    independent lines.  The first vertex is pinned to the first line (the
+    target symmetry group is transitive on lines), later candidates are
+    tried in canonical order, so the witness is deterministic.  Each set of
+    placed lines has its unimodularity decided once per rank."""
     check_prime(p)
     verts = K.vertices()
     if len(verts) > SEARCH_VERTEX_CAP:
@@ -126,7 +127,7 @@ def min_rank_search(K, p, r_max=SEARCH_RANK_CAP):
     facets = [tuple(f) for f in K.facets()]
     facets_with = {v: [f for f in facets if v in f] for v in verts}
 
-    for r in range(1, r_max + 1):
+    for r in range(K.dim + 1, r_max + 1):
         lines = enumerate_lines_fp(r, p)
         assign = {}
         unimodular = {}  # sorted tuple of placed line indices -> verdict

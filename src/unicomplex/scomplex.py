@@ -255,10 +255,10 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
     depth 2 on, `extend` stops two levels below the top, and the two levels
     left come from `finish(state, candidates)`, called once per simplex
     sigma of the level below them with the bitset of sigma's candidates: it
-    returns, in ascending w, each candidate w with sigma + {w} a simplex,
-    paired with the bitset of the generators g that make sigma + {w, g} one.
-    The loop ANDs that bitset with the candidates of sigma + {w}, so a ring
-    may return bits for generators that are not candidates.
+    returns `(ids, pairs, n_pairs)`: the candidates w with sigma + {w} a
+    simplex, ascending, an iterable of the n_pairs pairs (w, g), w < g, with
+    sigma + {w, g} a simplex, in lexicographic order.  The loop prefixes
+    sigma to each.
 
     Candidates are bitsets (Python ints): those of a simplex are the AND of
     one bitset per vertex, all ids for the empty simplex.  A vertex's bitset
@@ -271,10 +271,10 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
     a level is, so is the next: the frontier is that level, and each of its
     simplices appends its children in ascending last id, so the children of
     an earlier parent precede those of a later one and, under one parent,
-    they differ only in the last id.  The top level is made the same way
-    from the level below it.  `SimplicialComplex` then sorts each level in
-    one linear pass.  Raises ResourceLimitError naming `what` before a batch
-    of simplices takes the count past `budget`."""
+    they differ only in the last id.  The last two levels come out the same
+    way, `pairs` being lexicographic.  `SimplicialComplex` then sorts each
+    level in one linear pass.  Raises ResourceLimitError naming `what`
+    before a batch of simplices takes the count past `budget`."""
     everything = (1 << len(gens)) - 1
     later = [everything >> (i + 1) << (i + 1) for i in range(len(gens))]
 
@@ -308,14 +308,10 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
     if depth > 1:
         below, top = [], []
         for simp, state in frontier:
-            cands = candidates(simp)
-            kids = finish(state, cands)
-            charge(len(kids))
-            below.extend([simp + (w,) for w, _ in kids])
-            for w, bits in kids:
-                acc = cands & later[w] & bits
-                charge(acc.bit_count())
-                top.extend([simp + (w, g) for g in _bit_ids(acc)])
+            ids, pairs, n_pairs = finish(state, candidates(simp))
+            charge(len(ids) + n_pairs)
+            below.extend(map(simp.__add__, zip(ids)))
+            top.extend(map(simp.__add__, pairs))
         by_dim += [below, top]
     return by_dim
 

@@ -18,16 +18,17 @@ Q, two levels below the top; `_finish_fp` then makes both remaining levels
 at once from where each candidate's image lies on the projective line
 P^1(F_p): w extends sigma iff Q w != 0, and g completes the facet through
 w iff Q g lies on another point than Q w.  So each simplex below the top
-costs two dot products per candidate, and each facet one AND and no
-arithmetic.  The built level sizes are checked against the closed-form
-f-vector, a second derivation.
+costs two dot products per candidate, and each facet none: it is a pair
+of candidates on two points.  The built level sizes are checked against
+the closed-form f-vector, a second derivation.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
-from operator import mul
+from itertools import combinations, compress, starmap
+from operator import mul, ne
 
 from .errors import InputError, ResourceLimitError
 from .fplin import (
@@ -114,13 +115,13 @@ def _finish_fp(gens, p):
     independent in F_p^2, that is, iff Q g != 0 lies on another point of
     the projective line P^1(F_p) than Q w.  Returns `finish(rows, cands)`,
     which puts each candidate with Q w != 0 on its point, (1 : y/x) or
-    (0 : 1) for Q w = (x, y), keeps one bitset per point, and pairs each
-    such w with the union of the other points' bitsets: a few integer
-    operations per candidate, and none per facet."""
+    (0 : 1) for Q w = (x, y), and returns them, every pair of them but those
+    on one point as a lazy C-level pass, and the count of those pairs: a
+    few integer operations per candidate, and none per facet."""
     def finish(rows, cands):
         q1, q2 = rows
-        on = {}  # point of P^1 -> bitset of the candidates that lie on it
-        kids = []
+        on = {}  # point of P^1 -> how many candidates lie on it
+        ids, pts, n_pairs = [], [], 0
         for j in _bit_ids(cands):
             w = gens[j]
             x = sum(map(mul, q1, w)) % p
@@ -131,10 +132,11 @@ def _finish_fp(gens, p):
                 t = p
             else:
                 continue
-            on[t] = on.get(t, 0) | 1 << j
-            kids.append((j, t))
-        off_zero = sum(on.values())
-        return [(j, off_zero ^ on[t]) for j, t in kids]
+            n_pairs += len(ids) - on.get(t, 0)  # the earlier ones on other points
+            on[t] = on.get(t, 0) + 1
+            ids.append(j)
+            pts.append(t)
+        return ids, compress(combinations(ids, 2), starmap(ne, combinations(pts, 2))), n_pairs
 
     return finish
 

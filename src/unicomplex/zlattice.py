@@ -27,13 +27,13 @@ iff gcd(Q w) = 1, and its state is one primitive row r, so g completes
 the facet through w iff r g = +-1.  `_unit_slots` computes r g for every
 generator at once, as slots of one packed big integer, and reads the
 slots equal to +-1 with carry-free bit operations, once per distinct row
-r; the frontier loop ANDs the result with the candidates of sigma + {w}.
+r; the pairs (w, g) are the candidates g > w among those slots.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import count, product
+from itertools import count, product, repeat
 from math import gcd
 from operator import mul
 
@@ -145,15 +145,15 @@ def _finish_z(gens):
     sigma two below the top is two rows Q = (q_1, q_2); sigma + {w} is
     unimodular iff Q w = (a, b) has gcd(a, b) = 1, and its state is then the
     one row r of `_last_row`.  sigma + {w, g} is unimodular iff r g = +-1.
-    Returns `finish(rows, cands)`, which pairs each such candidate w with
-    `_unit_slots` of its row r, computed once per distinct row and kept for
-    the whole build: simplices with one span share a row."""
+    Returns `finish(rows, cands)`: each such w, w paired with each candidate
+    g > w in `_unit_slots(r)`, computed once per distinct row and kept for
+    the whole build (simplices with one span share a row), and their count."""
     slots = _unit_slots(gens)
     seen = {}
 
     def finish(rows, cands):
         q1, q2 = rows
-        kids = []
+        ids, pairs = [], []
         for j in _bit_ids(cands):
             w = gens[j]
             a = sum(map(mul, q1, w))
@@ -163,8 +163,9 @@ def _finish_z(gens):
                 bits = seen.get(r)
                 if bits is None:
                     bits = seen[r] = slots(r)
-                kids.append((j, bits))
-        return kids
+                ids.append(j)
+                pairs.extend(zip(repeat(j), _bit_ids(cands & bits >> (j + 1) << (j + 1))))
+        return ids, pairs, len(pairs)
 
     return finish
 

@@ -54,6 +54,16 @@ def test_ground_set_validation():
         explicit([1, 1, 2])
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: p_ordering(INTEGERS, 2, -1), "K must be >= 0"),
+    (lambda: generalized_factorial(INTEGERS, -1), "k must be >= 0"),
+    (lambda: check_identities(2, 0), "k must be >= 1"),
+], ids=["p_ordering", "generalized_factorial", "check_identities"])
+def test_index_guards(call, match):
+    with pytest.raises(InputError, match=match):
+        call()
+
+
 def test_p_ordering_z_example():
     assert p_ordering(INTEGERS, 2, 3) == (1, 1, 2, 2)
 

@@ -132,6 +132,9 @@ def test_bounds_check_every_prime_before_coloring():
         buchstaber_bounds(empty, [2, 4])
     with pytest.raises(InputError, match="not a prime: 4"):
         buchstaber_bounds(empty, [4, 2])
+    # the layers below the bounds take an empty complex
+    assert chromatic_number(empty) == (0, {})
+    assert min_rank_search(empty, 2) == (None, None)
 
 
 def test_min_rank_search_examples():
@@ -145,12 +148,37 @@ def test_min_rank_search_examples():
     assert min_rank_search(point, 2)[0] == 1
 
 
+def test_min_rank_search_starts_at_dim_plus_one(monkeypatch):
+    # a top facet needs dim K + 1 independent lines, so no smaller rank is
+    # tried, and each search still ends at the least rank
+    ranks = []
+
+    def recording(r, p):
+        ranks.append(r)
+        return enumerate_lines_fp(r, p)
+
+    monkeypatch.setattr(buchstaber, "enumerate_lines_fp", recording)
+    tetra = SimplicialComplex.from_simplices(
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], {i: i for i in range(4)})
+    for K, p, want in ((tetra, 2, 3), (complete(3), 2, 2), (graph([], 1), 2, 1),
+                       (build_universal(UniversalKind("K", 2, 2)), 3, 2),
+                       (build_universal(UniversalKind("K", 2, 3)), 2, 3)):
+        ranks.clear()
+        assert min_rank_search(K, p)[0] == want
+        assert ranks == list(range(K.dim + 1, want + 1))
+    ranks.clear()
+    assert min_rank_search(tetra, 2, r_max=2) == (None, None)
+    assert ranks == []
+
+
 def test_min_rank_search_none_within_cap():
     # K_8 needs 8 lines; F_2^2 has 3 and F_2^3 has 7, so r = 4 is minimal,
     # and capping at 3 must report no map
     k8 = complete(8)
     with pytest.raises(ResourceLimitError):
         min_rank_search(complete(13), 2)
+    with pytest.raises(ResourceLimitError, match="r_max 5 exceeds the cap 4"):
+        min_rank_search(k8, 2, r_max=5)
     assert min_rank_search(k8, 2, r_max=3) == (None, None)
     assert min_rank_search(k8, 2, r_max=4)[0] == 4
 
@@ -265,6 +293,8 @@ def test_zeta_theta_examples():
     assert (b.theta_lower, b.theta_upper) == (3, 4)
     b = zeta_theta_bounds(3, 2, 3)
     assert (b.zeta_lower, b.zeta_upper) == (4, 13)
+    with pytest.raises(InputError, match="n must be >= 1"):
+        zeta_theta_bounds(2, 3, 0)
 
 
 def test_zeta_theta_sanity_and_monotonicity():

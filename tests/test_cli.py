@@ -13,7 +13,7 @@ import pytest
 
 import unicomplex
 from unicomplex import cli, morse, shelling, universal_fp
-from unicomplex.cli import dispatch, emit_report
+from unicomplex.cli import UsageError, dispatch, emit_report
 from unicomplex.errors import AcyclicityError
 from unicomplex.scomplex import SIMPLEX_BUDGET, format_facet_list
 from unicomplex.universal_fp import UniversalKind, build_universal
@@ -710,6 +710,28 @@ def test_z_build_out_is_byte_identical(tmp_path, kind):
     assert (hashlib.sha256(data).hexdigest()[:16], data.count(b"\n")) == (digest, lines)
 
 
+# the same for `build --out` over F_p, frozen from the builder whose
+# two-row finish returned one bitset of completing vertices per new vertex
+FP_BUILD_OUT_DIGESTS = {
+    ("K", 3, 4): ("7e99413871d1b750", 63181),
+    ("X", 2, 4): ("237ee3dfb68342e4", 841),
+    ("X", 7, 2): ("a7e96f9c3a3cac8c", 1009),
+}
+
+
+@pytest.mark.parametrize("kind", list(FP_BUILD_OUT_DIGESTS),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_fp_build_out_is_byte_identical(tmp_path, kind):
+    variant, p, n = kind
+    out = tmp_path / "facets.txt"
+    code, _ = run("build", "--variant", variant, "--p", str(p), "--n", str(n),
+                  "--out", str(out))
+    assert code == 0
+    data = out.read_bytes()
+    digest, lines = FP_BUILD_OUT_DIGESTS[kind]
+    assert (hashlib.sha256(data).hexdigest()[:16], data.count(b"\n")) == (digest, lines)
+
+
 # the six-vertex real projective plane: H_1 = Z/2, so Reisner fails at ()
 RP2_FACETS = "1 2 3\n1 3 4\n1 4 5\n1 5 6\n1 2 6\n2 3 5\n2 4 5\n2 4 6\n3 4 6\n3 5 6\n"
 
@@ -893,3 +915,8 @@ def test_emit_report_stringifies_integers():
     out = emit_report({"a": 5, "b": [1, 2], "c": True})
     rep = json.loads(out)
     assert rep == {"a": "5", "b": ["1", "2"], "c": True}
+
+
+def test_emit_report_refuses_an_unknown_format():
+    with pytest.raises(UsageError, match="unknown format 'yaml'"):
+        emit_report({"a": 5}, "yaml")

@@ -141,6 +141,13 @@ def test_line_canonical_scalar_sweep_oracle():
             assert line_canonical_fp(canon, p) == canon
 
 
+@pytest.mark.parametrize("enumerate_fp", [enumerate_vectors_fp, enumerate_lines_fp],
+                         ids=["vectors", "lines"])
+def test_enumerations_refuse_dimension_zero(enumerate_fp):
+    with pytest.raises(InputError, match="ambient dimension must be >= 1, got 0"):
+        enumerate_fp(0, 2)
+
+
 def test_enumerate_lines_counts():
     assert len(enumerate_lines_fp(2, 3)) == 4
     assert len(enumerate_lines_fp(3, 2)) == 7

@@ -183,13 +183,14 @@ def test_grow_by_extension_pairwise_coprime(depth):
     finished = []
 
     def finish(state, cands):
-        # the bits cover every generator, those that are not candidates of
-        # sigma + {w} included: the loop must AND them away
+        # the candidates w coprime to sigma's product, and the pairs of them
+        # that are coprime to each other, in lexicographic order
         finished.append(state)
-        return [(j, sum(1 << k for k, g in enumerate(gens)
-                        if gcd(state * gens[j], g) == 1))
-                for j in range(len(gens))
-                if cands >> j & 1 and gcd(state, gens[j]) == 1]
+        ids = [j for j in range(len(gens))
+               if cands >> j & 1 and gcd(state, gens[j]) == 1]
+        pairs = [(w, g) for w, g in combinations(ids, 2)
+                 if gcd(gens[w], gens[g]) == 1]
+        return ids, iter(pairs), len(pairs)
 
     by_dim = grow_by_extension(gens, depth, 1, extend, finish, 10**6, "toy")
     want = [{s for s in combinations(range(len(gens)), k + 1)

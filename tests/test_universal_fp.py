@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 from math import factorial, prod
 from operator import mul
 
@@ -117,9 +117,9 @@ def test_depths_one_and_two_against_powerset_oracle(kind):
 
 
 def test_two_row_finish_is_the_plain_rule():
-    # _finish_fp pairs each candidate w with Q w != 0 with the candidates g
-    # that make Q w and Q g independent; compare it with a 2 x 2
-    # determinant on random two-row states and candidate sets
+    # _finish_fp keeps each candidate w with Q w != 0, and the pairs of
+    # candidates w < g that make Q w and Q g independent; compare it with a
+    # 2 x 2 determinant on random two-row states and candidate sets
     rng = random.Random("two-row finish fp")
     hits = 0
     for p, n in ((2, 4), (3, 3), (5, 3), (7, 2)):
@@ -131,13 +131,12 @@ def test_two_row_finish_is_the_plain_rule():
             ids = [j for j in range(len(gens)) if cands >> j & 1]
             image = [tuple(sum(map(mul, q, gens[j])) % p for q in rows)
                      for j in range(len(gens))]
-            want = [(j, {g for g in ids if (image[j][0] * image[g][1]
-                                            - image[j][1] * image[g][0]) % p})
-                    for j in ids if any(image[j])]
-            got = [(j, {g for g in ids if bits >> g & 1})
-                   for j, bits in finish(rows, cands)]
-            assert got == want
-            hits += sum(len(g) for _, g in want)
+            kept = [j for j in ids if any(image[j])]
+            pairs = [(j, g) for j, g in combinations(kept, 2)
+                     if (image[j][0] * image[g][1] - image[j][1] * image[g][0]) % p]
+            got, lazy, n_pairs = finish(rows, cands)
+            assert (got, list(lazy), n_pairs) == (kept, pairs, len(pairs))
+            hits += len(pairs)
     assert hits > 1000
 
 

@@ -159,9 +159,9 @@ def test_depths_one_and_two_are_every_unimodular_subset(variant, n):
 
 
 def test_two_row_finish_is_the_plain_rule():
-    # _finish_z pairs each candidate w with gcd(Q w) = 1 with the generators
-    # g that make Q w and Q g a basis of Z^2; compare it with a 2 x 2
-    # determinant on random two-row states and candidate sets
+    # _finish_z keeps each candidate w with gcd(Q w) = 1, and the pairs of
+    # candidates w < g that make Q w and Q g a basis of Z^2; compare it with
+    # a 2 x 2 determinant on random two-row states and candidate sets
     rng = random.Random("two-row finish z")
     gens = enumerate_z_vectors(4, 3)
     finish = _finish_z(gens)
@@ -173,13 +173,11 @@ def test_two_row_finish_is_the_plain_rule():
         cands = rng.getrandbits(len(gens))
         ids = [j for j in range(len(gens)) if cands >> j & 1]
         image = [tuple(sum(map(mul, q, w)) for q in rows) for w in gens]
-        want = [(j, {g for g in ids
-                     if abs(image[j][0] * image[g][1] - image[j][1] * image[g][0]) == 1})
-                for j in ids if gcd(*image[j]) == 1]
-        got = [(j, {g for g in ids if bits >> g & 1})
-               for j, bits in finish(rows, cands)]
-        assert got == want
-        hits += sum(len(g) for _, g in want)
+        kept = [j for j in ids if gcd(*image[j]) == 1]
+        pairs = [(j, g) for j, g in combinations(ids, 2)
+                 if abs(image[j][0] * image[g][1] - image[j][1] * image[g][0]) == 1]
+        assert finish(rows, cands) == (kept, pairs, len(pairs))
+        hits += len(pairs)
     assert hits > 1000
 
 
@@ -289,6 +287,20 @@ def test_sigma_family_stops_at_the_truncation(n, norm):
         assert lines == set(critical_family_sigma(n, k))
     beyond = critical_family_sigma(n, len(got) + 1)
     assert not set(beyond) <= {coords_of(lab) for lab in K.labels.values()}
+
+def test_sigma_family_is_empty_below_rank_two():
+    assert list(sigma_family(build_truncated_universal_z("K", 1, 3), 1)) == []
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: build_truncated_universal_z("Y", 2, 2), "variant must be 'X' or 'K', got 'Y'"),
+    (lambda: critical_family_sigma(1, 1), "need n >= 2 and k >= 1"),
+    (lambda: critical_family_sigma(2, 0), "need n >= 2 and k >= 1"),
+], ids=["variant", "sigma_n", "sigma_k"])
+def test_input_guards(call, match):
+    with pytest.raises(InputError, match=match):
+        call()
+
 
 def test_truncations_connected_with_growing_top_betti():
     last = -1
