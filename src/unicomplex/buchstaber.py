@@ -62,8 +62,6 @@ def chromatic_number(K):
         raise ResourceLimitError(
             f"{len(verts)} vertices exceeds the coloring cap {COLORING_VERTEX_CAP}"
         )
-    if not verts:
-        return 0, {}
     adj = _adjacency(K)
     order = sorted(verts, key=lambda v: (-len(adj[v]), v))
 

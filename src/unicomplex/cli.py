@@ -83,6 +83,8 @@ def emit_report(report, fmt="json"):
         _flatten(report, "", rows)
         lines = ["key,value"]
         for k, v in rows:
+            if any(c in k for c in ',"\r\n'):
+                k = '"{}"'.format(k.replace('"', '""'))
             v = str(v).replace('"', '""')
             lines.append(f'{k},"{v}"')
         return "\n".join(lines) + "\n"
@@ -446,9 +448,12 @@ def _refuse_unprintable_factorials(S, k):
 
 def cmd_bhargava(args):
     from .bhargava import generalized_factorials, p_ordering
+    from .fplin import check_prime
 
     S = _parse_ground_set(args.set)
     primes = args.primes.values if args.primes else ()
+    for p in primes:
+        check_prime(p)
     if args.k < 0:
         return 0, {}
     _refuse_unprintable_factorials(S, args.k)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque, namedtuple
 from heapq import heappop, heappush
-from itertools import accumulate, chain, combinations, compress, repeat
+from itertools import accumulate, chain, combinations, compress, count, repeat
 from math import gcd
 from operator import itemgetter
 
@@ -146,22 +146,20 @@ def coreduce(K):
     Every cell leaves after all of its faces except its partner, so the
     matching is acyclic and removal stamps decrease along gradient paths.
 
-    Returns (cells, faces, partner, stamp): cells[c] is the simplex with id
-    c, faces[c] the tuple of ids of its codimension-1 faces in
-    vertex-deletion order, partner[c] the id matched with c (-1 for a
-    critical cell) and stamp[c] the step at which c left.
+    Returns (faces, partner, stamp): faces[c] is the tuple of ids of the
+    codimension-1 faces of the cell with id c in vertex-deletion order,
+    partner[c] the id matched with c (-1 for a critical cell) and stamp[c]
+    the step at which c left.
 
     The face table is built in one C-level pass per level: `combinations(s,
     d)` lists the faces of a d-simplex s in the order that deletes its last
     vertex first, so the face ids of the whole level come out as one run,
     which is cut into groups of d + 1 per cell and each group reversed."""
-    cells = []
-    for d in range(K.dim + 1):
-        cells.extend(K.sorted_simplices(d))
-    n = len(cells)
+    n = K.n_simplices
     top = len(K.sorted_simplices(K.dim))
     # no top cell is a face, so only the cells below the top are indexed
-    face_id = dict(zip(cells, range(n - top))).__getitem__
+    face_id = dict(zip(chain.from_iterable(
+        map(K.sorted_simplices, range(K.dim))), count())).__getitem__
     faces = [()] * len(K.sorted_simplices(0))
     cofaces = [[] for _ in range(n - top)]
     cofaces.extend(repeat((), top))  # no cofaces: one shared empty tuple
@@ -206,7 +204,7 @@ def coreduce(K):
                     live[u] = k - 1
                     if k == 2:
                         queue.append(u)
-    return cells, faces, partner, stamp
+    return faces, partner, stamp
 
 
 def _morse_boundary(faces, partner, stamp, lower, upper):
@@ -280,12 +278,10 @@ def reduced_homology(K):
     vertex as its one live face, and the queue empties only after the
     whole component has left: the first vertex of a component to leave is
     its one critical vertex.  C_0 of the Morse complex is then
-    Z^(components) = H_0(K).  K has a vertex, so the augmentation row, all
-    ones, has rank 1."""
-    if K.dim < 0:
-        return HomologyProfile((), ())
+    Z^(components) = H_0(K), and the augmentation row, all ones, has rank
+    1 (the empty complex has no degree to read it in)."""
     dim = K.dim
-    _, faces, partner, stamp = coreduce(K)
+    faces, partner, stamp = coreduce(K)
     critical = _critical_by_dim(partner, K.f_vector())
     census = [len(cs) for cs in critical]
     euler = euler_characteristic(K.f_vector())
@@ -333,8 +329,6 @@ def reisner_check(K, orbit_sample=False, profile=None):
         return next((i for i in range(L.dim)
                      if prof.betti[i] or prof.torsion[i]), None)
 
-    if K.dim <= 0:
-        return True, None
     i = gap(K, reduced_homology(K) if profile is None else profile)
     if i is not None:
         return False, ((), i)

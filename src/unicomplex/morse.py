@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import chain, combinations, compress, count, islice, repeat
+from itertools import chain, combinations, compress, count, islice
 
 from .errors import AcyclicityError, InputError
 
@@ -162,11 +162,6 @@ def _check_pairs(K, pairs):
         seen.update((lo, hi))
 
 
-# a node's count of faces that are nodes, itself included: 1 is a dead end
-_HAS_SUCCESSOR = bytes(c > 1 for c in range(256))
-_DEAD_END = bytes(c < 2 for c in range(256))
-
-
 def _closed_v_path(lower, position, cells, partner):
     """A closed V-path among the pairs of one band, or None.
 
@@ -175,36 +170,20 @@ def _closed_v_path(lower, position, cells, partner):
     `position` maps each simplex of `lower` to its position there.  The
     nodes are the positions of the lower cells, with an edge j -> f for
     each codimension-1 face of partner[j], other than lower[j], that is
-    itself a lower cell f.  The faces of every partner are looked up in
-    C-level passes, and a byte per face that is a node, summed lane-wise
-    as big integers, counts each node's successors, so a node without any
-    is finished before the search starts.  An iterative three-colour
-    depth-first search, started from the other nodes in ascending order,
-    visits the faces in vertex-deletion order and finds a cycle in
-    O(pairs * dim).  The cycle is returned as the closed V-path
-    [lo, up, lo', up', ...] of simplices (its last upper cell has the
-    first lower cell as a face)."""
-    if not cells:
-        return None
-    # a node has size + 1 faces, so its count fits a byte lane: a simplex
-    # of 256 vertices would have 2^256 faces
-    size = len(partner[cells[0]]) - 1
-    faces = map(position.__getitem__, chain.from_iterable(map(
-        combinations, map(partner.__getitem__, cells), repeat(size))))
-    hits = bytes(map(bool, map(partner.__getitem__, faces)))
-    counts = sum(int.from_bytes(hits[t::size + 1], "little") for t in range(size + 1))
-    counts = counts.to_bytes(len(cells), "little")
+    itself a lower cell f.  An iterative three-colour depth-first search,
+    started from the nodes in ascending order, visits the faces in
+    vertex-deletion order and finds a cycle in O(pairs * dim).  The cycle
+    is returned as the closed V-path [lo, up, lo', up', ...] of simplices
+    (its last upper cell has the first lower cell as a face)."""
     color = bytearray(len(lower))  # 1 on the current path, 2 finished
-    for j in compress(cells, counts.translate(_DEAD_END)):
-        color[j] = 2
 
     def successors(j):
-        out = [f for f in map(position.__getitem__, combinations(partner[j], size))
+        out = [f for f in map(position.__getitem__, combinations(partner[j], len(lower[j])))
                if f != j and partner[f] is not None]
         out.reverse()  # combinations deletes the last vertex first
         return iter(out)
 
-    for start in compress(cells, counts.translate(_HAS_SUCCESSOR)):
+    for start in cells:
         if color[start]:
             continue
         color[start] = 1

@@ -185,11 +185,6 @@ def _shell_ids(variant, p, amb, d, bound, memo):
     if key in memo:
         return memo[key]
     coords, _ = _space(variant, p, amb, memo)
-    if d == amb - 1:
-        out = tuple((u,) for u, c in enumerate(coords) if any(c[d:]))
-        memo[key] = out
-        return out
-
     std = list(_identity_rows(amb)[:d])
     v1 = [u for u, c in enumerate(coords) if c[-1]]
     gens = [coords[u] for u in v1]

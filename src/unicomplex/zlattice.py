@@ -15,19 +15,19 @@ identity.  Because Z^n / span(sigma) is free and Q identifies it with
 Z^(n-k), sigma + {w} is unimodular iff Q w is primitive, i.e. gcd(Q w) = 1.
 In that case integer row operations on Q (Euclid on the entries of Q w)
 reduce Q w to a single entry +-1, and dropping that row leaves a surjection
-whose kernel is span(sigma + {w}).  From two rows q_1, q_2 with
-Q w = (a, b) that surjection is the one row b q_1 - a q_2, signed so that
-its first nonzero entry is positive.  Each test costs O(n^2) integer
+whose kernel is span(sigma + {w}).  Each test costs O(n^2) integer
 operations; `is_unimodular_z` folds the step over a list.  The truncation
 builder runs it inside the shared frontier loop `scomplex.grow_by_extension`
 down to the states of two rows, on bitset candidates (the AND of the
 later-neighbour bitsets of the simplex's vertices).  From such a state
 `_finish_z` makes the last two levels at once: a candidate w is accepted
-iff gcd(Q w) = 1, and its state is one primitive row r, so g completes
-the facet through w iff r g = +-1.  `_unit_slots` computes r g for every
-generator at once, as slots of one packed big integer, and reads the
-slots equal to +-1 with carry-free bit operations, once per distinct row
-r; the pairs (w, g) are the candidates g > w among those slots.
+iff Q w = (a, b) has gcd(a, b) = 1, and its state is then the one row
+r = b q_1 - a q_2 of `_last_row`, signed so that its first nonzero entry
+is positive, so g completes the facet through w iff r g = +-1.
+`_unit_slots` computes r g for every generator at once, as slots of one
+packed big integer, and reads the slots equal to +-1 with carry-free bit
+operations, once per distinct row r; the pairs (w, g) are the candidates
+g > w among those slots.
 """
 
 from __future__ import annotations
@@ -75,15 +75,13 @@ def _last_row(q1, q2, a, b):
 
 
 def _quotient_step(rows, w):
-    """Extend a unimodular set by the integer vector w.  `rows` is the
-    surjection Q whose kernel is the span of the set; returns the rows of
-    the surjection for the set plus w, or None if that set is not
-    unimodular."""
+    """Extend a unimodular set by the integer vector w, by Euclid's loop at
+    any number of rows (only `_finish_z` takes the closed form `_last_row`).
+    `rows` is the surjection Q whose kernel is the span of the set; returns
+    the rows for the set plus w, or None if that set is not unimodular."""
     c = [sum(map(mul, row, w)) for row in rows]
     if gcd(*c) != 1:
         return None
-    if len(rows) == 2:
-        return (_last_row(*rows, *c),)
     rows = list(rows)
     while True:
         live = [k for k, x in enumerate(c) if x]
@@ -306,12 +304,18 @@ def validate_quasitoric_pair(pair):
 def parse_quasitoric_pair(text, budget=SIMPLEX_BUDGET):
     """Pair file: a facet-list block for P*, a blank line, then n rows of m
     whitespace-separated integers (columns in sorted vertex-label order).
+    A facet line holds n labels and a matrix row m > n integers, so the
+    blocks split at the first blank or comment line followed by rows of one
+    length only (else at the first): a comment among the facets is skipped.
     The facet block is closed under the simplex budget."""
     tokens = list(token_lines(text))
-    start = next((i for i, toks in enumerate(tokens) if toks), len(tokens))
-    split = next((i for i in range(start, len(tokens)) if not tokens[i]), None)
-    if split is None:
+    filled = [i for i, toks in enumerate(tokens) if toks] or [len(tokens)]
+    gaps = [i for i in range(filled[0], len(tokens)) if not tokens[i]]
+    if not gaps:
         raise InputError("pair file needs a blank line between facets and matrix")
+    width = len(tokens[filled[-1]])
+    other = max((i for i in filled if len(tokens[i]) != width), default=-1)
+    split = next((i for i in gaps if other < i < filled[-1]), gaps[0])
     K = parse_facet_list("\n".join(text.splitlines()[:split]), budget=budget)
     rows = []
     for toks in filter(None, tokens[split:]):

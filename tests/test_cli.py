@@ -237,21 +237,25 @@ def test_zcheck_lists_the_lines_in_vertex_order(n, max_norm, lines):
 
 
 def test_csv_rows_equal_leaf_count():
-    _, jtext = run("fvector", "--variant", "K", "--p", "3", "--n", "2")
-    _, ctext = run("fvector", "--variant", "K", "--p", "3", "--n", "2",
-                   "--format", "csv")
-    rep = json.loads(jtext)
-
-    def leaves(obj):
+    def leaves(obj, prefix):
         if isinstance(obj, dict):
-            return sum(leaves(v) for v in obj.values())
-        if isinstance(obj, list):
-            return sum(leaves(v) for v in obj)
-        return 1
+            for k, v in sorted(obj.items()):
+                yield from leaves(v, f"{prefix}.{k}" if prefix else k)
+        elif isinstance(obj, list):
+            for i, v in enumerate(obj):
+                yield from leaves(v, f"{prefix}[{i}]")
+        else:
+            yield prefix
 
-    rows = list(csv.reader(io.StringIO(ctext)))
-    assert rows[0] == ["key", "value"]
-    assert len(rows) - 1 == leaves(rep)
+    for argv in (["fvector", "--variant", "K", "--p", "3", "--n", "2"],
+                 # the labeling's keys are vertex labels such as [0,1]
+                 ["shifted", "--variant", "K", "--p", "2", "--n", "2"]):
+        _, jtext = run(*argv)
+        _, ctext = run(*argv, "--format", "csv")
+        rows = list(csv.reader(io.StringIO(ctext)))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert [key for key, _ in rows[1:]] == list(leaves(json.loads(jtext), ""))
 
 
 def test_usage_errors_exit_2():
@@ -337,6 +341,9 @@ def test_zero_counts_stay_valid(tmp_path):
      "usage error: --ring z needs --variant, --n and --max-norm"),
     (["fvector", "--variant", "K", "--p", "3", "--n", "3", "--link-dim", "5"],
      "input error: link dimension 5 out of range [0, 2]"),
+    # a negative k has no results, but its primes are checked first
+    (["bhargava", "--set", "integers", "--k", "-1", "--primes", "4"],
+     "input error: not a prime: 4"),
 ])
 def test_input_errors_exit_2_with_the_line(tmp_path, argv, line):
     files = {

@@ -1,6 +1,7 @@
 """The lint steps: every name a library module imports is used in it,
 every public function, class, method, property and annotated field of the
-library is read somewhere in the library, importing the CLI loads a fixed
+library is read somewhere in the library, so is every module-level private
+function, class and constant, importing the CLI loads a fixed
 set of extension modules, each command loads only the library modules it
 runs, and no library module imports `dataclasses`.
 
@@ -96,9 +97,9 @@ def public_definitions(sources):
     return defined
 
 
-def unread_public_names(sources):
-    """The public definitions whose name no Name or Attribute node of any
-    of the sources {module: text} reads, as qualified names, sorted."""
+def read_names(sources):
+    """The names that a Name or Attribute node of any of the sources
+    {module: text} reads."""
     read = set()
     for source in sources.values():
         for node in ast.walk(ast.parse(source)):
@@ -106,6 +107,13 @@ def unread_public_names(sources):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def unread_public_names(sources):
+    """The public definitions whose name no Name or Attribute node of any
+    of the sources {module: text} reads, as qualified names, sorted."""
+    read = read_names(sources)
     return sorted(qual for qual, name in public_definitions(sources)
                   if name not in read)
 
@@ -140,6 +148,56 @@ def test_unread_public_name_detector():
 def test_public_names_are_read_in_the_library():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert [q for q in unread_public_names(sources) if q not in EXTERNAL] == []
+
+
+def private_definitions(sources):
+    """(module, name) for each module-level function, class and assigned
+    constant of the sources {module: text} whose name starts with one `_`."""
+    defined = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    return defined
+
+
+def unread_private_names(sources):
+    """The private definitions whose name no Name or Attribute node of any
+    of the sources reads, as (module, name), sorted."""
+    read = read_names(sources)
+    return sorted(d for d in private_definitions(sources) if d[1] not in read)
+
+
+def test_unread_private_name_detector():
+    sources = {
+        "a": (
+            "_USED = 1\n"
+            "_UNUSED, _PAIR = 2, 3\n"
+            "_NOTE: int = 4\n"
+            "__dunder__ = 5\n"
+            "def _helper():\n    return _USED\n"
+            "def _orphan():\n    pass\n"
+            "class _Box:\n    _field = 0\n"
+            "def public():\n    pass\n"
+        ),
+        "b": "from a import _helper, _Box\n_helper()\nb = _Box\nprint(b._PAIR)\n",
+    }
+    assert unread_private_names(sources) == [
+        ("a", "_NOTE"), ("a", "_UNUSED"), ("a", "_orphan")]
+
+
+def test_private_names_are_read_in_the_library():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert private_definitions(sources)  # the scan sees the library's names
+    assert unread_private_names(sources) == []
 
 
 def test_external_surface_is_defined():

@@ -22,6 +22,7 @@ from unicomplex.zlattice import (
     z_line,
     z_line_key,
     _finish_z,
+    _last_row,
     _quotient_step,
     _unit_slots,
 )
@@ -182,15 +183,19 @@ def test_two_row_finish_is_the_plain_rule():
 
 
 def test_quotient_step_down_to_one_row():
-    # from two rows the step is closed-form; its row must vanish on the set,
-    # be primitive (so the map onto Z is surjective) and carry the sign rule
+    # two steps leave two rows, from which `_last_row` is the closed-form
+    # step; its row must vanish on the set, be primitive (so the map onto Z
+    # is surjective) and carry the sign rule
     rng = random.Random("one row")
     seen = 0
     for _ in range(300):
         sigma = [tuple(rng.randint(-6, 6) for _ in range(4)) for _ in range(3)]
         rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        for v in sigma:
+        for v in sigma[:2]:
             rows = _quotient_step(rows, v) if rows is not None else None
+        if rows is not None:
+            a, b = (sum(map(mul, q, sigma[2])) for q in rows)
+            rows = (_last_row(*rows, a, b),) if gcd(a, b) == 1 else None
         unimodular = minor_gcd_unimodular([list(v) for v in sigma])
         assert (rows is not None) == unimodular
         if rows is None:
@@ -392,6 +397,13 @@ def test_parse_quasitoric_pair_skips_comments():
     assert pair.lam == plain.lam == ((1, 0, -1), (0, 1, -1))
     assert pair.dual_complex.labels == plain.dual_complex.labels
     assert pair.dual_complex.facets() == plain.dual_complex.facets()
+    # a comment line between two facet lines is skipped too: the matrix
+    # starts after the blank line
+    pair = parse_quasitoric_pair("1 2\n# the third edge closes the triangle\n"
+                                 "1 3\n2 3\n\n1 0 -1\n0 1 -1\n")
+    assert pair.lam == plain.lam
+    assert pair.dual_complex.facets() == plain.dual_complex.facets()
+    assert validate_quasitoric_pair(pair) == (True, None)
     with pytest.raises(InputError, match="repeated vertex in facet line: '1 1'"):
         parse_quasitoric_pair("1 1\n1 3\n\n1 0\n")
     with pytest.raises(InputError, match="bad matrix row: '1 x'"):
