@@ -197,6 +197,8 @@ def _fv(K):
 
 def cmd_build(args):
     if args.ring == "z":
+        if args.p is not None:
+            raise UsageError("--ring z takes no --p")
         if args.variant is None or args.n is None or args.max_norm is None:
             raise UsageError("--ring z needs --variant, --n and --max-norm")
         from .zlattice import build_truncated_universal_z
@@ -205,6 +207,8 @@ def cmd_build(args):
                                         budget=args.budget)
         name = f"{args.variant}(Z^{args.n}) truncated at norm {args.max_norm}"
     else:
+        if args.max_norm is not None:
+            raise UsageError("--ring fp takes no --max-norm")
         K, kind = _get_complex(args)
         name = str(kind)
     results = {"complex": name, "n_vertices": K.n_vertices,

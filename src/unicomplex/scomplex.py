@@ -235,7 +235,8 @@ class SimplicialComplex:
 def _bit_ids(bits):
     """The positions of the set bits of an int, ascending.  Peeling the
     lowest bit costs per set bit, where a scan of `bin(bits)` costs per
-    bit; the candidate sets over Z are sparse."""
+    bit.  A vertex's candidates are every later id (at n = 3 the finish
+    reads those); from the edges on they are sparse."""
     out = []
     while bits:
         low = bits & -bits

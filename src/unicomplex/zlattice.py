@@ -20,22 +20,18 @@ operations; `is_unimodular_z` folds the step over a list.  The truncation
 builder runs it inside the shared frontier loop `scomplex.grow_by_extension`
 down to the states of two rows, on bitset candidates (the AND of the
 later-neighbour bitsets of the simplex's vertices).  From such a state
-`_finish_z` makes the last two levels at once: a candidate w is accepted
-iff Q w = (a, b) has gcd(a, b) = 1, and its state is then the one row
-r = b q_1 - a q_2 of `_last_row`, signed so that its first nonzero entry
-is positive, so g completes the facet through w iff r g = +-1.
-`_unit_slots` computes r g for every generator at once, as slots of one
-packed big integer, and reads the slots equal to +-1 with carry-free bit
-operations, once per distinct row r; the pairs (w, g) are the candidates
-g > w among those slots.
+Q = (q_1, q_2) `_finish_z` makes the last two levels at once, w accepted
+iff gcd(Q w) = 1 and g completing the facet through w iff
+det(Q w, Q g) = +-1, both read off the slots of packed big integers.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import count, product, repeat
+from itertools import compress, count, product, repeat
 from math import gcd
 from operator import mul
+from sys import byteorder
 
 from .errors import InputError
 from .fplin import _common_dimension, _identity_rows
@@ -62,21 +58,8 @@ def z_line(coords):
     return tuple(x // g for x in c)
 
 
-def _last_row(q1, q2, a, b):
-    """The surjection left when a vector w with Q w = (a, b), gcd(a, b) = 1,
-    joins a set whose state is the two rows Q = (q_1, q_2).  The kernel of
-    (a, b) on Z^2 is spanned by (b, -a), primitive since gcd(a, b) = 1, so
-    the new state is the one row b q_1 - a q_2, up to a sign, fixed so that
-    its first nonzero entry is positive and rows q and -q make one state."""
-    r = [b * x - a * y for x, y in zip(q1, q2)]
-    if next(filter(None, r)) < 0:
-        r = [-x for x in r]
-    return tuple(r)
-
-
 def _quotient_step(rows, w):
-    """Extend a unimodular set by the integer vector w, by Euclid's loop at
-    any number of rows (only `_finish_z` takes the closed form `_last_row`).
+    """Extend a unimodular set by the integer vector w, by Euclid's loop.
     `rows` is the surjection Q whose kernel is the span of the set; returns
     the rows for the set plus w, or None if that set is not unimodular."""
     c = [sum(map(mul, row, w)) for row in rows]
@@ -97,72 +80,84 @@ def _quotient_step(rows, w):
                 rows[j] = tuple([a - q * b for a, b in zip(rows[j], pivot)])
 
 
-def _unit_slots(gens):
-    """Returns `slots(q)`: the bitset of the generators w with q w = +-1,
-    for one integer row q, in a few big-integer operations for all of them
-    together.
+def _slot(bound):
+    """The bytes and signed `array` typecode of the narrowest slot, of 1, 2,
+    4 or 8 bytes, holding every integer of absolute value at most `bound`."""
+    for size, code in ((1, "b"), (2, "h"), (4, "i"), (8, "q")):
+        if bound < 1 << 8 * size - 1:
+            return size, code
+    raise AssertionError(f"a slot for values up to {bound} is wider than 8 bytes")
 
-    Generator j owns slot j, bits [jW, (j+1)W), of a packed integer:
-    P_i = sum_j w_j[i] 2^(jW) per coordinate i, so S = sum_i q_i P_i + H has
-    q w_j + 2^(W-1) in slot j, where H holds 2^(W-1) in every slot.  The
-    width W = (|q|_1 max|w_i|).bit_length() + 2 keeps every slot inside
-    [0, 2^W), so nothing carries between slots.  Slot j is a hit iff it
-    equals a target H +- 1, i.e. is zero in Y = S ^ T; with M the low W - 1
-    bits of every slot, `H & ~(((Y & M) + M) | Y)` keeps the top bit of
-    exactly the zero slots, again without a carry.  Reading every W-th
-    character of the binary string, from the top bit of the last slot,
-    packs those bits into the bitset.  The packed integers are made once
-    per width."""
-    m = len(gens)
-    wmax = max(abs(c) for w in gens for c in w)
-    packs = {}
 
-    def pack(width):
-        ones = ((1 << m * width) - 1) // ((1 << width) - 1)
-        high = ones << (width - 1)
-        coords = [sum(c << j * width for j, c in enumerate(col))
-                  for col in zip(*gens)]
-        # high - ones is both the mask M and the target H - 1
-        packs[width] = (coords, high, high - ones, high + ones)
-        return packs[width]
-
-    def slots(q):
-        width = (sum(map(abs, q)) * wmax).bit_length() + 2
-        coords, high, low, up = packs.get(width) or pack(width)
-        s = sum(map(mul, q, coords), high)
-        hits = 0
-        for y in (s ^ up, s ^ low):
-            hits |= high & ~(((y & low) + low) | y)
-        return int(format(hits, f"0{m * width}b")[::width], 2)
-
-    return slots
+def _tops(count, size):
+    """H: the top bit of each of `count` slots of `size` bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
 
 
 def _finish_z(gens):
     """The last two levels of the frontier over Z.  The state of a simplex
     sigma two below the top is two rows Q = (q_1, q_2); sigma + {w} is
-    unimodular iff Q w = (a, b) has gcd(a, b) = 1, and its state is then the
-    one row r of `_last_row`.  sigma + {w, g} is unimodular iff r g = +-1.
-    Returns `finish(rows, cands)`: each such w, w paired with each candidate
-    g > w in `_unit_slots(r)`, computed once per distinct row and kept for
-    the whole build (simplices with one span share a row), and their count."""
-    slots = _unit_slots(gens)
-    seen = {}
+    unimodular iff Q w = (a_w, b_w) has gcd 1, and sigma + {w, g} is iff
+    det(Q w, Q g) = a_w b_g - b_w a_g is +-1 (then Q g is primitive, so g
+    is accepted too).  Returns `finish(rows, cands)`: each such w among the
+    candidates, each such pair w < g, and the number of pairs.
+
+    Both tests read slots of packed integers: value k owns the bits
+    [kW, kW + W), W = 8 size, and H holds h = 2^(W-1) in every slot.  A
+    row's images of all generators come from one evaluation
+    sum_i q_i P_i + H, P_i = sum_j w_j[i] 2^(jW), whose slot j holds
+    q w_j + h; XOR H makes that two's complement, read back as a signed
+    `array`.  The accepted images pack into A = sum_k a_k 2^(kW) and B, and
+    s = b_w A - a_w B + H + ones holds det(Q w, Q g) + h + 1 in the slot of
+    each accepted g.  The determinant is +-1 iff that slot is h or h + 2:
+    with M the low W - 1 bits of every slot and R those but bit 1,
+    `s & ~((s & R) + M) & H` keeps the top bit of exactly those slots, no
+    sum carrying out of its slot, and the top bytes select the pairs in one
+    `compress`.
+
+    A slot holds values in [-h, h): the values' slot is fitted to
+    |q|_1 max|w_i|, the determinants' to 2 max|a| max|b| + 1, and past 8
+    bytes `_slot` raises AssertionError rather than misread.  Under the
+    simplex budget that does not occur.  At n = 2 the state is the identity
+    and the determinants are at most 2 N^2, N the norm bound, past 8 bytes
+    only at N >= 2^31, with over 2^64 vectors to enumerate.  At n >= 3 the
+    vertex level, charged before the finish, holds the 2N^2 - 2N + 1 lines
+    (1, x, y, 0, ...) with |x| + |y| < N, so N < 2^12 by default, and a
+    determinant slot past 8 bytes needs |q_1|_1 |q_2|_1 > 2^37, while the
+    states' entries stay near N (|q|_1 <= 42 on K(Z^3) at norm 40)."""
+    # imported here, as in `morse.greedy_matching`: only a Z build loads it
+    from array import array
+
+    m = len(gens)
+    wmax = max(abs(c) for w in gens for c in w)
+    packs = {}  # slot bytes -> (the packed coordinates P_i, H)
+
+    def spread(values, code, high):  # sum_k values[k] 2^(kW)
+        return (int.from_bytes(array(code, values), byteorder) ^ high) - high
+
+    def images(q):
+        size, code = _slot(sum(map(abs, q)) * wmax)
+        if size not in packs:
+            high = _tops(m, size)
+            packs[size] = [spread(col, code, high) for col in zip(*gens)], high
+        coords, high = packs[size]
+        return array(code, (sum(map(mul, q, coords), high) ^ high).to_bytes(m * size, byteorder))
 
     def finish(rows, cands):
-        q1, q2 = rows
-        ids, pairs = [], []
-        for j in _bit_ids(cands):
-            w = gens[j]
-            a = sum(map(mul, q1, w))
-            b = sum(map(mul, q2, w))
-            if gcd(a, b) == 1:
-                r = _last_row(q1, q2, a, b)
-                bits = seen.get(r)
-                if bits is None:
-                    bits = seen[r] = slots(r)
-                ids.append(j)
-                pairs.extend(zip(repeat(j), _bit_ids(cands & bits >> (j + 1) << (j + 1))))
+        ids = _bit_ids(cands)
+        a, b = (list(map(images(q).__getitem__, ids)) for q in rows)
+        keep = list(map((1).__eq__, map(gcd, a, b)))
+        ids, a, b = (list(compress(x, keep)) for x in (ids, a, b))
+        size, code = _slot(2 * max(map(abs, a), default=0) * max(map(abs, b), default=0) + 1)
+        high = _tops(len(ids), size)
+        A, B = spread(a, code, high), spread(b, code, high)
+        ones = high >> 8 * size - 1
+        low, rest, bias = high - ones, high - 3 * ones, high + ones
+        pairs = []
+        for k, (w, x, y) in enumerate(zip(ids, a, b), 1):
+            s = y * A - x * B + bias
+            hits = (s & ~((s & rest) + low) & high).to_bytes(len(ids) * size, "little")
+            pairs.extend(zip(repeat(w), compress(ids[k:], hits[(k + 1) * size - 1::size])))
         return ids, pairs, len(pairs)
 
     return finish

@@ -284,6 +284,9 @@ def test_usage_errors_exit_2():
     ["build", "--ring", "z", "--variant", "X", "--n", "-1", "--max-norm", "3"],
     ["build", "--ring", "z", "--variant", "X", "--n", "0", "--max-norm", "3"],
     ["build", "--ring", "z", "--variant", "X", "--n", "2", "--max-norm", "0"],
+    # an option of the other ring is refused, not echoed and ignored
+    ["build", "--ring", "z", "--variant", "K", "--n", "3", "--max-norm", "2", "--p", "5"],
+    ["build", "--variant", "K", "--p", "2", "--n", "2", "--max-norm", "4"],
     ["shelling", "--facets", "{F}"],
     ["verify-all", "--oracle-samples", "-5"],
     ["homology", "--facets", "{F}", "--budget", "-1"],

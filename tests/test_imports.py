@@ -299,6 +299,31 @@ def test_other_commands_do_not_load_verify(argv, tmp_path):
     assert code == "exit 0" and "verify" not in modules and not dataclasses
 
 
+# `array` is an extension module, and only the two-row finish over Z and
+# the greedy matching import it, each in its own body: a pair check loads
+# no copy of it, a build over Z does
+ARRAY_LOADED = (
+    "from importlib.machinery import EXTENSION_SUFFIXES\n"
+    "import unicomplex.cli\n"
+    "code = unicomplex.cli.main(sys.argv[1:])\n"
+    "print('exit', code)\n"
+    "print(getattr(sys.modules.get('array'), '__file__', '')\n"
+    "      .endswith(tuple(EXTENSION_SUFFIXES)))\n"
+)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["zcheck", "--pair", "{pair}"], False),
+    (["build", "--ring", "z", "--variant", "K", "--n", "3", "--max-norm", "2"], True),
+], ids=["zcheck --pair", "build --ring z"])
+def test_array_extension_loads_only_with_the_z_finish(argv, loaded, tmp_path):
+    pair = tmp_path / "cp2.pair"
+    pair.write_text("1 2\n1 3\n2 3\n\n1 0 -1\n0 1 -1\n")
+    argv = [a.format(pair=pair) for a in argv]
+    *_, code, has_array = fresh_run(ARRAY_LOADED, *argv).splitlines()
+    assert (code, has_array) == ("exit 0", str(loaded))
+
+
 def test_verify_all_loads_verify(tmp_path):
     code, modules, dataclasses = loaded_by_command(
         ["verify-all", "--pairs", "2,2", "--oracle-samples", "20"], tmp_path)

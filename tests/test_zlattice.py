@@ -22,9 +22,7 @@ from unicomplex.zlattice import (
     z_line,
     z_line_key,
     _finish_z,
-    _last_row,
     _quotient_step,
-    _unit_slots,
 )
 
 from oracles import coords_of, det_cofactor, minor_gcd_unimodular
@@ -183,19 +181,15 @@ def test_two_row_finish_is_the_plain_rule():
 
 
 def test_quotient_step_down_to_one_row():
-    # two steps leave two rows, from which `_last_row` is the closed-form
-    # step; its row must vanish on the set, be primitive (so the map onto Z
-    # is surjective) and carry the sign rule
+    # three steps fold four rows down to one; the row must vanish on the
+    # set and be primitive (so the map onto Z is surjective)
     rng = random.Random("one row")
     seen = 0
     for _ in range(300):
         sigma = [tuple(rng.randint(-6, 6) for _ in range(4)) for _ in range(3)]
         rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        for v in sigma[:2]:
+        for v in sigma:
             rows = _quotient_step(rows, v) if rows is not None else None
-        if rows is not None:
-            a, b = (sum(map(mul, q, sigma[2])) for q in rows)
-            rows = (_last_row(*rows, a, b),) if gcd(a, b) == 1 else None
         unimodular = minor_gcd_unimodular([list(v) for v in sigma])
         assert (rows is not None) == unimodular
         if rows is None:
@@ -203,36 +197,84 @@ def test_quotient_step_down_to_one_row():
         seen += 1
         (r,) = rows
         assert all(sum(map(mul, r, v)) == 0 for v in sigma)
-        assert gcd(*r) == 1 and next(x for x in r if x) > 0
+        assert gcd(*r) == 1
     assert seen > 30
+
+
+def slot_bytes(bound):
+    """The slot `_finish_z` must use for values of absolute value at most
+    `bound`: the fewest of 1, 2, 4 or 8 bytes whose signed range holds
+    them, None past 8 bytes."""
+    return next((size for size in (1, 2, 4, 8) if bound < 2 ** (8 * size - 1)), None)
+
+
+def plain_finish(gens, rows, cands):
+    """(ids, pairs, n_pairs, value slot bytes, determinant slot bytes) of
+    the two-row finish by one dot product per generator and one 2 x 2
+    determinant per pair of candidates."""
+    image = [tuple(sum(map(mul, q, w)) for q in rows) for w in gens]
+    ids = [j for j in range(len(gens)) if cands >> j & 1 and gcd(*image[j]) == 1]
+    pairs = [(w, g) for w, g in combinations(ids, 2)
+             if abs(image[w][0] * image[g][1] - image[w][1] * image[g][0]) == 1]
+    wmax = max(abs(c) for w in gens for c in w)
+    values = [slot_bytes(sum(map(abs, q)) * wmax) for q in rows]
+    dets = slot_bytes(2 * max(abs(image[j][0]) for j in ids)
+                      * max(abs(image[j][1]) for j in ids) + 1) if ids else None
+    return ids, pairs, len(pairs), values, dets
 
 
 @pytest.mark.parametrize("m", [1, 2, 13, 100])
 def test_packed_finish_is_the_plain_rule(m):
-    # _unit_slots reads q w = +-1 off packed slots; compare it with one dot
-    # product per generator.  The generators are signed, as on the X side;
-    # the first and last are +-e_1, so rows with q_1 = +-1 hit the first and
-    # the last slot.  Rows range from |q|_1 = 1 to entries of 10^5, so one
-    # finish sees several slot widths, some far past 8 bits.
+    # _finish_z reads Q g off packed slots, one per generator, and
+    # det(Q w, Q g) off packed slots, one per accepted candidate; compare it
+    # with the plain rule.  The generators are signed, as on the X side;
+    # the first and last are +-e_1, so states with a small first column
+    # accept the first and the last generator.  States range from unit rows
+    # to entries of 10^5, so one finish sees every slot width: values reach
+    # 4 bytes, determinants 8.
     rng = random.Random(f"packed finish:{m}")
     gens = [(1, 0, 0)]
     gens += [tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(m - 2)]
     gens += [(-1, 0, 0)][:m - 1]
-    slots = _unit_slots(gens)
-    wmax = max(abs(c) for w in gens for c in w)
-    widths, edge_hits = set(), 0
-    for trial in range(300):
-        big = rng.choice([1, 2, 30, 10**5])
-        x, y = rng.randint(-big, big), rng.randint(-big, big)
-        q = (rng.choice([1, -1]) if trial % 2 else rng.randint(-big, big), x, y)
-        got = slots(q)
-        want = {j for j, w in enumerate(gens) if abs(sum(map(mul, q, w))) == 1}
-        assert {j for j in range(m) if got >> j & 1} == want, q
-        assert got >> m == 0
-        widths.add((sum(map(abs, q)) * wmax).bit_length() + 2)
-        edge_hits += {0, m - 1} <= want
-    assert len(widths) >= 3 and max(widths) > 8
-    assert edge_hits
+    finish = _finish_z(gens)
+    widths, edges, first, last = set(), 0, 0, 0
+    for trial in range(400):
+        big = rng.choice([1, 2, 30, 10**3, 10**5])
+        rows = tuple(tuple(rng.randint(-big, big) for _ in range(3)) for _ in range(2))
+        if trial % 2:
+            rows = ((rng.choice([1, -1]), *rows[0][1:]), rows[1])
+        cands = rng.getrandbits(m) | rng.choice([0, 1 | 1 << m - 1])
+        ids, pairs, n_pairs, values, dets = plain_finish(gens, rows, cands)
+        assert finish(rows, cands) == (ids, pairs, n_pairs), rows
+        widths.update(values + [dets])
+        edges += {0, m - 1} <= set(ids)
+        after = dict(zip(ids, ids[1:]))
+        first += any(after[w] == g for w, g in pairs)  # the first slot read
+        last += any(g == ids[-1] for _, g in pairs)
+    assert {1, 2, 4, 8} <= widths
+    assert edges and (m < 3 or first and last)  # +-e_1 make no pair
+
+
+def test_packed_finish_refuses_a_slot_past_8_bytes():
+    # a state whose values or determinants need a slot wider than 8 bytes
+    # raises AssertionError; every other state returns the plain rule
+    gens = enumerate_z_vectors(3, 2)
+    finish = _finish_z(gens)
+    cands = (1 << len(gens)) - 1
+    raised = 0
+    for rows in [((2**59, 1, 0), (0, 0, 1)),  # values in 8 bytes
+                 ((2**29, 1, 0), (1, 2**29, 1)),  # determinants in 8 bytes
+                 ((2**31, 1, 0), (1, 2**31, 1)),  # determinants past 8 bytes
+                 ((2**62, 1, 1), (0, 1, 0))]:  # values past 8 bytes
+        ids, pairs, n_pairs, values, dets = plain_finish(gens, rows, cands)
+        if None in values or dets is None:
+            with pytest.raises(AssertionError, match="wider than 8 bytes"):
+                finish(rows, cands)
+            raised += 1
+        else:
+            assert finish(rows, cands) == (ids, pairs, n_pairs)
+            assert 8 in values or dets == 8
+    assert raised == 2
 
 
 def test_truncation_budget():
