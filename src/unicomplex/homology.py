@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque, namedtuple
 from heapq import heappop, heappush
-from itertools import accumulate, chain, combinations, compress, count, repeat
+from itertools import accumulate, chain, combinations, compress, repeat
 from math import gcd
 from operator import itemgetter
 
@@ -138,11 +138,12 @@ def smith_normal_form(M):
 def coreduce(K):
     """One Mrozek-Batko coreduction pass over K.
 
-    Cells are the simplices of K, numbered through the dimensions in sorted
-    order, each with a count of its live codimension-1 faces.  A cell b with
-    exactly one live face a is paired as (a, b) and both leave; when no such
-    cell is queued, the first live cell in numbering order (it has the
-    lowest live dimension, so none of its faces is live) leaves as critical.
+    Cells are the simplices of K, numbered by `SimplicialComplex.ids` (the
+    top level continuing it), each with a count of its live codimension-1
+    faces.  A cell b with exactly one live face a is paired as (a, b) and
+    both leave; when no such cell is queued, the first live cell in
+    numbering order (it has the lowest live dimension, so none of its faces
+    is live) leaves as critical.
     Every cell leaves after all of its faces except its partner, so the
     matching is acyclic and removal stamps decrease along gradient paths.
 
@@ -157,9 +158,7 @@ def coreduce(K):
     which is cut into groups of d + 1 per cell and each group reversed."""
     n = K.n_simplices
     top = len(K.sorted_simplices(K.dim))
-    # no top cell is a face, so only the cells below the top are indexed
-    face_id = dict(zip(chain.from_iterable(
-        map(K.sorted_simplices, range(K.dim))), count())).__getitem__
+    face_id = K.ids().__getitem__
     faces = [()] * len(K.sorted_simplices(0))
     cofaces = [[] for _ in range(n - top)]
     cofaces.extend(repeat((), top))  # no cofaces: one shared empty tuple

@@ -7,13 +7,13 @@ complex and is itself still unmatched.  Within a step the pairing is
 conflict-free: lower partners never contain the pivot, upper partners always
 do, and the upper partner determines the lower one, so the result does not
 depend on the order in which a step visits the simplices.  The empty simplex
-participates in no pair.  `greedy_matching` works on positions within the
-complex's sorted levels, and returns the sorted pairs and the critical
-cells only after the V-path search `_closed_v_path` has found no cycle
-among the pairs, so every `Matching` it returns is a discrete gradient; on
-a cycle it raises AcyclicityError.  `check_acyclic` reads a list of pairs
-alone, wherever it comes from, checks them, and runs the same search on
-their positions.  `critical_census` counts the critical cells by
+participates in no pair.  `greedy_matching` works on the complex's one
+numbering of simplices, `SimplicialComplex.ids`, and returns the sorted
+pairs and the critical cells only after the V-path search `_closed_v_path`
+has found no cycle among the pairs, so every `Matching` it returns is a
+discrete gradient; on a cycle it raises AcyclicityError.  `check_acyclic`
+reads a list of pairs alone, wherever it comes from, checks them, and runs
+the same search on their ids.  `critical_census` counts the critical cells by
 dimension: for any matching, their alternating sum is the Euler
 characteristic.
 
@@ -31,16 +31,16 @@ take two matched edges in a row, because a cell lies in at most one pair,
 so it alternates up and down inside one band of adjacent dimensions, and
 every cell it reaches by a down edge must leave by its matched edge, so it
 is the lower cell of a pair.  The search therefore runs on the lower cells
-of the pairs only, one band at a time, with at most dim + 1 edges out of
-each: the cost is O(pairs * dim), and critical cells and the simplices of
-no pair are never visited.
+of the pairs only, all bands in one search over their ids, with at most
+dim + 1 edges out of each: the cost is O(pairs * dim), and critical cells
+and the simplices of no pair are never visited.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import chain, combinations, compress, count, islice
+from itertools import accumulate, chain, combinations, compress, count, islice
 
 from .errors import AcyclicityError, InputError
 
@@ -56,21 +56,18 @@ def greedy_matching(K, pivots):
     """Run the inductive pivot schedule and return the resulting matching,
     checked acyclic (AcyclicityError with the witness cycle otherwise).
 
-    The work runs on positions within K's levels.  One pass over the
-    levels lists, for each scheduled pivot v and each dimension d >= 1, the
-    positions of the d-simplices through v.  Only a simplex whose first
-    vertex is at most the largest pivot can hold one, so the pass reads
-    each sorted level up to there, and each simplex up to its first vertex
-    past the largest pivot.  The step for v pairs (up - v, up) for each such
-    up whose two members are both still unmarked, with a bytearray of marks
-    per level.  An upper cell is read from K's own level, and a lower
-    cell's position comes from a dict over the level below; the top level
-    is never indexed.  Each pair is a covering pair of K by construction,
-    and is recorded once, as the upper cell at the lower cell's position in
-    a partner list per band.  The pairs of each band of adjacent dimensions
-    go through the V-path search of `_closed_v_path`, and the star lists
-    are released before it runs.  The critical cells are the unmarked ones,
-    taken from each level in one C-level pass."""
+    The work runs on K's one numbering, `SimplicialComplex.ids`, which the
+    top level continues.  One pass over the levels lists, for each pivot v
+    and each dimension d >= 1, the ids of the d-simplices through v: only a
+    simplex whose first vertex is at most the largest pivot can hold one, so
+    the pass reads each sorted level up to there, and each simplex up to its
+    first vertex past the largest pivot.  The step for v pairs (up - v, up)
+    for each such up whose two members are both unmarked, in one bytearray
+    of marks over all ids, and records the pair once, as the upper cell at
+    the lower cell's id in one partner list.  The star lists are released
+    before the one V-path search of `_closed_v_path`, and `ids` before the
+    pairs are formed.  The critical cells are the unmarked ones, taken in
+    one C-level pass."""
     # imported here, so that a process that never matches does not load the
     # extension module and keep its pages resident
     from array import array
@@ -80,63 +77,54 @@ def greedy_matching(K, pivots):
         if pv not in vertex_set:
             raise InputError(f"pivot {pv} is not a vertex of the complex")
     levels = [K.sorted_simplices(d) for d in range(K.dim + 1)]
+    offsets = list(accumulate(map(len, levels), initial=0))
     bands = range(1, len(levels))
     star = {v: [array("l") for _ in levels] for v in pivots}
     last = max(pivots, default=-1)
     for d in bands:
         add = {v: runs[d].append for v, runs in star.items()}.get
         level = levels[d]
-        for i, up in enumerate(islice(level, bisect_left(level, (last + 1,)))):
+        ups = islice(level, bisect_left(level, (last + 1,)))
+        for c, up in enumerate(ups, offsets[d]):
             for v in up:
                 if v > last:
                     break
                 append = add(v)
                 if append is not None:
-                    append(i)
+                    append(c)
 
-    marks = [bytearray(len(level)) for level in levels]
-    index = [dict(zip(level, count())) for level in levels[:-1]]
-    # band d: the upper cell paired with each position of level d - 1
-    partners = [[None] * len(level) for level in levels[:-1]]
+    ids = K.ids()
+    mark = bytearray(offsets[-1])
+    partner = [None] * len(ids)
     try:
         for pivot in pivots:
             runs = star[pivot]
             for d in bands:
-                upper, up_mark, lo_mark = levels[d], marks[d], marks[d - 1]
-                position_of = index[d - 1].__getitem__
-                partner = partners[d - 1]
-                for i in runs[d]:
-                    if up_mark[i]:
+                upper, offset = levels[d], offsets[d]
+                for c in runs[d]:
+                    if mark[c]:
                         continue
-                    up = upper[i]
+                    up = upper[c - offset]
                     k = up.index(pivot)
-                    j = position_of(up[:k] + up[k + 1:])
-                    if lo_mark[j]:
+                    j = ids[up[:k] + up[k + 1:]]
+                    if mark[j]:
                         continue
-                    lo_mark[j] = up_mark[i] = 1
+                    mark[j] = mark[c] = 1
                     partner[j] = up
     except KeyError as exc:
         raise AssertionError(
             f"the face {exc} is not a simplex of the complex") from None
     del star
 
-    # the top band first, so that each band's tables are dropped once its
-    # search has read them
-    pairs = []
-    for d in reversed(bands):
-        position, partner = index.pop(), partners.pop()
-        lower = levels[d - 1]
-        cells = list(compress(position.values(), partner))
-        cycle = _closed_v_path(lower, position, cells, partner)
-        if cycle is not None:
-            raise AcyclicityError(cycle)
-        del position
-        pairs += zip(map(lower.__getitem__, cells), map(partner.__getitem__, cells))
-    pairs.sort()  # the bands are sorted runs, so the sort merges them
+    cycle = _closed_v_path(ids, partner)
+    if cycle is not None:
+        raise AcyclicityError(cycle)
+    del ids
+    # each band is a sorted run, so the sort merges them
+    pairs = sorted(zip(compress(chain.from_iterable(levels), partner),
+                       filter(None, partner)))
     unmarked = bytes.maketrans(b"\0\1", b"\1\0")
-    critical = tuple(chain.from_iterable(
-        compress(level, mark.translate(unmarked))
-        for level, mark in zip(levels, marks)))
+    critical = tuple(compress(chain.from_iterable(levels), mark.translate(unmarked)))
     return Matching(tuple(pairs), critical)
 
 
@@ -162,28 +150,33 @@ def _check_pairs(K, pairs):
         seen.update((lo, hi))
 
 
-def _closed_v_path(lower, position, cells, partner):
-    """A closed V-path among the pairs of one band, or None.
+def _closed_v_path(ids, partner):
+    """A closed V-path among the pairs, or None.
 
-    The pairs are (lower[j], partner[j]) for the positions j in `cells`,
-    ascending; `partner` is None at every other position of `lower`, and
-    `position` maps each simplex of `lower` to its position there.  The
-    nodes are the positions of the lower cells, with an edge j -> f for
-    each codimension-1 face of partner[j], other than lower[j], that is
-    itself a lower cell f.  An iterative three-colour depth-first search,
-    started from the nodes in ascending order, visits the faces in
-    vertex-deletion order and finds a cycle in O(pairs * dim).  The cycle
-    is returned as the closed V-path [lo, up, lo', up', ...] of simplices
-    (its last upper cell has the first lower cell as a face)."""
-    color = bytearray(len(lower))  # 1 on the current path, 2 finished
+    `ids` is K's numbering of the simplices below its top level, and
+    partner[j] is the upper cell paired with the cell of id j, or None when
+    that cell is the lower cell of no pair.  The nodes are the ids of the
+    lower cells, with an edge j -> f for each codimension-1 face of
+    partner[j], other than the cell j, that is itself a lower cell f.  No
+    edge leaves its band of adjacent dimensions, so one search over every
+    id searches each band apart, the bands in ascending dimension.  An
+    iterative three-colour depth-first search, started from the nodes in
+    ascending id order, visits the faces in vertex-deletion order and finds
+    a cycle in O(pairs * dim).  The cycle is returned as the closed V-path
+    [lo, up, lo', up', ...] of simplices (its last upper cell has the first
+    lower cell as a face)."""
+    color = bytearray(len(partner))  # 1 on the current path, 2 finished
+
+    def faces(j):  # of partner[j], the last vertex deleted first
+        return combinations(partner[j], len(partner[j]) - 1)
 
     def successors(j):
-        out = [f for f in map(position.__getitem__, combinations(partner[j], len(lower[j])))
+        out = [f for f in map(ids.__getitem__, faces(j))
                if f != j and partner[f] is not None]
-        out.reverse()  # combinations deletes the last vertex first
+        out.reverse()  # vertex-deletion order
         return iter(out)
 
-    for start in cells:
+    for start in compress(count(), partner):
         if color[start]:
             continue
         color[start] = 1
@@ -193,8 +186,8 @@ def _closed_v_path(lower, position, cells, partner):
             for nxt in stack[-1]:
                 c = color[nxt]
                 if c == 1:
-                    loop = path[path.index(nxt):]
-                    return [cell for j in loop for cell in (lower[j], partner[j])]
+                    return [cell for j in path[path.index(nxt):] for cell in (
+                        next(f for f in faces(j) if ids[f] == j), partner[j])]
                 if not c:
                     color[nxt] = 1
                     path.append(nxt)
@@ -212,26 +205,18 @@ def check_acyclic(K, pairs):
     of the modified Hasse diagram).  The pairs must be covering pairs of K,
     each simplex in one pair at most, or InputError is raised.
 
-    The pairs are split into bands by dimension, and each band goes through
-    the search of `_closed_v_path` on the positions of its lower cells in
-    K's level, each holding its partner.  Returns (True, None), or (False, cycle) with cycle the closed V-path
+    Each lower cell's id in K's numbering (`SimplicialComplex.ids`) holds
+    its partner, and the one search of `_closed_v_path` runs on them.
+    Returns (True, None), or (False, cycle) with cycle the closed V-path
     [lo, up, lo', up', ...] (its last upper cell has the first lower cell
     as a face)."""
     _check_pairs(K, pairs)
-    bands = {}
+    ids = K.ids()
+    partner = [None] * len(ids)
     for lo, up in pairs:
-        bands.setdefault(len(lo), []).append((lo, up))
-    for size in sorted(bands):
-        lower = K.sorted_simplices(size - 1)
-        position = dict(zip(lower, count()))
-        partner = [None] * len(lower)
-        for lo, up in bands[size]:
-            partner[position[lo]] = up
-        cells = list(compress(position.values(), partner))
-        cycle = _closed_v_path(lower, position, cells, partner)
-        if cycle is not None:
-            return False, cycle
-    return True, None
+        partner[ids[lo]] = up
+    cycle = _closed_v_path(ids, partner)
+    return (True, None) if cycle is None else (False, cycle)
 
 
 def critical_census(matching):

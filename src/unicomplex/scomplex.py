@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import reduce
 from heapq import merge
-from itertools import chain, combinations, compress, filterfalse, repeat
+from itertools import chain, combinations, compress, count, filterfalse, repeat
 from operator import and_, itemgetter, lt, methodcaller
 
 from .errors import InputError, ResourceLimitError
@@ -161,6 +161,14 @@ class SimplicialComplex:
             return ()
         return self._levels[d]
 
+    def ids(self):
+        """The one numbering of simplices: each simplex below the top level
+        maps to its position in its sorted level plus the sizes of the
+        levels below.  A top simplex's id would continue the numbering, but
+        no top simplex is a face of another, so the top level is left out;
+        a complex of dimension 0 or below gives {}."""
+        return dict(zip(chain.from_iterable(self._levels[:-1]), count()))
+
     def all_simplices(self):
         for level in self._levels:
             yield from level
@@ -235,8 +243,8 @@ class SimplicialComplex:
 def _bit_ids(bits):
     """The positions of the set bits of an int, ascending.  Peeling the
     lowest bit costs per set bit, where a scan of `bin(bits)` costs per
-    bit.  A vertex's candidates are every later id (at n = 3 the finish
-    reads those); from the edges on they are sparse."""
+    bit.  A vertex's candidates are every later id, made when they are read
+    (at n = 3 the finish reads them); from the edges on they are sparse."""
     out = []
     while bits:
         low = bits & -bits
@@ -261,12 +269,13 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
     sigma + {w, g} a simplex, in lexicographic order.  The loop prefixes
     sigma to each.
 
-    Candidates are bitsets (Python ints): those of a simplex are the AND of
-    one bitset per vertex, all ids for the empty simplex.  A vertex's bitset
-    is every id after it until the edge level replaces it by the vertex's
-    later neighbours: a simplex only grows by a common neighbour of its
-    vertices, since the complex is closed under faces.  So each simplex is
-    produced exactly once, as a tuple of ascending ids.
+    Candidates are bitsets (Python ints): all ids for the empty simplex,
+    every id after it for a vertex, made when it is read, and from the edges
+    on the AND of the vertices' later neighbours, which the edge level
+    records: a simplex only grows by a common neighbour of its vertices,
+    since the complex is closed under faces.  So each simplex is produced
+    exactly once, as a tuple of ascending ids, and no table of V-bit sets
+    is formed before the vertices are charged.
 
     Each level is a list in lexicographic order.  Level 0 is ascending.  If
     a level is, so is the next: the frontier is that level, and each of its
@@ -277,9 +286,11 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
     level in one linear pass.  Raises ResourceLimitError naming `what`
     before a batch of simplices takes the count past `budget`."""
     everything = (1 << len(gens)) - 1
-    later = [everything >> (i + 1) << (i + 1) for i in range(len(gens))]
+    later = {}  # each vertex's later neighbours, once the edge level has run
 
     def candidates(simp):
+        if len(simp) == 1:
+            return everything >> (simp[0] + 1) << (simp[0] + 1)
         return reduce(and_, map(later.__getitem__, simp), everything)
 
     count = 0

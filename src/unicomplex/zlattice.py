@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress, count, product, repeat
-from math import gcd
+from math import comb, gcd
 from operator import mul
 from sys import byteorder
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .fplin import _common_dimension, _identity_rows
 from .scomplex import (
     SIMPLEX_BUDGET,
@@ -201,19 +201,60 @@ def enumerate_z_lines(n, max_norm):
                  if next(filter(None, c)) > 0)
 
 
+def _mobius_divisors(k):
+    """(d, mu(d)) for each squarefree divisor d of k >= 1, from the primes
+    of k found by trial division."""
+    out, p = [(1, 1)], 2
+    while p * p <= k:
+        if k % p == 0:
+            out += [(d * p, -mu) for d, mu in out]
+            while k % p == 0:
+                k //= p
+        p += 1
+    if k > 1:
+        out += [(d * k, -mu) for d, mu in out]
+    return out
+
+
+def _vertex_count(variant, n, max_norm, cap):
+    """f_0 of the truncation of X(Z^n) or K(Z^n) at max_norm, counted one
+    1-norm shell at a time without enumerating a vertex, or the count so far
+    once it passes `cap`; 0 where `enumerate_z_vectors` refuses the bounds.
+
+    The vectors of 1-norm m with j nonzero coordinates number 2^j C(n, j)
+    C(m - 1, j - 1): a support, its signs and a composition of m into j
+    parts.  S(m) sums them over j, and by Moebius inversion over the gcd the
+    primitive vectors of 1-norm k number sum_{d | k} mu(d) S(k / d).  X has
+    all of them and K one line per two.  Past norm 1, Z^1 has none."""
+    if n < 1 or max_norm < 1:
+        return 0
+    weights = [2**j * comb(n, j) for j in range(1, n + 1)]
+    total = 0
+    for k in range(1, (max_norm if n > 1 else 1) + 1):
+        primitive = sum(
+            mu * sum(w * comb(k // d - 1, j) for j, w in enumerate(weights))
+            for d, mu in _mobius_divisors(k))
+        total += primitive if variant == "X" else primitive // 2
+        if total > cap:
+            break
+    return total
+
+
 def build_truncated_universal_z(variant, n, max_norm, budget=SIMPLEX_BUDGET):
     """Full subcomplex of X(Z^n) or K(Z^n) on the vertices within the norm
     bound.  Every simplex is grown by the quotient-map step, or in the last
-    two levels accepted by `_finish_z`, so each one is unimodular over Z.  No
-    closed form counts the simplices, so the frontier loop counts them
+    two levels accepted by `_finish_z`, so each one is unimodular over Z.
+    The vertices are counted against `budget` before they are enumerated.
+    No closed form counts the simplices, so the frontier loop counts them
     against `budget` batch by batch, before each batch is added."""
     if variant not in ("X", "K"):
         raise InputError(f"variant must be 'X' or 'K', got {variant!r}")
+    what = f"truncated {variant}(Z^{n}), max_norm={max_norm}"
+    if _vertex_count(variant, n, max_norm, budget) > budget:
+        raise ResourceLimitError(f"{what} exceeds simplex budget {budget}")
     gens = (enumerate_z_lines if variant == "K" else enumerate_z_vectors)(n, max_norm)
-    by_dim = grow_by_extension(
-        gens, n, _identity_rows(n), _quotient_step, _finish_z(gens), budget,
-        f"truncated {variant}(Z^{n}), max_norm={max_norm}",
-    )
+    by_dim = grow_by_extension(gens, n, _identity_rows(n), _quotient_step,
+                               _finish_z(gens), budget, what)
     return SimplicialComplex(by_dim, {i: vertex_label(variant, c)
                                       for i, c in enumerate(gens)})
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -510,6 +511,32 @@ def test_universal_build_with_large_n_refused_quickly():
         assert code == 3
         assert text == (f"resource error: {argv[2]}(F_2^200) has more simplices "
                         f"than the simplex budget {SIMPLEX_BUDGET}\n")
+
+
+@pytest.mark.parametrize("argv,name", [
+    *((["build", "--ring", "z", "--variant", v, "--n", str(n)], f"{v}(Z^{n})")
+      for v in "XK" for n in (2, 3, 4)),
+    (["zcheck", "--n", "3"], "K(Z^3)"),
+])
+def test_z_truncation_refused_before_enumerating(argv, name):
+    # the vertices are counted shell by shell and the count stops at the
+    # budget, so a norm four times larger is refused in about the same time
+    # and memory; enumerating them took minutes and gigabytes at norm 200.
+    # The module is loaded first, so that the peak is the command's own.
+    import unicomplex.zlattice  # noqa: F401
+    seconds = []
+    for norm in (50, 200):
+        tracemalloc.start()
+        start = time.perf_counter()
+        code, text = run(*argv, "--max-norm", str(norm), "--budget", "10")
+        seconds.append(time.perf_counter() - start)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (code, text) == (3, f"resource error: truncated {name}, "
+                                   f"max_norm={norm} exceeds simplex budget 10\n")
+        assert peak < 2**20
+    assert max(seconds) < 0.25
+    assert abs(seconds[1] - seconds[0]) < 0.05
 
 
 DIGIT_LIMIT_LINE = (f"a report integer has more than {sys.get_int_max_str_digits()} "

@@ -56,6 +56,24 @@ def test_empty_complex():
     assert K.dim == -1
 
 
+@pytest.mark.parametrize("K", [
+    parse_facet_list("a b c\nc d\nb d e\nf\n"),
+    build_universal(UniversalKind("K", 3, 3)),
+    SimplicialComplex([], {}),
+    SimplicialComplex([[(0,), (1,), (2,)]], labeled(3)),
+], ids=["facet file", "K(F_3^3)", "empty", "dimension 0"])
+def test_ids_number_the_levels_below_the_top(K):
+    ids = K.ids()
+    want = {}
+    for d in range(K.dim):
+        below = sum(len(K.sorted_simplices(e)) for e in range(d))
+        for i, s in enumerate(K.sorted_simplices(d)):
+            want[s] = below + i
+    assert ids == want
+    assert list(ids.values()) == list(range(len(ids)))
+    assert (ids == {}) == (K.dim < 1)
+
+
 def test_rejects_unsorted_and_duplicates():
     with pytest.raises(InputError):
         SimplicialComplex.from_simplices([(2, 1)], labeled(3))

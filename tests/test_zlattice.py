@@ -23,6 +23,7 @@ from unicomplex.zlattice import (
     z_line_key,
     _finish_z,
     _quotient_step,
+    _vertex_count,
 )
 
 from oracles import coords_of, det_cofactor, minor_gcd_unimodular
@@ -90,6 +91,19 @@ def test_vectors_are_the_lines_with_both_signs(n, max_norm):
     assert [v for v in vecs if v in set(lines)] == list(lines)
     keys = [(sum(map(abs, v)), v[::-1]) for v in vecs]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n,max_norm", [
+    (1, 5), (2, 14), (3, 10), (3, 50), (4, 6), (5, 4), (2, 1), (3, 1)])
+def test_vertex_count_is_the_enumeration(n, max_norm):
+    vecs, lines = enumerate_z_vectors(n, max_norm), enumerate_z_lines(n, max_norm)
+    assert _vertex_count("X", n, max_norm, float("inf")) == len(vecs)
+    assert _vertex_count("K", n, max_norm, float("inf")) == len(lines)
+    # the count stops at the first shell that takes it past the cap
+    cap = len(vecs) // 2
+    shells = [_vertex_count("X", n, k, float("inf")) for k in range(1, max_norm + 1)]
+    assert _vertex_count("X", n, max_norm, cap) == next(
+        (c for c in shells if c > cap), len(vecs))
 
 
 def test_total_order_laws():
