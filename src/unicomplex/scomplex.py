@@ -243,8 +243,9 @@ class SimplicialComplex:
 def _bit_ids(bits):
     """The positions of the set bits of an int, ascending.  Peeling the
     lowest bit costs per set bit, where a scan of `bin(bits)` costs per
-    bit.  A vertex's candidates are every later id, made when they are read
-    (at n = 3 the finish reads them); from the edges on they are sparse."""
+    bit.  It reads the candidates of a simplex from its edges on, which are
+    sparse; a vertex's candidates are every later id, a range, and are
+    never a bitset."""
     out = []
     while bits:
         low = bits & -bits
@@ -262,20 +263,23 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
     sigma, or None when sigma + {w} is not a simplex; `start` is the state of
     the empty simplex.  Depth 1 is one level of `extend` from `start`.  From
     depth 2 on, `extend` stops two levels below the top, and the two levels
-    left come from `finish(state, candidates)`, called once per simplex
-    sigma of the level below them with the bitset of sigma's candidates: it
-    returns `(ids, pairs, n_pairs)`: the candidates w with sigma + {w} a
-    simplex, ascending, an iterable of the n_pairs pairs (w, g), w < g, with
-    sigma + {w, g} a simplex, in lexicographic order.  The loop prefixes
-    sigma to each.
+    left come from `finish(state, ids, room)`, called once per simplex
+    sigma of the level below them with sigma's candidate ids, ascending,
+    and the number of simplices the budget still allows: it returns
+    `(ids, pairs, n_pairs)`: the candidates w with sigma + {w} a simplex,
+    ascending, an iterable of the n_pairs pairs (w, g), w < g, with
+    sigma + {w, g} a simplex, in lexicographic order.  The loop charges
+    len(ids) + n_pairs before it reads the pairs and prefixes sigma to
+    each, so a finish may stop as soon as what it has found is past `room`
+    and return that: the loop refuses it before the rest is formed.
 
-    Candidates are bitsets (Python ints): all ids for the empty simplex,
-    every id after it for a vertex, made when it is read, and from the edges
-    on the AND of the vertices' later neighbours, which the edge level
-    records: a simplex only grows by a common neighbour of its vertices,
-    since the complex is closed under faces.  So each simplex is produced
-    exactly once, as a tuple of ascending ids, and no table of V-bit sets
-    is formed before the vertices are charged.
+    The candidates of the empty simplex are every id, and those of a
+    vertex every id after it, both a `range`.  From the edges on they are
+    the set bits of the AND of the vertices' later-neighbour bitsets,
+    which the edge level records: a simplex only grows by a common
+    neighbour of its vertices, since the complex is closed under faces.
+    So each simplex is produced exactly once, as a tuple of ascending ids,
+    and no V-bit set is formed before the vertices are charged.
 
     Each level is a list in lexicographic order.  Level 0 is ascending.  If
     a level is, so is the next: the frontier is that level, and each of its
@@ -285,13 +289,12 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
     way, `pairs` being lexicographic.  `SimplicialComplex` then sorts each
     level in one linear pass.  Raises ResourceLimitError naming `what`
     before a batch of simplices takes the count past `budget`."""
-    everything = (1 << len(gens)) - 1
     later = {}  # each vertex's later neighbours, once the edge level has run
 
     def candidates(simp):
-        if len(simp) == 1:
-            return everything >> (simp[0] + 1) << (simp[0] + 1)
-        return reduce(and_, map(later.__getitem__, simp), everything)
+        if len(simp) < 2:
+            return range(simp[0] + 1 if simp else 0, len(gens))
+        return _bit_ids(reduce(and_, map(later.__getitem__, simp)))
 
     count = 0
 
@@ -307,7 +310,7 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
         nxt = []
         for simp, state in frontier:
             kids = []
-            for j in _bit_ids(candidates(simp)):
+            for j in candidates(simp):
                 ext = extend(state, gens[j])
                 if ext is not None:
                     kids.append((simp + (j,), ext))
@@ -320,7 +323,7 @@ def grow_by_extension(gens, depth, start, extend, finish, budget, what):
     if depth > 1:
         below, top = [], []
         for simp, state in frontier:
-            ids, pairs, n_pairs = finish(state, candidates(simp))
+            ids, pairs, n_pairs = finish(state, candidates(simp), budget - count)
             charge(len(ids) + n_pairs)
             below.extend(map(simp.__add__, zip(ids)))
             top.extend(map(simp.__add__, pairs))

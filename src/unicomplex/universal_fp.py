@@ -13,7 +13,7 @@ The builder grows simplices in the shared frontier loop
 `fplin._quotient_step_fp`: a simplex sigma carries the rows of a surjection
 F_p^n -> F_p^(n-k) with kernel span(sigma), and a candidate vertex w
 extends it iff its image under that surjection is nonzero.  Candidates are
-bitsets of vertex ids.  The steps stop where the surjection has two rows
+ascending vertex ids.  The steps stop where the surjection has two rows
 Q, two levels below the top; `_finish_fp` then makes both remaining levels
 at once from where each candidate's image lies on the projective line
 P^1(F_p): w extends sigma iff Q w != 0, and g completes the facet through
@@ -44,7 +44,6 @@ from .scomplex import (
     euler_characteristic,
     grow_by_extension,
     vertex_label,
-    _bit_ids,
 )
 
 
@@ -113,16 +112,19 @@ def _finish_fp(gens, p):
     sigma two below the top is two rows Q = (q_1, q_2), and sigma + {w} is
     a simplex iff Q w != 0.  sigma + {w, g} is one iff Q w and Q g are
     independent in F_p^2, that is, iff Q g != 0 lies on another point of
-    the projective line P^1(F_p) than Q w.  Returns `finish(rows, cands)`,
-    which puts each candidate with Q w != 0 on its point, (1 : y/x) or
-    (0 : 1) for Q w = (x, y), and returns them, every pair of them but those
-    on one point as a lazy C-level pass, and the count of those pairs: a
-    few integer operations per candidate, and none per facet."""
-    def finish(rows, cands):
+    the projective line P^1(F_p) than Q w.  Returns
+    `finish(rows, cands, room)`, which puts each candidate id with
+    Q w != 0 on its point, (1 : y/x) or (0 : 1) for Q w = (x, y), and
+    returns them, every pair of them but those on one point as a lazy
+    C-level pass, and the count of those pairs: a few integer operations
+    per candidate, and none per facet.  `room` is not read: the pairs are
+    counted before one is formed, so the loop refuses an over-budget batch
+    unformed."""
+    def finish(rows, cands, room):
         q1, q2 = rows
         on = {}  # point of P^1 -> how many candidates lie on it
         ids, pts, n_pairs = [], [], 0
-        for j in _bit_ids(cands):
+        for j in cands:
             w = gens[j]
             x = sum(map(mul, q1, w)) % p
             y = sum(map(mul, q2, w)) % p

@@ -6,7 +6,9 @@ A line in Z^n is a rank-1 direct summand; it has two generators and is
 represented by the primitive one whose first nonzero coordinate is positive.
 Lines are well-ordered by 1-norm of the generator, ties broken from the last
 coordinate downward; truncating by 1-norm therefore takes order ideals of
-that well-order.
+that well-order.  `z_line_key` spells the order and stays its definition;
+the enumeration meets it without sorting, as it makes the vectors one
+1-norm shell at a time, each shell already in that order.
 
 Unimodularity is decided by one quotient-map step.  The state of a
 unimodular set sigma of k vectors in Z^n is the rows of a surjection
@@ -18,19 +20,22 @@ reduce Q w to a single entry +-1, and dropping that row leaves a surjection
 whose kernel is span(sigma + {w}).  Each test costs O(n^2) integer
 operations; `is_unimodular_z` folds the step over a list.  The truncation
 builder runs it inside the shared frontier loop `scomplex.grow_by_extension`
-down to the states of two rows, on bitset candidates (the AND of the
-later-neighbour bitsets of the simplex's vertices).  From such a state
-Q = (q_1, q_2) `_finish_z` makes the last two levels at once, w accepted
-iff gcd(Q w) = 1 and g completing the facet through w iff
-det(Q w, Q g) = +-1, both read off the slots of packed big integers.
+down to the states of two rows, on candidate ids: a range for the empty
+simplex and for a vertex, the set bits of the AND of the vertices'
+later-neighbour bitsets from the edges on.  From such a state Q = (q_1, q_2)
+`_finish_z` makes the last two levels at once, w accepted iff
+gcd(Q w) = 1 and g completing the facet through w iff det(Q w, Q g) = +-1,
+both read off the slots of packed big integers, and it stops as soon as
+what it has found is past the simplex budget, so an over-budget batch is
+refused before it is formed.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress, count, product, repeat
+from itertools import chain, combinations, compress, count, islice, repeat, starmap
 from math import comb, gcd
-from operator import mul
+from operator import add, mul
 from sys import byteorder
 
 from .errors import InputError, ResourceLimitError
@@ -42,7 +47,6 @@ from .scomplex import (
     parse_facet_list,
     token_lines,
     vertex_label,
-    _bit_ids,
 )
 
 
@@ -99,8 +103,11 @@ def _finish_z(gens):
     sigma two below the top is two rows Q = (q_1, q_2); sigma + {w} is
     unimodular iff Q w = (a_w, b_w) has gcd 1, and sigma + {w, g} is iff
     det(Q w, Q g) = a_w b_g - b_w a_g is +-1 (then Q g is primitive, so g
-    is accepted too).  Returns `finish(rows, cands)`: each such w among the
-    candidates, each such pair w < g, and the number of pairs.
+    is accepted too).  Returns `finish(rows, ids, room)`: each such w among
+    the candidate ids (ascending), each such pair w < g, and the number of
+    pairs.  `room` is how many simplices the budget still allows: once the
+    accepted ids and the pairs found are more than that, the finish forms
+    no further pair or row, and the frontier loop refuses what it returns.
 
     Both tests read slots of packed integers: value k owns the bits
     [kW, kW + W), W = 8 size, and H holds h = 2^(W-1) in every slot.  A
@@ -112,8 +119,9 @@ def _finish_z(gens):
     each accepted g.  The determinant is +-1 iff that slot is h or h + 2:
     with M the low W - 1 bits of every slot and R those but bit 1,
     `s & ~((s & R) + M) & H` keeps the top bit of exactly those slots, no
-    sum carrying out of its slot, and the top bytes select the pairs in one
-    `compress`.
+    sum carrying out of its slot.  The top bytes of the slots after each w
+    in turn select the pairs from `combinations(ids, 2)` in one `compress`,
+    which makes each w's row only when it reaches it.
 
     A slot holds values in [-h, h): the values' slot is fitted to
     |q|_1 max|w_i|, the determinants' to 2 max|a| max|b| + 1, and past 8
@@ -143,21 +151,24 @@ def _finish_z(gens):
         coords, high = packs[size]
         return array(code, (sum(map(mul, q, coords), high) ^ high).to_bytes(m * size, byteorder))
 
-    def finish(rows, cands):
-        ids = _bit_ids(cands)
+    def finish(rows, ids, room):
         a, b = (list(map(images(q).__getitem__, ids)) for q in rows)
         keep = list(map((1).__eq__, map(gcd, a, b)))
         ids, a, b = (list(compress(x, keep)) for x in (ids, a, b))
         size, code = _slot(2 * max(map(abs, a), default=0) * max(map(abs, b), default=0) + 1)
+        width = len(ids) * size
         high = _tops(len(ids), size)
         A, B = spread(a, code, high), spread(b, code, high)
         ones = high >> 8 * size - 1
         low, rest, bias = high - ones, high - 3 * ones, high + ones
-        pairs = []
-        for k, (w, x, y) in enumerate(zip(ids, a, b), 1):
-            s = y * A - x * B + bias
-            hits = (s & ~((s & rest) + low) & high).to_bytes(len(ids) * size, "little")
-            pairs.extend(zip(repeat(w), compress(ids[k:], hits[(k + 1) * size - 1::size])))
+
+        def hits():  # for each w, the top byte of the slot of each g after w
+            for x, y, start in zip(a, b, range(2 * size - 1, width, size)):
+                s = y * A - x * B + bias
+                yield (s & ~((s & rest) + low) & high).to_bytes(width, "little")[start::size]
+
+        pairs = list(islice(compress(combinations(ids, 2), chain.from_iterable(hits())),
+                            max(room - len(ids) + 1, 0)))
         return ids, pairs, len(pairs)
 
     return finish
@@ -184,14 +195,34 @@ def z_line_key(line):
 
 
 def enumerate_z_vectors(n, max_norm):
-    """All primitive vectors (both signs) with 1-norm <= max_norm, sorted
-    by `z_line_key`."""
+    """All primitive vectors (both signs) with 1-norm <= max_norm, in
+    `z_line_key` order, made one 1-norm shell at a time and never sorted.
+    Ordered by reversed coordinates, the vectors of 1-norm k run through
+    the last coordinate t = -k..k, each t followed by the shell of 1-norm
+    k - |t| one dimension down in its own order; those lower shells are
+    made once each, and only the primitive vectors of the top shells are
+    kept.  So no vector past the bound is formed.  Past norm 1, Z^1 has no
+    primitive vector."""
     if n < 1 or max_norm < 1:
         raise InputError("need n >= 1 and max_norm >= 1")
-    return tuple(sorted(
-        (c for c in product(range(-max_norm, max_norm + 1), repeat=n)
-         if sum(map(abs, c)) <= max_norm and gcd(*c) == 1),
-        key=z_line_key))
+    lower = {}  # (d, k) -> the vectors of Z^d of 1-norm k, d < n, in order
+
+    def shell(d, k):
+        if d == 1:
+            return [(-k,), (k,)] if k else [(0,)]
+        out = []
+        for t in range(-k, k + 1):
+            r = k - abs(t)
+            if (d - 1, r) not in lower:
+                lower[d - 1, r] = shell(d - 1, r)
+            out += map(add, lower[d - 1, r], repeat((t,)))
+        return out
+
+    out = []
+    for k in range(1, (max_norm if n > 1 else 1) + 1):
+        vectors = shell(n, k)
+        out += compress(vectors, map((1).__eq__, starmap(gcd, vectors)))
+    return tuple(out)
 
 
 def enumerate_z_lines(n, max_norm):
@@ -246,7 +277,8 @@ def build_truncated_universal_z(variant, n, max_norm, budget=SIMPLEX_BUDGET):
     two levels accepted by `_finish_z`, so each one is unimodular over Z.
     The vertices are counted against `budget` before they are enumerated.
     No closed form counts the simplices, so the frontier loop counts them
-    against `budget` batch by batch, before each batch is added."""
+    against `budget` batch by batch, and `_finish_z` stops a batch once it
+    is past what the budget still allows, so it is refused unformed."""
     if variant not in ("X", "K"):
         raise InputError(f"variant must be 'X' or 'K', got {variant!r}")
     what = f"truncated {variant}(Z^{n}), max_norm={max_norm}"

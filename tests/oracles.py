@@ -8,14 +8,17 @@ ranks over Q by elimination on Fractions, shellings by intersecting every
 facet with every earlier one, p-orderings by re-summing every valuation at
 every step, acyclicity by searching the whole modified Hasse diagram,
 shiftedness by trying every vertex swap in every facet, chromatic
-numbers by trying every coloring and connected components by union-find
-over the edges.  None of it shares
+numbers by trying every coloring, connected components by union-find
+over the edges and the integer vectors of the line order by sorting the
+whole norm box.  None of it shares
 code with the library's elimination, quotient-step, Smith normal form,
-coreduction, restriction-face, running-sum, V-path, degree-labeling or
-backtracking-coloring paths, so agreement is evidence, not tautology.
+coreduction, restriction-face, running-sum, V-path, degree-labeling,
+backtracking-coloring or shell-by-shell enumeration paths, so agreement is
+evidence, not tautology.
 """
 
 from itertools import combinations, product
+from math import gcd
 
 
 def span_size_rank(rows, p):
@@ -349,3 +352,19 @@ def brute_chromatic_number(n, edges):
             if all(colors[a] != colors[b] for a, b in edges):
                 return k
     return 0
+
+
+def box_z_vectors(n, max_norm):
+    """The primitive vectors of Z^n with 1-norm <= max_norm, found by
+    filtering every point of the box [-max_norm, max_norm]^n and sorted by
+    (1-norm, reversed coordinates)."""
+    return sorted((c for c in product(range(-max_norm, max_norm + 1), repeat=n)
+                   if sum(map(abs, c)) <= max_norm and gcd(*c) == 1),
+                  key=lambda c: (sum(map(abs, c)), c[::-1]))
+
+
+def box_z_lines(n, max_norm):
+    """The vectors of `box_z_vectors` whose first nonzero coordinate is
+    positive: one generator per line."""
+    return [c for c in box_z_vectors(n, max_norm)
+            if [x for x in c if x][0] > 0]

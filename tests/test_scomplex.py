@@ -200,12 +200,11 @@ def test_grow_by_extension_pairwise_coprime(depth):
 
     finished = []
 
-    def finish(state, cands):
+    def finish(state, cands, room):
         # the candidates w coprime to sigma's product, and the pairs of them
         # that are coprime to each other, in lexicographic order
         finished.append(state)
-        ids = [j for j in range(len(gens))
-               if cands >> j & 1 and gcd(state, gens[j]) == 1]
+        ids = [j for j in cands if gcd(state, gens[j]) == 1]
         pairs = [(w, g) for w, g in combinations(ids, 2)
                  if gcd(gens[w], gens[g]) == 1]
         return ids, iter(pairs), len(pairs)

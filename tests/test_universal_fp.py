@@ -134,7 +134,7 @@ def test_two_row_finish_is_the_plain_rule():
             kept = [j for j in ids if any(image[j])]
             pairs = [(j, g) for j, g in combinations(kept, 2)
                      if (image[j][0] * image[g][1] - image[j][1] * image[g][0]) % p]
-            got, lazy, n_pairs = finish(rows, cands)
+            got, lazy, n_pairs = finish(rows, ids, len(gens) ** 2)
             assert (got, list(lazy), n_pairs) == (kept, pairs, len(pairs))
             hits += len(pairs)
     assert hits > 1000

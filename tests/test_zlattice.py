@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -8,6 +9,7 @@ import pytest
 from unicomplex.errors import InputError, ResourceLimitError
 from unicomplex.homology import reduced_homology
 from unicomplex.morse import check_acyclic, critical_census, greedy_matching
+from unicomplex import zlattice
 from unicomplex.scomplex import SimplicialComplex
 from unicomplex.zlattice import (
     QuasitoricPair,
@@ -26,7 +28,13 @@ from unicomplex.zlattice import (
     _vertex_count,
 )
 
-from oracles import coords_of, det_cofactor, minor_gcd_unimodular
+from oracles import (
+    box_z_lines,
+    box_z_vectors,
+    coords_of,
+    det_cofactor,
+    minor_gcd_unimodular,
+)
 
 
 def test_unimodular_examples():
@@ -91,6 +99,18 @@ def test_vectors_are_the_lines_with_both_signs(n, max_norm):
     assert [v for v in vecs if v in set(lines)] == list(lines)
     keys = [(sum(map(abs, v)), v[::-1]) for v in vecs]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n,max_norm", [
+    (1, 1), (1, 5), (2, 1), (2, 14), (3, 1), (3, 10), (4, 6), (5, 4)])
+def test_shells_are_the_sorted_norm_box(n, max_norm):
+    # the enumeration makes the shells in order and sorts nothing; the
+    # oracle filters the whole box and sorts it by the line order's key
+    assert list(enumerate_z_vectors(n, max_norm)) == box_z_vectors(n, max_norm)
+    lines = enumerate_z_lines(n, max_norm)
+    assert list(lines) == box_z_lines(n, max_norm)
+    # one norm more only appends
+    assert enumerate_z_lines(n, max_norm + 1)[:len(lines)] == lines
 
 
 @pytest.mark.parametrize("n,max_norm", [
@@ -189,7 +209,7 @@ def test_two_row_finish_is_the_plain_rule():
         kept = [j for j in ids if gcd(*image[j]) == 1]
         pairs = [(j, g) for j, g in combinations(ids, 2)
                  if abs(image[j][0] * image[g][1] - image[j][1] * image[g][0]) == 1]
-        assert finish(rows, cands) == (kept, pairs, len(pairs))
+        assert finish(rows, ids, len(gens) ** 2) == (kept, pairs, len(pairs))
         hits += len(pairs)
     assert hits > 1000
 
@@ -224,10 +244,10 @@ def slot_bytes(bound):
 
 def plain_finish(gens, rows, cands):
     """(ids, pairs, n_pairs, value slot bytes, determinant slot bytes) of
-    the two-row finish by one dot product per generator and one 2 x 2
-    determinant per pair of candidates."""
+    the two-row finish on the candidate ids `cands` by one dot product per
+    generator and one 2 x 2 determinant per pair of candidates."""
     image = [tuple(sum(map(mul, q, w)) for q in rows) for w in gens]
-    ids = [j for j in range(len(gens)) if cands >> j & 1 and gcd(*image[j]) == 1]
+    ids = [j for j in cands if gcd(*image[j]) == 1]
     pairs = [(w, g) for w, g in combinations(ids, 2)
              if abs(image[w][0] * image[g][1] - image[w][1] * image[g][0]) == 1]
     wmax = max(abs(c) for w in gens for c in w)
@@ -257,9 +277,10 @@ def test_packed_finish_is_the_plain_rule(m):
         rows = tuple(tuple(rng.randint(-big, big) for _ in range(3)) for _ in range(2))
         if trial % 2:
             rows = ((rng.choice([1, -1]), *rows[0][1:]), rows[1])
-        cands = rng.getrandbits(m) | rng.choice([0, 1 | 1 << m - 1])
+        bits = rng.getrandbits(m) | rng.choice([0, 1 | 1 << m - 1])
+        cands = [j for j in range(m) if bits >> j & 1]
         ids, pairs, n_pairs, values, dets = plain_finish(gens, rows, cands)
-        assert finish(rows, cands) == (ids, pairs, n_pairs), rows
+        assert finish(rows, cands, m ** 2) == (ids, pairs, n_pairs), rows
         widths.update(values + [dets])
         edges += {0, m - 1} <= set(ids)
         after = dict(zip(ids, ids[1:]))
@@ -274,7 +295,7 @@ def test_packed_finish_refuses_a_slot_past_8_bytes():
     # raises AssertionError; every other state returns the plain rule
     gens = enumerate_z_vectors(3, 2)
     finish = _finish_z(gens)
-    cands = (1 << len(gens)) - 1
+    cands = range(len(gens))
     raised = 0
     for rows in [((2**59, 1, 0), (0, 0, 1)),  # values in 8 bytes
                  ((2**29, 1, 0), (1, 2**29, 1)),  # determinants in 8 bytes
@@ -283,10 +304,10 @@ def test_packed_finish_refuses_a_slot_past_8_bytes():
         ids, pairs, n_pairs, values, dets = plain_finish(gens, rows, cands)
         if None in values or dets is None:
             with pytest.raises(AssertionError, match="wider than 8 bytes"):
-                finish(rows, cands)
+                finish(rows, cands, len(gens) ** 2)
             raised += 1
         else:
-            assert finish(rows, cands) == (ids, pairs, n_pairs)
+            assert finish(rows, cands, len(gens) ** 2) == (ids, pairs, n_pairs)
             assert 8 in values or dets == 8
     assert raised == 2
 
@@ -306,6 +327,48 @@ def test_truncation_budget_edge(variant, n, max_norm):
     what = rf"truncated {variant}\(Z\^{n}\), max_norm={max_norm} exceeds"
     with pytest.raises(ResourceLimitError, match=what):
         build_truncated_universal_z(variant, n, max_norm, budget=total - 1)
+
+
+def test_finish_stops_at_the_first_pair_past_room():
+    # given room for r simplices, the finish returns its whole answer if
+    # that fits, and otherwise the accepted ids and the pairs up to the
+    # first one that takes the count past r (none if the ids alone are)
+    gens = enumerate_z_vectors(3, 3)
+    finish = _finish_z(gens)
+    rows, cands = ((0, 1, 0), (0, 0, 1)), range(len(gens))
+    ids, pairs, n_pairs = finish(rows, cands, len(gens) ** 2)
+    total = len(ids) + n_pairs
+    assert len(ids) > 10 and n_pairs > 100
+    for room in range(total + 2):
+        want = pairs if room >= total else pairs[:max(room - len(ids) + 1, 0)]
+        assert finish(rows, cands, room) == (ids, want, len(want)), room
+
+
+@pytest.mark.parametrize("n,max_norm,per_vertex", [(2, 100, 160), (3, 16, 1024)])
+def test_refusal_holds_no_batch(monkeypatch, n, max_norm, per_vertex):
+    # the vertices fit the budget and the first finish batch does not: the
+    # frontier refuses it with no more memory per vertex than its states and
+    # the candidates' images need (about 110 and 300 bytes here), where
+    # forming the batch first held about 220 and 2600 bytes
+    V = _vertex_count("K", n, max_norm, float("inf"))
+    held = []
+    grow = zlattice.grow_by_extension
+
+    def frontier(*args):  # the peak is measured from here on
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return grow(*args)
+
+    monkeypatch.setattr(zlattice, "grow_by_extension", frontier)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError,
+                           match=rf"truncated K\(Z\^{n}\), max_norm={max_norm} exceeds"):
+            build_truncated_universal_z("K", n, max_norm, budget=V + 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held[0] < per_vertex * V
 
 
 @pytest.mark.parametrize("n,max_norm", [(2, 14), (3, 3), (3, 4), (3, 5), (4, 2)])
