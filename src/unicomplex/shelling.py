@@ -2,8 +2,14 @@
 over F_p, and shiftedness testing.
 
 A shelling order is a sequence of facets, each a sorted tuple of vertex ids.
-`shelling_h_vector` checks one in a single pass and counts its restriction
-faces.
+`shelling_h_vector` checks one by a count over ridges (Björner's
+restriction intervals, Ziegler's Lectures on Polytopes §8.3): one C-level
+pass notes the facet at which each ridge is first met, which gives every
+restriction face R(F_k), and the order is a shelling iff the intervals
+[R(F_k), F_k] hold as many faces as K, the empty face included.  The pass
+keeps one dict entry per ridge; only when the count fails does a loop that
+keeps every placed face, one more tuple set the size of K, run to find the
+first failing facet.
 
 The constructed shelling groups facets of the n-dimensional complex by
 their set of vertices outside the (n-1)-dimensional subcomplex (the "new"
@@ -36,9 +42,11 @@ list and one binary search per codimension-1 face of each facet.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from functools import partial
-from itertools import compress
+from itertools import chain, combinations, compress, repeat
 from math import comb
+from operator import is_not
 
 from .errors import InputError
 from .fplin import (
@@ -53,8 +61,8 @@ from .universal_fp import formula_f_vector, _finish_fp, _vertex_enumeration
 
 
 def shelling_h_vector(K, order):
-    """Check that the facet sequence `order` is a shelling of K, in one pass
-    by restriction faces, and count their sizes.
+    """Decide whether the facet sequence `order` is a shelling of K from
+    one pass over its ridges, and histogram its restriction-face sizes.
 
     R(F_k) is the set of vertices v of facet k with F_k - v a face of an
     earlier facet.  The faces of F_k in the earlier complex always include
@@ -62,9 +70,27 @@ def shelling_h_vector(K, order):
     codimension 1 exactly when nothing more is there, that is, when R(F_k)
     itself is not a face of the earlier complex (faces are closed under
     subsets).  The empty face belongs to every nonempty complex, so a facet
-    meeting no codimension-1 face of the earlier ones fails.  A facet that
-    passes adds to the earlier complex exactly its faces containing R(F_k),
-    so each face is added once.
+    meeting no codimension-1 face of the earlier ones fails.
+
+    A face of F_k of size w - 1 (w = dim K + 1) lies in an earlier facet
+    iff it is one of that facet's ridges, so one pass over the incidences
+    (F_k, ridge of F_k), each sent through `first.setdefault(ridge, F_k)`,
+    finds every R(F_k): v is in it iff the ridge F_k - v was first met at
+    an earlier facet.  The order is a shelling iff
+
+        sum over k of 2^(w - |R(F_k)|)  =  1 + K.n_simplices.
+
+    Proof: a face of F_k missing some v of R(F_k) lies in the earlier
+    ridge F_k - v, so the faces new at step k lie in the interval
+    [R(F_k), F_k] of 2^(w - |R(F_k)|) faces.  They fill it iff R(F_k) is
+    not an earlier face, which is the test above.  Every face of K, the
+    empty face included, is new at exactly one step, so the sum is at
+    least 1 + K.n_simplices, with equality iff every step passes.
+
+    The pass holds one dict entry per ridge and no face set.  Only when
+    the count says no does the face-set loop run, as the search for the
+    first failing facet: it keeps every face of the facets placed, about
+    one more tuple set the size of K.
 
     Returns (None, h) for a shelling, whose h-vector h_i counts the facets
     with |R(F_k)| = i, or (k, h) with the first failing 1-based index k and
@@ -74,8 +100,23 @@ def shelling_h_vector(K, order):
     width = K.dim + 1
     top = K.sorted_simplices(K.dim)  # the facets, K being pure
     forder = [tuple(f) for f in order]
-    if len(forder) != len(top) or set(forder) != set(top):
+    rest = set(top)
+    rest.difference_update(forder)
+    if len(forder) != len(top) or rest:
         raise InputError("order must cover every facet exactly once")
+
+    def each_facet_per_ridge():
+        return chain.from_iterable(map(repeat, forder, repeat(width)))
+
+    first = {}
+    ridges = chain.from_iterable(map(combinations, forder, repeat(width - 1)))
+    # the facets are distinct, so `is not` tells an earlier one from F_k
+    earlier = map(is_not, map(first.setdefault, ridges, each_facet_per_ridge()),
+                  each_facet_per_ridge())
+    sizes = Counter(map(sum, zip(*[earlier] * width)))  # |R(F_k)| per facet
+    if sum(c << (width - r) for r, c in sizes.items()) == 1 + K.n_simplices:
+        return None, tuple(sizes[r] for r in range(width + 1))
+    # some step fails (or K has no facet): find the first, face by face
     h = [0] * (width + 1)
     seen = set()  # every face of the facets placed; empty, so F_1 passes
     for k, F in enumerate(forder):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -140,6 +141,32 @@ def test_cyclic_matching_exits_1_with_one_line(monkeypatch, argv):
     assert code == 1
     assert text.startswith("self-check failed: ")
     assert text.count("\n") == 1 and text.endswith("\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv,want", [
+    (["fvector", "--variant", "K", "--p", "3", "--n", "3"], 0),
+    (["morse", "--variant", "K", "--p", "2", "--n", "3"], 1),
+    (["morse", "--facets", "/nonexistent/file"], 2),
+    (["homology", "--variant", "K", "--p", "3", "--n", "3", "--budget", "10"], 3),
+])
+def test_dispatch_restores_the_collector_state(monkeypatch, argv, want, enabled):
+    # the command runs with the cyclic collector paused, and every exit
+    # leaves it as it was found; the exit-1 matching is the cyclic one of
+    # test_cyclic_matching_exits_1_with_one_line
+    cycle = [(0,), (0, 1), (1,), (1, 2)]
+    during = []
+    monkeypatch.setattr(morse, "_closed_v_path",
+                        lambda *band: during.append(gc.isenabled()) or cycle)
+    try:
+        if not enabled:
+            gc.disable()
+        code, _ = run(*argv)
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert (code, after) == (want, enabled)
+    assert during == ([False] if want == 1 else [])
 
 
 def test_homology_report():
